@@ -1193,7 +1193,6 @@ def _command_queue(args: argparse.Namespace) -> int:
 def _command_api(args: argparse.Namespace) -> int:
     import signal as signal_module
     import threading
-    import time as time_module
 
     from .distributed import LocalFleet, QueueError, open_queue
     from .service import ServiceServer, TenantRegistry
@@ -1203,6 +1202,7 @@ def _command_api(args: argparse.Namespace) -> int:
     close_trace = _open_trace_output(args.trace_out)
     fleet = None
     supervisor = None
+    stopping = threading.Event()
     try:
         queue = open_queue(args.queue)
         try:
@@ -1237,8 +1237,10 @@ def _command_api(args: argparse.Namespace) -> int:
                 # Keep-alive workers should never exit; one that does has
                 # crashed, and the fleet replaces it (within its respawn
                 # budget) so the service does not quietly stop executing.
-                while not server.closing:
-                    time_module.sleep(2.0)
+                # Waiting on the event (not sleeping) lets shutdown stop
+                # the loop before the fleet is terminated, so no worker is
+                # respawned after it.
+                while not stopping.wait(2.0):
                     try:
                         fleet.supervise(server.queue.counts())
                     except (OSError, QueueError):
@@ -1270,11 +1272,12 @@ def _command_api(args: argparse.Namespace) -> int:
         finally:
             signal_module.signal(signal_module.SIGTERM, previous)
     finally:
+        stopping.set()
         server.close()
+        if supervisor is not None:
+            supervisor.join()
         if fleet is not None:
             fleet.terminate()
-        if supervisor is not None:
-            supervisor.join(timeout=5.0)
         close_log()
         close_trace()
     return 0

@@ -12,6 +12,10 @@ Submodules
 ``bilp``
     The integer-linear-programming translation for DAG-like ATs
     (Theorems 6–7).
+``conditioning``
+    Exact DAG analysis by unfolding into a tree and running ``bottom_up``
+    once per subset of the shared BASs; faster than BILP when few are
+    shared.
 ``knapsack``
     The NP-completeness and expressivity constructions of Section V.
 ``problems`` / ``analysis``

@@ -138,7 +138,15 @@ class CostDamageAnalyzer:
                 "probabilistic DAG case is the paper's open problem"
             )
         else:
-            algorithm = "bi-objective integer linear programming (Theorem 6)"
+            backend = self.session.resolve(Problem.CDPF).name
+            algorithm = {
+                "conditioning": (
+                    "bottom-up Pareto propagation once per subset of the "
+                    "shared BASs (bi-objective integer linear programming, "
+                    "Theorem 6, when sharing is heavier)"
+                ),
+                "bilp": "bi-objective integer linear programming (Theorem 6)",
+            }.get(backend, f"the {backend!r} backend")
         return (
             f"{setting} attack tree with {len(tree)} nodes "
             f"({len(tree.basic_attack_steps)} BASs), {shape}; "

@@ -66,6 +66,7 @@ class Method(enum.Enum):
 
     AUTO = "auto"
     BOTTOM_UP = "bottom-up"
+    CONDITIONING = "conditioning"
     BILP = "bilp"
     ENUMERATIVE = "enumerative"
 
@@ -73,6 +74,7 @@ class Method(enum.Enum):
 #: Method ↔ engine-backend name correspondence used by the shim.
 _METHOD_TO_BACKEND = {
     Method.BOTTOM_UP: "bottom-up",
+    Method.CONDITIONING: "conditioning",
     Method.BILP: "bilp",
     Method.ENUMERATIVE: "enumerative",
 }

@@ -12,9 +12,9 @@ Layers
     The :class:`SolverBackend` protocol and the ``(problem, shape,
     setting)`` capability cells (Table I of the paper, made data).
 ``backends``
-    The six built-in backends: bottom-up, BILP and enumerative (exact,
-    auto-selectable) plus genetic, prob-dag and Monte-Carlo (extensions,
-    explicit opt-in).
+    The built-in backends: bottom-up, conditioning, BILP and enumerative
+    (exact, auto-selectable) plus genetic, prob-dag and Monte-Carlo
+    (extensions, explicit opt-in).
 ``registry``
     Registration and data-driven resolution, replacing the old if/elif
     dispatch of ``repro.core.problems``.
@@ -75,6 +75,7 @@ from .store import (
 _LAZY_BACKEND_EXPORTS = frozenset({
     "BilpBackend",
     "BottomUpBackend",
+    "ConditioningBackend",
     "EnumerativeBackend",
     "GeneticBackend",
     "MonteCarloBackend",
@@ -102,6 +103,7 @@ __all__ = [
     "BottomUpBackend",
     "Capability",
     "CapabilityError",
+    "ConditioningBackend",
     "EXECUTORS",
     "EnumerativeBackend",
     "GeneticBackend",

@@ -208,6 +208,16 @@ class BaseBackend:
         """Human-readable Table I entry for a cell this backend resolves."""
         return self.name
 
+    def declines(self, model: Model, problem: Problem) -> Optional[str]:
+        """Why automatic resolution should pass over this backend for
+        ``problem`` on ``model`` (e.g. another backend is faster there), or
+        ``None``.
+
+        Only consulted when no backend is named; a request naming this
+        backend still runs it.
+        """
+        return None
+
     def solve(self, model: Model, request: "AnalysisRequest") -> BackendOutput:
         try:
             handler = self.handlers[request.problem]

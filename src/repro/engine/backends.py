@@ -1,8 +1,12 @@
-"""Built-in backends: the paper's three exact solvers plus three extensions.
+"""Built-in backends: the paper's three exact solvers plus extensions.
 
 Exact backends (auto-selectable, Table I):
 
 * ``bottom-up`` — Pareto propagation for treelike ATs (Theorems 4 and 9);
+* ``conditioning`` — the treelike kernel run once per subset of a
+  deterministic DAG's shared BASs; auto-resolves while its work stays
+  under a measured per-problem cutoff and declines the rest, which fall
+  through to ``bilp``;
 * ``bilp`` — bi-objective integer programming for deterministic DAGs
   (Theorem 6; no probabilistic formulation exists, see Section IX);
 * ``enumerative`` — the exhaustive baseline; covers every cell, including
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..core import bilp, bottom_up, bottom_up_prob, enumerative
+from ..core import bilp, bottom_up, bottom_up_prob, conditioning, enumerative
 from ..core.problems import Problem
 from ..extensions import genetic as genetic_ext
 from ..extensions import prob_dag as prob_dag_ext
@@ -44,6 +48,7 @@ from .requests import AnalysisRequest
 __all__ = [
     "BottomUpBackend",
     "BottomUpNumpyBackend",
+    "ConditioningBackend",
     "BilpBackend",
     "EnumerativeBackend",
     "GeneticBackend",
@@ -186,6 +191,74 @@ class BottomUpNumpyBackend(BaseBackend):
             as_deterministic(model), request.threshold, accelerator="numpy"
         )
         return BackendOutput(value=value, witness=witness)
+
+
+class ConditioningBackend(BaseBackend):
+    """Bottom-up per subset of the shared BASs, for deterministic DAGs.
+
+    Unfolds the DAG into a tree and runs the treelike kernel once per
+    subset ``σ`` of the ``k`` BASs with several copies
+    (:mod:`repro.core.conditioning`).  It declines requests where BILP is
+    faster — the work ``2^k × unfolded nodes`` above the problem's
+    :data:`~repro.core.conditioning.MAX_WORK` cutoff — so those still
+    auto-resolve to ``bilp``; naming it runs it regardless.  Results carry
+    ``extras={"shared_bas": k, "conditioned_runs": n}``.
+    """
+
+    name = "conditioning"
+    exact = True
+    priority = 92
+    capabilities = cells(DETERMINISTIC_PROBLEMS, (Shape.DAG,), Setting.DETERMINISTIC)
+
+    def __init__(self) -> None:
+        self.handlers = {
+            Problem.CDPF: self._cdpf,
+            Problem.DGC: self._dgc,
+            Problem.CGD: self._cgd,
+        }
+
+    def unsupported_reason(
+        self, problem: Problem, shape: Shape, setting: Setting
+    ) -> Optional[str]:
+        if setting is Setting.PROBABILISTIC:
+            return (
+                "the conditioning backend only answers the deterministic "
+                "problems; use bottom-up for treelike ATs or enumerative"
+            )
+        if shape is Shape.TREE:
+            return (
+                "the conditioning backend only covers DAG-like ATs; "
+                "use bottom-up for treelike ones"
+            )
+        return None
+
+    def cell_label(self, shape: Shape, setting: Setting) -> str:
+        return (
+            "BILP (Theorem 6), or bottom-up over k shared BASs when the "
+            "2^k unfolded runs are cheaper"
+        )
+
+    def declines(self, model: Model, problem: Problem) -> Optional[str]:
+        return conditioning.decline_reason(model.tree, problem)
+
+    @staticmethod
+    def _counters(kernel: conditioning.Conditioning) -> dict:
+        return {"shared_bas": len(kernel.shared), "conditioned_runs": kernel.runs}
+
+    def _cdpf(self, model: Model, request: AnalysisRequest) -> BackendOutput:
+        kernel = conditioning.Conditioning(as_deterministic(model))
+        front = kernel.pareto_front()
+        return BackendOutput(front=front, extras=self._counters(kernel))
+
+    def _dgc(self, model: Model, request: AnalysisRequest) -> BackendOutput:
+        kernel = conditioning.Conditioning(as_deterministic(model))
+        value, witness = kernel.max_damage_given_cost(request.budget)
+        return BackendOutput(value=value, witness=witness, extras=self._counters(kernel))
+
+    def _cgd(self, model: Model, request: AnalysisRequest) -> BackendOutput:
+        kernel = conditioning.Conditioning(as_deterministic(model))
+        value, witness = kernel.min_cost_given_damage(request.threshold)
+        return BackendOutput(value=value, witness=witness, extras=self._counters(kernel))
 
 
 class BilpBackend(BaseBackend):
@@ -519,6 +592,7 @@ def standard_backends() -> List[BaseBackend]:
     """
     backends: List[BaseBackend] = [
         BottomUpBackend(),
+        ConditioningBackend(),
         BilpBackend(),
         EnumerativeBackend(),
         GeneticBackend(),

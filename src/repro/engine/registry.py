@@ -12,10 +12,17 @@ name, so automatic resolution always reproduces the paper's Table I:
 setting         shape  resolved backend
 ==============  =====  ==========================================
 deterministic   tree   ``bottom-up``  (Theorem 4)
-deterministic   dag    ``bilp``       (Theorem 6)
+deterministic   dag    ``conditioning`` (few shared BASs), else
+                       ``bilp`` (Theorem 6)
 probabilistic   tree   ``bottom-up``  (Theorem 9)
 probabilistic   dag    ``enumerative`` (the open problem's fallback)
 ==============  =====  ==========================================
+
+The deterministic-DAG cell holds two exact methods: a backend may
+*decline* a request it covers (:meth:`~repro.engine.backend.BaseBackend
+.declines`) when its cost rule says another is faster for that problem on
+that model, and automatic resolution then falls through to the next
+candidate.
 """
 
 from __future__ import annotations
@@ -129,7 +136,8 @@ class BackendRegistry:
         """Pick the backend answering ``problem`` on ``model``.
 
         With ``backend=None`` this reproduces Table I: the highest-priority
-        exact backend covering ``(problem, shape(model), setting(problem))``.
+        exact backend covering ``(problem, shape(model), setting(problem))``
+        that does not decline the request (see ``BaseBackend.declines``).
         With a name, that backend is returned after checking it covers the
         cell (backends can veto with a domain-specific message, e.g. "CEDPF
         has no BILP formulation").
@@ -166,7 +174,18 @@ class BackendRegistry:
                 f"no exact backend covers problem {problem.value!r} on "
                 f"{setting.value} {shape.value}-shaped models{hint}"
             )
-        return found[0]
+        reasons = []
+        for candidate in found:
+            declines = getattr(candidate, "declines", None)
+            reason = None if declines is None else declines(model, problem)
+            if reason is None:
+                return candidate
+            reasons.append(f"{candidate.name}: {reason}")
+        raise CapabilityError(
+            f"every exact backend covering problem {problem.value!r} on "
+            f"{setting.value} {shape.value}-shaped models declined this model: "
+            + "; ".join(reasons)
+        )
 
     # ------------------------------------------------------------------ #
     # introspection

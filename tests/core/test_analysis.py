@@ -5,6 +5,7 @@ import pytest
 from repro.attacktree.catalog import data_server, factory, panda_iot
 from repro.core.analysis import CostDamageAnalyzer
 from repro.core.problems import Method
+from repro.workloads import ScenarioSpec, expand
 
 
 class TestBasics:
@@ -19,6 +20,17 @@ class TestBasics:
     def test_describe_mentions_method(self):
         assert "bottom-up" in CostDamageAnalyzer(factory()).describe()
         assert "integer linear" in CostDamageAnalyzer(data_server()).describe()
+
+    def test_describe_names_the_resolved_dag_method(self):
+        text = CostDamageAnalyzer(data_server()).describe()
+        assert "once per subset of the shared BASs" in text
+        # shared-bas n18 shares 9 BASs: the registry leaves it to BILP.
+        (case,) = expand(ScenarioSpec(
+            family="shared-bas", shape="dag", setting="deterministic", sizes=(18,)
+        ))
+        text = CostDamageAnalyzer(case.model).describe()
+        assert "bottom-up" not in text
+        assert "integer linear programming (Theorem 6)" in text
 
     def test_pareto_front_cached(self):
         analyzer = CostDamageAnalyzer(factory())

@@ -31,9 +31,9 @@ class TestDispatchAuto:
         assert result.method is Method.BOTTOM_UP
         assert result.front.values() == [(0, 0), (1, 200), (3, 210), (5, 310)]
 
-    def test_dag_deterministic_uses_bilp(self):
+    def test_dag_deterministic_uses_conditioning(self):
         result = solve(data_server(), Problem.CDPF)
-        assert result.method is Method.BILP
+        assert result.method is Method.CONDITIONING
         assert len(result.front) == 6
 
     def test_treelike_probabilistic_uses_bottom_up(self):

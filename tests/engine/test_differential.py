@@ -2,7 +2,8 @@
 
 The paper's exact methods — bottom-up propagation (treelike), BILP
 (deterministic, DAGs included) and exhaustive enumeration (every cell) —
-must agree wherever their capabilities overlap.  This suite generates
+and the shared-node conditioning backend (deterministic DAGs) must agree
+wherever their capabilities overlap.  This suite generates
 random decorated trees through the :mod:`repro.workloads` families
 (property-based, via Hypothesis) and asserts that every *capable* exact
 backend returns identical results for each supported problem.
@@ -113,6 +114,8 @@ def _capable_exact_backends(model, probabilistic):
             backends.append("bottom-up")
             if numpy_available():
                 backends.append("bottom-up-numpy")
+        else:
+            backends.append("conditioning")
     return backends
 
 

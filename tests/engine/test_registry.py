@@ -11,6 +11,7 @@ from repro.attacktree.catalog import (
 from repro.attacktree.transform import with_unit_probabilities
 from repro.core.problems import Problem
 from repro.engine import (
+    AnalysisRequest,
     BackendRegistry,
     BackendRegistryError,
     BaseBackend,
@@ -20,11 +21,21 @@ from repro.engine import (
     Shape,
     UnknownBackendError,
     default_registry,
+    run_request,
     standard_backends,
 )
+from repro.workloads import ScenarioSpec, expand
 
 DETERMINISTIC = (Problem.CDPF, Problem.DGC, Problem.CGD)
 PROBABILISTIC = (Problem.CEDPF, Problem.EDGC, Problem.CGED)
+
+
+def _shared_bas(size):
+    """The shared-bas workload DAG of a given pool size (k = size / 2)."""
+    spec = ScenarioSpec(
+        family="shared-bas", shape="dag", setting="deterministic", sizes=(size,)
+    )
+    return expand(spec)[0].model
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +50,35 @@ class TestTable1Resolution:
     def test_deterministic_tree_resolves_bottom_up(self, registry, problem):
         assert registry.resolve(problem, factory()).name == "bottom-up"
 
-    @pytest.mark.parametrize("problem", DETERMINISTIC)
-    def test_deterministic_dag_resolves_bilp(self, registry, problem):
-        assert registry.resolve(problem, data_server()).name == "bilp"
+    # Per problem, the largest shared-bas DAG conditioning takes and the
+    # smallest it leaves to BILP (k = size / 2; the cutoffs bound 2^k times
+    # the unfolded size, see repro.core.conditioning.MAX_WORK).
+    CUTOFFS = [(Problem.CDPF, 16, 18), (Problem.DGC, 8, 10), (Problem.CGD, 6, 8)]
+
+    @pytest.mark.parametrize("problem, accepted, declined", CUTOFFS)
+    def test_deterministic_dag_resolves_conditioning_up_to_cutoff(
+        self, registry, problem, accepted, declined
+    ):
+        assert registry.resolve(problem, data_server()).name == "conditioning"
+        assert registry.resolve(problem, _shared_bas(accepted)).name == "conditioning"
+
+    @pytest.mark.parametrize("problem, accepted, declined", CUTOFFS)
+    def test_deterministic_dag_above_cutoff_resolves_bilp(
+        self, registry, problem, accepted, declined
+    ):
+        assert registry.resolve(problem, _shared_bas(declined)).name == "bilp"
+
+    def test_named_conditioning_runs_above_cutoff(self, registry):
+        model = _shared_bas(18)
+        chosen = registry.resolve(Problem.DGC, model, backend="conditioning")
+        assert chosen.name == "conditioning"
+        result = run_request(
+            model, AnalysisRequest(Problem.DGC, budget=3.0, backend="conditioning")
+        )
+        expected = run_request(model, AnalysisRequest(Problem.DGC, budget=3.0))
+        assert result.backend == "conditioning" and expected.backend == "bilp"
+        assert result.value == pytest.approx(expected.value)
+        assert result.extras["shared_bas"] == 9
 
     @pytest.mark.parametrize("problem", PROBABILISTIC)
     def test_probabilistic_tree_resolves_bottom_up(self, registry, problem):
@@ -56,6 +93,7 @@ class TestTable1Resolution:
         table = registry.capability_report()
         assert len(table) == 4
         assert "bottom-up" in table[("deterministic", "tree")]
+        assert "bottom-up over k shared BASs" in table[("deterministic", "dag")]
         assert "BILP" in table[("deterministic", "dag")]
         assert "bottom-up" in table[("probabilistic", "tree")]
         assert "open problem" in table[("probabilistic", "dag")]
@@ -120,6 +158,22 @@ class TestRegistration:
         assert registry.resolve(Problem.CDPF, factory()).name == "dummy"
         # Other cells are untouched.
         assert registry.resolve(Problem.DGC, factory()).name == "bottom-up"
+
+    def test_declining_backend_is_skipped_by_auto_resolution_only(self):
+        registry = default_registry()
+        dummy = self._dummy()
+        dummy.declines = lambda model, problem: "never on this model"
+        registry.register(dummy)
+        assert registry.resolve(Problem.CDPF, factory()).name == "bottom-up"
+        assert registry.resolve(Problem.CDPF, factory(), backend="dummy") is dummy
+
+    def test_every_candidate_declining_is_a_capability_error(self):
+        registry = BackendRegistry()
+        dummy = self._dummy()
+        dummy.declines = lambda model, problem: "too big"
+        registry.register(dummy)
+        with pytest.raises(CapabilityError, match="dummy: too big"):
+            registry.resolve(Problem.CDPF, factory())
 
     def test_duplicate_name_rejected_without_replace(self):
         registry = default_registry()

@@ -139,7 +139,8 @@ class TestMetadata:
     def test_result_metadata_fields(self):
         session = AnalysisSession(data_server())
         result = session.run(AnalysisRequest(Problem.CDPF))
-        assert result.backend == "bilp"
+        assert result.backend == "conditioning"
+        assert result.extras == {"shared_bas": 1, "conditioned_runs": 2}
         assert result.shape == "dag"
         assert result.setting == "deterministic"
         assert result.wall_time_seconds > 0

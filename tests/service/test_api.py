@@ -7,9 +7,15 @@ queue exactly as ``atcd dist worker`` would.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +32,7 @@ from repro.service import (
 )
 
 MODEL = serialization.to_dict(factory())
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 ACME_KEY = "acme-key-12345678"
 GLOBEX_KEY = "globex-key-12345678"
@@ -305,3 +312,81 @@ class TestTenancyOverHttp:
             assert status == 429
             assert doc["kind"] == "rate-limit"
             assert "Retry-After" in headers
+
+
+def _worker_pids(queue_path):
+    """Pids of live ``atcd dist worker`` processes polling ``queue_path``."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                argv = handle.read().decode("utf-8", "replace").split("\0")
+        except OSError:
+            continue
+        if "worker" in argv and queue_path in argv:
+            pids.append(int(entry))
+    return pids
+
+
+def _spawn_cli(*argv):
+    """Start ``python -m repro.cli ARGV`` and return it once it has printed
+    its URL line: ``(process, url)``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("ATCD_BROKER_TOKEN", None)
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    line = process.stdout.readline()
+    url = next((word for word in line.split() if word.startswith("http://")), None)
+    assert url, f"{argv[0]} printed no URL: {line!r}"
+    return process, url.rstrip(",")
+
+
+def _stop(process):
+    if process.poll() is None:
+        process.send_signal(signal.SIGTERM)
+        try:
+            process.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait(timeout=10)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc to find workers")
+def test_stopped_api_service_leaves_no_worker_behind(tmp_path):
+    """``atcd api --workers 1`` stops its fleet supervisor before the fleet.
+
+    Against a broker queue the supervisor can still read queue counts after
+    the service closes; were it to tick after the fleet is terminated, it
+    would respawn a keep-alive worker that outlives the service.
+    """
+    keys = tmp_path / "keys.json"
+    keys.write_text(json.dumps({"tenants": [{"name": "acme", "key": ACME_KEY}]}))
+    broker, queue = _spawn_cli(
+        "serve", "--queue", str(tmp_path / "broker.queue"), "--port", "0"
+    )
+    api = None
+    try:
+        api, _ = _spawn_cli(
+            "api", "--queue", queue, "--keys", str(keys), "--port", "0",
+            "--workers", "1",
+        )
+        deadline = time.monotonic() + 30.0
+        while not _worker_pids(queue):
+            assert time.monotonic() < deadline, "the fleet never started"
+            time.sleep(0.05)
+        # Stop between two supervisor ticks (they come every 2 s).
+        time.sleep(1.0)
+        api.send_signal(signal.SIGTERM)
+        assert api.wait(timeout=30) == 0
+        assert _worker_pids(queue) == []
+    finally:
+        if api is not None:
+            _stop(api)
+        for pid in _worker_pids(queue):
+            os.kill(pid, signal.SIGKILL)
+        _stop(broker)
