@@ -1,5 +1,5 @@
-"""Probabilistic cost-damage analysis: expected damage, Monte-Carlo checks,
-and the open DAG problem.
+"""Probabilistic cost-damage analysis: expected damage and the open DAG
+problem.
 
 This example goes deeper into the probabilistic side of the paper
 (Sections VIII and IX):
@@ -7,11 +7,9 @@ This example goes deeper into the probabilistic side of the paper
 1. it contrasts the deterministic and probabilistic Pareto fronts of a small
    model (Example 10 of the paper) to show why redundant attack steps become
    worthwhile when success is uncertain;
-2. it validates the exact expected-damage semantics against a Monte-Carlo
-   estimator on the panda case study;
-3. it demonstrates the extension for the paper's open problem — probabilistic
-   analysis of DAG-like ATs — on a scaled-down version of the data-server
-   model, using exact enumeration and Monte-Carlo estimation.
+2. it demonstrates the paper's open problem — probabilistic analysis of
+   DAG-like ATs — on a scaled-down version of the data-server model, using
+   the enumerative baseline and the reach-polynomial extension.
 
 Run it with::
 
@@ -21,12 +19,8 @@ Run it with::
 from repro import AttackTreeBuilder, catalog
 from repro.core.bottom_up import pareto_front_treelike
 from repro.core.bottom_up_prob import pareto_front_treelike_probabilistic
-from repro.extensions.prob_dag import (
-    pareto_front_probabilistic_exact,
-    pareto_front_probabilistic_montecarlo,
-)
-from repro.probability.actualization import expected_damage
-from repro.probability.montecarlo import estimate_expected_damage
+from repro.core.enumerative import enumerate_pareto_front_probabilistic
+from repro.extensions.polynomial import pareto_front_probabilistic_polynomial
 
 
 def redundancy_pays_off() -> None:
@@ -44,32 +38,9 @@ def redundancy_pays_off() -> None:
     print()
 
 
-def monte_carlo_validation() -> None:
-    print("=" * 72)
-    print("2. Monte-Carlo validation of the exact expected damage (panda AT)")
-    print("=" * 72)
-    model = catalog.panda_iot()
-    attacks = [
-        frozenset({"b18"}),
-        frozenset({"b18", "b19", "b20"}),
-        frozenset({"b18", "b19", "b20", "b21", "b22"}),
-        frozenset({"b7", "b8", "b9", "b18"}),
-    ]
-    for attack in attacks:
-        exact = expected_damage(model, attack)
-        estimate = estimate_expected_damage(model, attack, samples=20_000)
-        low, high = estimate.confidence_interval()
-        agrees = low - 0.5 <= exact <= high + 0.5
-        print(f"  attack {sorted(attack)}")
-        print(f"    exact E[damage] = {exact:7.3f}   "
-              f"Monte-Carlo = {estimate.mean:7.3f} ± {estimate.standard_error:.3f}"
-              f"   consistent: {agrees}")
-    print()
-
-
 def probabilistic_dag_extension() -> None:
     print("=" * 72)
-    print("3. Probabilistic DAG analysis (the paper's open problem, extension)")
+    print("2. Probabilistic DAG analysis (the paper's open problem)")
     print("=" * 72)
     # A scaled-down probabilistic data-server model: the shared FTP-connection
     # BAS correlates the SSH and FTP exploits, so the treelike recursion of
@@ -90,15 +61,13 @@ def probabilistic_dag_extension() -> None:
     print(f"model is treelike: {model.tree.is_treelike} "
           f"(shared: {sorted(model.tree.shared_nodes())})")
 
-    exact_front = pareto_front_probabilistic_exact(model)
+    exact_front = enumerate_pareto_front_probabilistic(model)
     print("exact cost-expected-damage front (enumerative):")
     print(exact_front.table())
 
-    approximate = pareto_front_probabilistic_montecarlo(model, samples_per_attack=3000)
-    print("Monte-Carlo approximation of the same front:")
-    for point in approximate:
-        print(f"  cost {point.cost:6.1f}  E[damage] ≈ {point.expected_damage:6.2f} "
-              f"(± {point.estimate.standard_error:.2f})  attack {sorted(point.attack)}")
+    polynomial_front = pareto_front_probabilistic_polynomial(model)
+    print("the same front via multilinear reach polynomials (extension):")
+    print(polynomial_front.table())
     print()
     print("Both agree that attempting BOTH exploits on top of the shared")
     print("connection is Pareto-optimal — the probabilistic analogue of the")
@@ -107,5 +76,4 @@ def probabilistic_dag_extension() -> None:
 
 if __name__ == "__main__":
     redundancy_pays_off()
-    monte_carlo_validation()
     probabilistic_dag_extension()

@@ -12,8 +12,7 @@ production robot — and walks through the library's main entry points:
 * executing a *batch* of requests in one call;
 * round-tripping requests and results through JSON (the service wire
   format);
-* the probabilistic setting (expected damage) and an extension backend
-  (``monte-carlo``) requested by name;
+* the probabilistic setting (expected damage);
 * the backwards-compatible ``solve()`` / ``CostDamageAnalyzer`` entry
   points that older code keeps using.
 
@@ -118,22 +117,6 @@ def probabilistic_analysis():
           f"{result.value:g} (attack {sorted(result.witness)})")
     print()
 
-    # Extension backends are registered alongside the exact ones and are
-    # selected by name — here the Monte-Carlo estimator with its options.
-    sampled = session.run(
-        AnalysisRequest(
-            Problem.CEDPF,
-            backend="monte-carlo",
-            options={"samples_per_attack": 4000, "seed": 7},
-        )
-    )
-    worst = max(
-        (e["standard_error"] for e in sampled.extras["standard_errors"]),
-        default=0.0,
-    )
-    print(f"Monte-Carlo cross-check: {len(sampled.front)} points, "
-          f"max standard error {worst:.2f}")
-    print()
     print("Note how the probabilistic front differs from the deterministic")
     print("one: attempts that would be redundant when every step surely")
     print("succeeds become worthwhile when they merely raise the probability")

@@ -34,8 +34,8 @@ Quickstart
 [200.0, 5.0]
 
 Sessions cache by (model fingerprint, request), report wall time and the
-resolved backend on every result, and accept extension backends
-(``genetic``, ``prob-dag``, ``monte-carlo``) by name.
+resolved backend on every result, and accept the approximate ``genetic``
+extension backend by name.
 
 Backwards compatibility: the original entry points keep working —
 ``solve(model, problem, method=...)`` forwards to the engine (``method``

@@ -172,9 +172,9 @@ def max_probability_of_success(
 
         value, witness = max_expected_damage_given_cost_treelike(probability_model, budget)
         return value, witness
-    from ..extensions.prob_dag import max_expected_damage_exact
+    from ..core.enumerative import enumerate_max_expected_damage_given_cost
 
-    return max_expected_damage_exact(probability_model, budget)
+    return enumerate_max_expected_damage_given_cost(probability_model, budget)
 
 
 def count_successful_attacks(tree: AttackTree, max_bas: int = 20) -> int:

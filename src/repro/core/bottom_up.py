@@ -37,11 +37,6 @@ detected by an interned fingerprint and computed once.  Masks are
 materialised back to ``frozenset[str]`` — and the paper's ε-tolerant
 ``min_U`` is applied — only at the public API boundary, so exact internal
 pruning keeps a superset of every ε-pruned front and remains sound.
-
-When numpy is installed, ``accelerator="numpy"`` vectorises the gate-fold
-inner loops (outer sums, budget filter and staircase); survivor masks are
-still combined as Python integers, so results are bit-identical to the pure
-Python path.
 """
 
 from __future__ import annotations
@@ -55,30 +50,13 @@ from ..attacktree.node import NodeType
 from ..pareto.front import ParetoFront, ParetoPoint
 from ..pareto.poset import EPSILON, pareto_minimal_pairs, pareto_minimal_triples
 
-try:  # optional accelerator for the gate-fold inner loops
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised where numpy is absent
-    _np = None
-
 __all__ = [
     "AttributedAttack",
-    "numpy_available",
     "node_pareto_front",
     "pareto_front_treelike",
     "max_damage_given_cost_treelike",
     "min_cost_given_damage_treelike",
 ]
-
-#: Candidate batches smaller than this are folded in pure Python even when
-#: the numpy accelerator is requested — below it, array setup costs more
-#: than the loop it replaces.  Both paths produce identical survivors.
-_NUMPY_CUTOFF = 64
-
-
-def numpy_available() -> bool:
-    """Whether the optional numpy fold accelerator can be used."""
-    return _np is not None
-
 
 @dataclass(frozen=True)
 class AttributedAttack:
@@ -136,10 +114,9 @@ def _staircase(buffer: List[Tuple[float, float, int]]) -> _Front:
     return costs, damages, masks
 
 
-def _combine_py(
-    products: List[Tuple[_Front, _Front, int]], limit: float
-) -> List[Tuple[float, float, int]]:
-    """Cross-combine staircase fronts: costs/damages add, masks OR-merge.
+def _combine(products: List[Tuple[_Front, _Front, int]], limit: float) -> _Front:
+    """Fold quadrant products into one staircase front: costs/damages add,
+    masks OR-merge.
 
     Right-hand costs ascend, so the inner loop stops at the first partner
     that would blow the budget (the paper's early ``min_U`` pruning).
@@ -156,78 +133,7 @@ def _combine_py(
                 if cost > limit:
                     break
                 append((cost, di + rd[j], mi | (rm[j] << shift)))
-    return buffer
-
-
-def _combine_np(products: List[Tuple[_Front, _Front, int]], limit: float) -> _Front:
-    """Numpy fold: outer sums, budget filter and staircase, vectorised.
-
-    Tie-breaking matches :func:`_combine_py` + :func:`_staircase` exactly:
-    candidates are generated in the same (product-major, left-major) order
-    and ``np.lexsort`` is stable, so the surviving masks are identical.
-    """
-    cost_parts = []
-    damage_parts = []
-    provenance = []  # (start, left_masks, right_masks, shift, right_len)
-    start = 0
-    for (lc, ld, lm), (rc, rd, rm), shift in products:
-        if not lc or not rc:
-            continue
-        cost_block = _np.add.outer(
-            _np.asarray(lc, dtype=_np.float64), _np.asarray(rc, dtype=_np.float64)
-        ).ravel()
-        damage_block = _np.add.outer(
-            _np.asarray(ld, dtype=_np.float64), _np.asarray(rd, dtype=_np.float64)
-        ).ravel()
-        cost_parts.append(cost_block)
-        damage_parts.append(damage_block)
-        provenance.append((start, lm, rm, shift, len(rc)))
-        start += cost_block.shape[0]
-    if not cost_parts:
-        return ([], [], [])
-    costs = _np.concatenate(cost_parts)
-    damages = _np.concatenate(damage_parts)
-    if math.isfinite(limit):
-        affordable = _np.nonzero(costs <= limit)[0]
-        costs = costs[affordable]
-        damages = damages[affordable]
-    else:
-        affordable = None
-    if costs.shape[0] == 0:
-        return ([], [], [])
-    order = _np.lexsort((-damages, costs))
-    ordered_damages = damages[order]
-    keep = _np.empty(order.shape[0], dtype=bool)
-    keep[0] = True
-    keep[1:] = ordered_damages[1:] > _np.maximum.accumulate(ordered_damages)[:-1]
-    survivors = order[keep]
-    out_costs = costs[survivors].tolist()
-    out_damages = damages[survivors].tolist()
-    starts = [entry[0] for entry in provenance]
-    out_masks: List[int] = []
-    for position in survivors.tolist():
-        flat = position if affordable is None else int(affordable[position])
-        # Locate the product block this flat index came from.
-        block = len(starts) - 1
-        while starts[block] > flat:
-            block -= 1
-        begin, left_masks, right_masks, shift, right_len = provenance[block]
-        i, j = divmod(flat - begin, right_len)
-        out_masks.append(left_masks[i] | (right_masks[j] << shift))
-    return out_costs, out_damages, out_masks
-
-
-def _combine(
-    products: List[Tuple[_Front, _Front, int]], limit: float, use_numpy: bool
-) -> _Front:
-    """Fold the given quadrant products into one staircase front."""
-    if use_numpy:
-        total = sum(
-            len(left[0]) * len(right[0]) for left, right, _ in products
-        )
-        if total >= _NUMPY_CUTOFF:
-            return _combine_np(products, limit)
-    return _staircase(_combine_py(products, limit))
+    return _staircase(buffer)
 
 
 def _filter_not_reached(n_front: _Front, r_front: _Front) -> _Front:
@@ -277,10 +183,9 @@ class _TripleKernel:
     is valid for every occurrence regardless of the actual BAS names.
     """
 
-    def __init__(self, cdat: CostDamageAT, limit: float, use_numpy: bool) -> None:
+    def __init__(self, cdat: CostDamageAT, limit: float) -> None:
         self.cdat = cdat
         self.limit = limit
-        self.use_numpy = use_numpy
         self.fingerprints: Dict[object, int] = {}
         self.memo: Dict[int, Tuple[_Front, _Front, int]] = {}
 
@@ -372,8 +277,8 @@ class _TripleKernel:
                 (acc_n, child_r, shift),
             ]
             n_products = [(acc_n, child_n, shift)]
-        r_front = _combine(r_products, self.limit, self.use_numpy)
-        n_front = _combine(n_products, self.limit, self.use_numpy)
+        r_front = _combine(r_products, self.limit)
+        n_front = _combine(n_products, self.limit)
         return _filter_not_reached(n_front, r_front), r_front
 
 
@@ -477,7 +382,6 @@ def node_pareto_front(
     node: Optional[str] = None,
     budget: float = math.inf,
     track_reachability: bool = True,
-    accelerator: Optional[str] = None,
 ) -> List[AttributedAttack]:
     """Compute the incomplete Pareto front ``C^D_U(v)`` of a node.
 
@@ -493,10 +397,6 @@ def node_pareto_front(
         Keep the third (reached) dimension in the Pareto order, as the paper
         requires.  Setting this to ``False`` reproduces the naive two
         dimensional propagation that loses optimal attacks (ablation only).
-    accelerator:
-        ``None`` for the pure-Python fold, ``"numpy"`` to vectorise the
-        gate-fold inner loops (requires numpy; results are identical).
-        Ignored by the ablation (``track_reachability=False``) path.
 
     Returns
     -------
@@ -518,17 +418,13 @@ def node_pareto_front(
         )
     if budget < 0:
         raise ValueError("the cost budget must be non-negative")
-    if accelerator not in (None, "numpy"):
-        raise ValueError(f"unknown accelerator {accelerator!r}; use None or 'numpy'")
-    if accelerator == "numpy" and _np is None:
-        raise ValueError("accelerator 'numpy' requested but numpy is not installed")
     target = node if node is not None else tree.root
     if target not in tree.nodes:
         raise KeyError(f"no node named {target!r} in this attack tree")
 
     limit = budget + EPSILON
     if track_reachability:
-        kernel = _TripleKernel(cdat, limit, accelerator == "numpy")
+        kernel = _TripleKernel(cdat, limit)
         n_front, r_front, names = kernel.compute(target)
         items = [
             AttributedAttack(
@@ -563,7 +459,6 @@ def pareto_front_treelike(
     cdat: CostDamageAT,
     budget: float = math.inf,
     track_reachability: bool = True,
-    accelerator: Optional[str] = None,
 ) -> ParetoFront:
     """Solve CDPF for a treelike cd-AT bottom-up (Theorem 4).
 
@@ -577,7 +472,6 @@ def pareto_front_treelike(
         cdat.tree.root,
         budget=budget,
         track_reachability=track_reachability,
-        accelerator=accelerator,
     )
     points = [
         ParetoPoint(cost=item.cost, damage=item.damage, attack=item.attack,
@@ -588,7 +482,7 @@ def pareto_front_treelike(
 
 
 def max_damage_given_cost_treelike(
-    cdat: CostDamageAT, budget: float, accelerator: Optional[str] = None
+    cdat: CostDamageAT, budget: float
 ) -> Tuple[float, Optional[FrozenSet[str]]]:
     """Solve DgC for a treelike cd-AT (Theorem 3).
 
@@ -600,9 +494,7 @@ def max_damage_given_cost_treelike(
     """
     if budget < 0:
         return 0.0, None
-    root_front = node_pareto_front(
-        cdat, cdat.tree.root, budget=budget, accelerator=accelerator
-    )
+    root_front = node_pareto_front(cdat, cdat.tree.root, budget=budget)
     best = max(
         root_front,
         key=lambda item: (item.damage, -item.cost, -len(item.attack)),
@@ -611,7 +503,7 @@ def max_damage_given_cost_treelike(
 
 
 def min_cost_given_damage_treelike(
-    cdat: CostDamageAT, threshold: float, accelerator: Optional[str] = None
+    cdat: CostDamageAT, threshold: float
 ) -> Tuple[Optional[float], Optional[FrozenSet[str]]]:
     """Solve CgD for a treelike cd-AT.
 
@@ -620,7 +512,7 @@ def min_cost_given_damage_treelike(
     still exceed it at an ancestor — so the full Pareto front is computed
     and the answer read off via Equation (2).
     """
-    front = pareto_front_treelike(cdat, accelerator=accelerator)
+    front = pareto_front_treelike(cdat)
     point = front.cheapest_attack_given_damage(threshold)
     if point is None:
         return None, None

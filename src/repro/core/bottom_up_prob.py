@@ -262,7 +262,7 @@ def node_pareto_front_probabilistic(
         raise ValueError(
             "the probabilistic bottom-up method requires a treelike AT; "
             "probabilistic DAG-like analysis is an open problem in the paper "
-            "(see repro.extensions.prob_dag for approximate support)"
+            "(see repro.core.enumerative for the exhaustive baseline)"
         )
     if budget < 0:
         raise ValueError("the cost budget must be non-negative")

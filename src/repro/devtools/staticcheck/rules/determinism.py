@@ -10,7 +10,7 @@ instead of as a flaky cross-host mismatch three layers up.
 ``time.perf_counter``/``process_time`` stay legal: relative timing never
 enters a result payload, and the bench harness measures kernels with
 them.  ``random.Random(seed)`` with an explicit seed is the sanctioned
-way to use randomness (the genetic and Monte-Carlo extensions do);
+way to use randomness (the genetic extension does);
 ``random.Random()`` with no arguments seeds from the OS and is banned.
 """
 

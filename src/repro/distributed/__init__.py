@@ -12,12 +12,11 @@ exactly the same code path.
 Layers
 ------
 ``queue``
-    The :class:`WorkQueue` protocol and its two implementations:
-    :class:`SqliteQueue` (durable, ``BEGIN IMMEDIATE`` claims — safe for
-    worker fleets across threads, processes and hosts) and
-    :class:`InMemoryQueue` (tests, single-process embedding).  Tasks carry
-    visibility leases with expiry, bounded retries and a dead-letter
-    state.
+    The :class:`WorkQueue` protocol and :class:`SqliteQueue`, its durable
+    implementation (``BEGIN IMMEDIATE`` claims — safe for worker fleets
+    across threads, processes and hosts; the broker client lives in
+    :mod:`repro.net`).  Tasks carry visibility leases with expiry, bounded
+    retries and a dead-letter state.
 ``worker``
     :class:`Worker`: claim → execute (through the engine's wire entry
     points, idempotently via a shared result store) → heartbeat →
@@ -60,7 +59,6 @@ from .queue import (
     DEFAULT_LEASE_GRACE,
     DEFAULT_MAX_ATTEMPTS,
     QUEUE_SCHEMA_VERSION,
-    InMemoryQueue,
     QueueError,
     SqliteQueue,
     Task,
@@ -82,7 +80,6 @@ __all__ = [
     "DEFAULT_LEASE_GRACE",
     "DEFAULT_MAX_ATTEMPTS",
     "GatherReport",
-    "InMemoryQueue",
     "LocalFleet",
     "QUEUE_FILE_SUFFIX",
     "QUEUE_SCHEMA_VERSION",

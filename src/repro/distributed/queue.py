@@ -33,7 +33,7 @@ oldest pending task to the caller.  ``attempts`` counts claims, so a task
 bounces between ``pending`` and ``running`` at most ``max_attempts`` times
 before dead-lettering.
 
-Three implementations, mirroring :mod:`repro.engine.store`:
+Two implementations, mirroring :mod:`repro.engine.store`:
 
 :class:`SqliteQueue`
     The durable one: a single sqlite file, safe for concurrent workers
@@ -41,8 +41,6 @@ Three implementations, mirroring :mod:`repro.engine.store`:
     timeout, rollback journaling — deliberately not WAL, whose per-host
     shared-memory index would break cross-host locking).  This is what
     multi-host deployments point at a shared filesystem.
-:class:`InMemoryQueue`
-    The same semantics on dicts, for tests and single-process embedding.
 :class:`repro.net.HttpQueue`
     A network client speaking the broker wire protocol of ``atcd serve``
     (:mod:`repro.net`), for shared-nothing multi-host deployments;
@@ -63,7 +61,6 @@ clock math runs on the server — one clock, skew-free by construction.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import enum
 import json
 import os
@@ -82,7 +79,6 @@ __all__ = [
     "TaskState",
     "Task",
     "WorkQueue",
-    "InMemoryQueue",
     "SqliteQueue",
     "open_queue",
 ]
@@ -276,11 +272,6 @@ class WorkQueue(Protocol):
         ...
 
 
-def _next_state(attempts: int, max_attempts: int) -> TaskState:
-    """Where a failed/expired running task goes: retry or dead-letter."""
-    return TaskState.DEAD if attempts >= max_attempts else TaskState.PENDING
-
-
 def _dedupe_meta_key(dedupe_key: str) -> str:
     """Queue-meta key recording one deduped submit's task ids."""
     return f"submit-dedupe:{dedupe_key}"
@@ -354,315 +345,6 @@ def _shrink_job_indexes(
         kept = [job_id for job_id in index if job_id not in job_ids]
         if len(kept) != len(index):
             set_meta(_job_index_key(tenant), json.dumps(kept))
-
-
-def _summary_payload(
-    kind: str, counts: Dict[str, int], tasks: List[Task]
-) -> Dict[str, Any]:
-    """The implementation-independent part of :meth:`WorkQueue.summary`."""
-    workers = sorted(
-        {task.worker_id for task in tasks if task.worker_id is not None}
-    )
-    return {
-        "kind": kind,
-        "schema_version": QUEUE_SCHEMA_VERSION,
-        "tasks": len(tasks),
-        "counts": counts,
-        "retries": sum(max(0, task.attempts - 1) for task in tasks),
-        "workers": workers,
-        "dead": [
-            {"task_id": task.task_id, "attempts": task.attempts,
-             "error": task.error}
-            for task in tasks
-            if task.state is TaskState.DEAD
-        ],
-    }
-
-
-class InMemoryQueue:
-    """A process-local :class:`WorkQueue`: sqlite semantics, no disk.
-
-    Thread-safe, so in-process worker threads can share one instance.  The
-    ``clock`` parameter makes lease expiry testable without sleeping;
-    ``grace_seconds`` is the expiry sweep's clock-skew tolerance (see the
-    module docstring's clock contract).
-    """
-
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.time,
-        grace_seconds: float = DEFAULT_LEASE_GRACE,
-    ) -> None:
-        self._clock = clock
-        self._grace = _validate_grace(grace_seconds)
-        self._lock = threading.Lock()
-        self._tasks: Dict[str, Task] = {}
-        self._meta: Dict[str, str] = {}
-        #: task_id -> when it reached a prunable (done/cancelled) state;
-        #: the sqlite twin reads its ``updated_unix`` column instead.
-        self._finished: Dict[str, float] = {}
-        #: Monotonic submission counter.  Deliberately not len(_tasks):
-        #: prune() deletes rows, and a reused seq would reuse task ids.
-        self._seq = 0
-
-    def submit(
-        self,
-        payloads: Sequence[Dict[str, Any]],
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        dedupe_key: Optional[str] = None,
-    ) -> List[str]:
-        if max_attempts < 1:
-            raise QueueError(
-                f"max_attempts must be a positive integer, got {max_attempts!r}"
-            )
-        ids: List[str] = []
-        with self._lock:
-            if dedupe_key is not None:
-                recorded = self._meta.get(_dedupe_meta_key(dedupe_key))
-                if recorded is not None:
-                    _record_op("duplicate")
-                    return json.loads(recorded)
-            seq = self._seq
-            for payload in payloads:
-                task_id = f"task-{seq:06d}"
-                self._tasks[task_id] = Task(
-                    task_id=task_id,
-                    seq=seq,
-                    payload=json.loads(json.dumps(payload)),
-                    state=TaskState.PENDING,
-                    attempts=0,
-                    max_attempts=max_attempts,
-                )
-                ids.append(task_id)
-                seq += 1
-            self._seq = seq
-            if dedupe_key is not None:
-                self._meta[_dedupe_meta_key(dedupe_key)] = json.dumps(ids)
-        _record_op("submit", len(ids))
-        return ids
-
-    def _expire_locked(self, now: float) -> int:
-        released = 0
-        for task_id, task in self._tasks.items():
-            if task.state is not TaskState.RUNNING:
-                continue
-            if (
-                task.lease_expires_unix is not None
-                and task.lease_expires_unix + self._grace < now
-            ):
-                state = _next_state(task.attempts, task.max_attempts)
-                error = task.error
-                if state is TaskState.DEAD and error is None:
-                    error = "lease expired"
-                self._tasks[task_id] = dataclasses.replace(
-                    task, state=state, error=error,
-                    worker_id=None, lease_expires_unix=None,
-                )
-                released += 1
-                if state is TaskState.DEAD:
-                    _record_op("dead-letter")
-        _record_op("lease-expire", released)
-        return released
-
-    def expire_leases(self) -> int:
-        with self._lock:
-            return self._expire_locked(self._clock())
-
-    def claim(self, worker_id: str, lease_seconds: float) -> Optional[Task]:
-        now = self._clock()
-        with self._lock:
-            self._expire_locked(now)
-            candidates = sorted(
-                (task for task in self._tasks.values()
-                 if task.state is TaskState.PENDING),
-                key=lambda task: task.seq,
-            )
-            if not candidates:
-                return None
-            task = candidates[0]
-            claimed = dataclasses.replace(
-                task, state=TaskState.RUNNING, attempts=task.attempts + 1,
-                worker_id=worker_id, lease_expires_unix=now + lease_seconds,
-            )
-            self._tasks[task.task_id] = claimed
-        _record_op("claim")
-        return claimed
-
-    def _owned_running(self, task_id: str, worker_id: str) -> Optional[Task]:
-        task = self._tasks.get(task_id)
-        if task is None or task.state is not TaskState.RUNNING:
-            return None
-        if task.worker_id != worker_id:
-            return None
-        return task
-
-    def heartbeat(self, task_id: str, worker_id: str, lease_seconds: float) -> bool:
-        now = self._clock()
-        with self._lock:
-            self._expire_locked(now)
-            task = self._owned_running(task_id, worker_id)
-            if task is None:
-                return False
-            self._tasks[task_id] = dataclasses.replace(
-                task, lease_expires_unix=now + lease_seconds,
-            )
-        _record_op("heartbeat")
-        return True
-
-    def complete(self, task_id: str, worker_id: str, result: Dict[str, Any]) -> bool:
-        now = self._clock()
-        with self._lock:
-            self._expire_locked(now)
-            task = self._owned_running(task_id, worker_id)
-            if task is None:
-                return self._completed_by(task_id, worker_id)
-            self._tasks[task_id] = dataclasses.replace(
-                task, state=TaskState.DONE, lease_expires_unix=None,
-                result=json.loads(json.dumps(result)), error=None,
-            )
-            self._finished[task_id] = now
-        _record_op("complete")
-        return True
-
-    def _completed_by(self, task_id: str, worker_id: str) -> bool:
-        """Replay check: is the task already done by this very worker?"""
-        task = self._tasks.get(task_id)
-        return (
-            task is not None
-            and task.state is TaskState.DONE
-            and task.worker_id == worker_id
-        )
-
-    def fail(self, task_id: str, worker_id: str, error: str) -> bool:
-        with self._lock:
-            self._expire_locked(self._clock())
-            task = self._owned_running(task_id, worker_id)
-            if task is None:
-                return False
-            next_state = _next_state(task.attempts, task.max_attempts)
-            self._tasks[task_id] = dataclasses.replace(
-                task, state=next_state,
-                worker_id=None, lease_expires_unix=None, error=str(error),
-            )
-        _record_op(
-            "dead-letter" if next_state is TaskState.DEAD else "retry"
-        )
-        return True
-
-    def cancel_pending(self, task_ids: Sequence[str]) -> List[str]:
-        wanted = set(task_ids)
-        now = self._clock()
-        with self._lock:
-            cancelled = sorted(
-                (task for task in self._tasks.values()
-                 if task.task_id in wanted and task.state is TaskState.PENDING),
-                key=lambda task: task.seq,
-            )
-            for task in cancelled:
-                self._tasks[task.task_id] = dataclasses.replace(
-                    task, state=TaskState.CANCELLED, error="cancelled",
-                )
-                self._finished[task.task_id] = now
-        _record_op("cancel", len(cancelled))
-        return [task.task_id for task in cancelled]
-
-    def resubmit_dead(self) -> List[str]:
-        with self._lock:
-            dead = sorted(
-                (task for task in self._tasks.values()
-                 if task.state is TaskState.DEAD),
-                key=lambda task: task.seq,
-            )
-            for task in dead:
-                self._tasks[task.task_id] = dataclasses.replace(
-                    task, state=TaskState.PENDING, attempts=0,
-                    worker_id=None, lease_expires_unix=None, error=None,
-                )
-        _record_op("resubmit", len(dead))
-        return [task.task_id for task in dead]
-
-    def prune(self, ttl_seconds: float) -> Dict[str, int]:
-        if not isinstance(ttl_seconds, (int, float)) or ttl_seconds < 0:
-            raise QueueError(
-                f"ttl_seconds must be a non-negative number, got {ttl_seconds!r}"
-            )
-        cutoff = self._clock() - ttl_seconds
-        with self._lock:
-            doomed = [
-                task_id for task_id, task in self._tasks.items()
-                if task.state in (TaskState.DONE, TaskState.CANCELLED)
-                and self._finished.get(task_id, 0.0) < cutoff
-            ]
-            for task_id in doomed:
-                del self._tasks[task_id]
-                self._finished.pop(task_id, None)
-            existing = set(self._tasks)
-            dropped: Dict[str, Set[str]] = {}
-            descriptors = 0
-            for key in [
-                k for k in self._meta if k.startswith(_JOB_META_PREFIX)
-            ]:
-                orphan = _orphaned_descriptor(self._meta[key], existing)
-                if orphan is None:
-                    continue
-                tenant, job_id = orphan
-                del self._meta[key]
-                self._meta.pop(
-                    _dedupe_meta_key(f"job:{tenant}:{job_id}"), None
-                )
-                dropped.setdefault(tenant, set()).add(job_id)
-                descriptors += 1
-            _shrink_job_indexes(
-                self._meta.get, self._meta.__setitem__, dropped
-            )
-        _record_pruned("task", len(doomed))
-        _record_pruned("descriptor", descriptors)
-        return {"tasks": len(doomed), "descriptors": descriptors}
-
-    def counts(self) -> Dict[str, int]:
-        with self._lock:
-            counts = {state.value: 0 for state in TaskState}
-            for task in self._tasks.values():
-                counts[task.state.value] += 1
-            return counts
-
-    def drained(self) -> bool:
-        counts = self.counts()
-        return counts["pending"] == 0 and counts["running"] == 0
-
-    def tasks(self, state: Optional[TaskState] = None) -> List[Task]:
-        with self._lock:
-            rows = sorted(self._tasks.values(), key=lambda task: task.seq)
-        if state is not None:
-            rows = [task for task in rows if task.state is state]
-        return rows
-
-    def get_meta(self, key: str) -> Optional[str]:
-        with self._lock:
-            return self._meta.get(key)
-
-    def set_meta(self, key: str, value: str) -> None:
-        with self._lock:
-            self._meta[key] = value
-
-    def set_meta_if_absent(self, key: str, value: str) -> bool:
-        with self._lock:
-            if key in self._meta:
-                return False
-            self._meta[key] = value
-            return True
-
-    def summary(self) -> Dict[str, Any]:
-        return _summary_payload("memory", self.counts(), self.tasks())
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "InMemoryQueue":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 class SqliteQueue:

@@ -13,8 +13,7 @@ Layers
     setting)`` capability cells (Table I of the paper, made data).
 ``backends``
     The built-in backends: bottom-up, conditioning, BILP and enumerative
-    (exact, auto-selectable) plus genetic, prob-dag and Monte-Carlo
-    (extensions, explicit opt-in).
+    (exact, auto-selectable) plus genetic (approximate, explicit opt-in).
 ``registry``
     Registration and data-driven resolution, replacing the old if/elif
     dispatch of ``repro.core.problems``.
@@ -23,8 +22,8 @@ Layers
 ``session``
     :class:`AnalysisSession`: fingerprint-keyed caching and batches.
 ``store``
-    Shared persistent result stores (:class:`SqliteStore` /
-    :class:`InMemoryStore`) that back session caches across processes.
+    The shared persistent result store (:class:`SqliteStore`) that backs
+    session caches across processes.
 
 The legacy entry points (``repro.solve``, ``CostDamageAnalyzer``) remain as
 thin shims over this engine.
@@ -60,7 +59,6 @@ from .session import (
 )
 from .store import (
     STORE_SCHEMA_VERSION,
-    InMemoryStore,
     NamespacedStore,
     ResultStore,
     SqliteStore,
@@ -78,8 +76,6 @@ _LAZY_BACKEND_EXPORTS = frozenset({
     "ConditioningBackend",
     "EnumerativeBackend",
     "GeneticBackend",
-    "MonteCarloBackend",
-    "ProbDagBackend",
     "standard_backends",
 })
 
@@ -107,11 +103,8 @@ __all__ = [
     "EXECUTORS",
     "EnumerativeBackend",
     "GeneticBackend",
-    "InMemoryStore",
     "NamespacedStore",
     "Model",
-    "MonteCarloBackend",
-    "ProbDagBackend",
     "ResultStore",
     "STORE_SCHEMA_VERSION",
     "SessionStats",

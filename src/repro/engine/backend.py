@@ -11,8 +11,8 @@ ever branches on an algorithm enum again.
 
 Backends receive the model plus the :class:`~repro.engine.requests
 .AnalysisRequest` and return a :class:`BackendOutput` carrying the front or
-value/witness pair, plus any backend-specific extras (e.g. Monte-Carlo
-standard errors).
+value/witness pair, plus any backend-specific extras (e.g. the
+conditioning backend's run counters).
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ class SolverBackend(Protocol):
         Stable identifier used in requests, results and error messages.
     exact:
         Whether the backend computes exact answers.  Automatic resolution
-        only ever selects exact backends; approximate ones (genetic,
-        Monte-Carlo) must be requested by name.
+        only ever selects exact backends; approximate ones (genetic) must
+        be requested by name.
     priority:
         Tie-breaker among exact backends covering the same cell; higher
         wins.  The defaults encode Table I's preferences (bottom-up over
@@ -210,8 +210,8 @@ class BaseBackend:
 
     def declines(self, model: Model, problem: Problem) -> Optional[str]:
         """Why automatic resolution should pass over this backend for
-        ``problem`` on ``model`` (e.g. another backend is faster there), or
-        ``None``.
+        ``problem`` on ``model`` (e.g. another backend is faster there, or
+        the model is too large to finish), or ``None``.
 
         Only consulted when no backend is named; a request naming this
         backend still runs it.

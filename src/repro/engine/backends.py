@@ -12,13 +12,9 @@ Exact backends (auto-selectable, Table I):
 * ``enumerative`` — the exhaustive baseline; covers every cell, including
   the probabilistic-DAG open problem, at exponential cost.
 
-Approximate / extension backends (explicit opt-in by name):
+Approximate backend (explicit opt-in by name):
 
-* ``genetic`` — NSGA-II front approximation (:mod:`repro.extensions.genetic`);
-* ``prob-dag`` — exact probabilistic-DAG enumeration with a BAS-count guard
-  (:mod:`repro.extensions.prob_dag`);
-* ``monte-carlo`` — sampled expected damage for probabilistic DAGs
-  (:mod:`repro.probability.montecarlo` via the prob-dag extension).
+* ``genetic`` — NSGA-II front approximation (:mod:`repro.extensions.genetic`).
 
 Each backend maps problems to handlers through a plain dict, so adding a
 problem or a backend never touches a dispatch ladder.
@@ -31,8 +27,7 @@ from typing import List, Optional
 from ..core import bilp, bottom_up, bottom_up_prob, conditioning, enumerative
 from ..core.problems import Problem
 from ..extensions import genetic as genetic_ext
-from ..extensions import prob_dag as prob_dag_ext
-from ..pareto.front import ParetoFront, ParetoPoint
+from ..pareto.front import ParetoFront
 from .backend import (
     BackendOutput,
     BaseBackend,
@@ -47,13 +42,10 @@ from .requests import AnalysisRequest
 
 __all__ = [
     "BottomUpBackend",
-    "BottomUpNumpyBackend",
     "ConditioningBackend",
     "BilpBackend",
     "EnumerativeBackend",
     "GeneticBackend",
-    "ProbDagBackend",
-    "MonteCarloBackend",
     "standard_backends",
 ]
 
@@ -126,69 +118,6 @@ class BottomUpBackend(BaseBackend):
         cdpat = require_probabilistic(model, request.problem)
         value, witness = bottom_up_prob.min_cost_given_expected_damage_treelike(
             cdpat, request.threshold
-        )
-        return BackendOutput(value=value, witness=witness)
-
-
-class BottomUpNumpyBackend(BaseBackend):
-    """Numpy-accelerated bottom-up fold (deterministic treelike cells).
-
-    Produces bit-identical results to ``bottom-up`` — the gate-fold inner
-    loops (outer sums, budget filter, staircase pruning) are vectorised
-    while witness bitsets stay exact Python integers.  Only registered by
-    :func:`standard_backends` when numpy is importable, and kept at a lower
-    priority than the pure-Python reference so auto-selection is unchanged;
-    the differential suite pits the two against each other.
-    """
-
-    name = "bottom-up-numpy"
-    exact = True
-    priority = 95
-    capabilities = cells(
-        DETERMINISTIC_PROBLEMS, (Shape.TREE,), Setting.DETERMINISTIC
-    )
-
-    def __init__(self) -> None:
-        self.handlers = {
-            Problem.CDPF: self._cdpf,
-            Problem.DGC: self._dgc,
-            Problem.CGD: self._cgd,
-        }
-
-    def unsupported_reason(
-        self, problem: Problem, shape: Shape, setting: Setting
-    ) -> Optional[str]:
-        if shape is Shape.DAG:
-            return (
-                "the bottom-up method requires a treelike AT (shared subtrees "
-                "break the recursion, Section VI); use bilp or enumerative"
-            )
-        if setting is Setting.PROBABILISTIC:
-            return (
-                "the numpy fast path only covers the deterministic problems; "
-                "use bottom-up for the probabilistic treelike cells"
-            )
-        return None
-
-    def cell_label(self, shape: Shape, setting: Setting) -> str:
-        return "bottom-up (Theorem 4, numpy fold)"
-
-    def _cdpf(self, model: Model, request: AnalysisRequest) -> BackendOutput:
-        return BackendOutput(
-            front=bottom_up.pareto_front_treelike(
-                as_deterministic(model), accelerator="numpy"
-            )
-        )
-
-    def _dgc(self, model: Model, request: AnalysisRequest) -> BackendOutput:
-        value, witness = bottom_up.max_damage_given_cost_treelike(
-            as_deterministic(model), request.budget, accelerator="numpy"
-        )
-        return BackendOutput(value=value, witness=witness)
-
-    def _cgd(self, model: Model, request: AnalysisRequest) -> BackendOutput:
-        value, witness = bottom_up.min_cost_given_damage_treelike(
-            as_deterministic(model), request.threshold, accelerator="numpy"
         )
         return BackendOutput(value=value, witness=witness)
 
@@ -309,7 +238,10 @@ class EnumerativeBackend(BaseBackend):
     """Exhaustive enumeration over all attacks: every cell, exponential cost.
 
     This is the auto-selected fallback for the probabilistic-DAG cell the
-    paper leaves open (Section IX).
+    paper leaves open (Section IX).  Auto-resolution passes over it for
+    models beyond the table path's BAS limit, where per-attack evaluation
+    is too slow to serve (an estimated 940 s at 17 BASs); naming it runs it
+    regardless.
     """
 
     name = "enumerative"
@@ -331,8 +263,18 @@ class EnumerativeBackend(BaseBackend):
 
     def cell_label(self, shape: Shape, setting: Setting) -> str:
         if setting is Setting.PROBABILISTIC and shape is Shape.DAG:
-            return "open problem (enumerative / Monte-Carlo extension)"
+            return "open problem (enumerative baseline)"
         return "enumerative baseline"
+
+    def declines(self, model: Model, problem: Problem) -> Optional[str]:
+        size = len(model.tree.basic_attack_steps)
+        if size > enumerative._TABLE_LIMIT:
+            return (
+                f"{size} BASs exceed the {enumerative._TABLE_LIMIT}-BAS table "
+                f"limit; enumerating 2^{size} attacks one by one is infeasible "
+                "(name the backend to run it anyway)"
+            )
+        return None
 
     def _cdpf(self, model: Model, request: AnalysisRequest) -> BackendOutput:
         return BackendOutput(front=enumerative.enumerate_pareto_front(as_deterministic(model)))
@@ -443,162 +385,12 @@ class GeneticBackend(BaseBackend):
         )
 
 
-class ProbDagBackend(BaseBackend):
-    """Exact probabilistic-DAG enumeration with an explicit BAS-count guard.
-
-    Unlike the plain ``enumerative`` backend this refuses models whose
-    doubly-exponential enumeration is hopeless (option ``max_bas``,
-    default 18), making it the safer explicit choice for the open-problem
-    cell.  Treelike models are accepted too (a tree is a DAG).
-    """
-
-    name = "prob-dag"
-    exact = True
-    priority = 5
-    capabilities = cells(PROBABILISTIC_PROBLEMS, BOTH_SHAPES, Setting.PROBABILISTIC)
-    options_spec = {"max_bas": (int,)}
-
-    def __init__(self) -> None:
-        self.handlers = {
-            Problem.CEDPF: self._cedpf,
-            Problem.EDGC: self._edgc,
-            Problem.CGED: self._cged,
-        }
-
-    def unsupported_reason(
-        self, problem: Problem, shape: Shape, setting: Setting
-    ) -> Optional[str]:
-        if setting is Setting.DETERMINISTIC:
-            return (
-                "the prob-dag backend only answers the probabilistic problems; "
-                "use bottom-up, bilp or enumerative for deterministic analyses"
-            )
-        return None
-
-    def _exact_front(self, model: Model, request: AnalysisRequest) -> ParetoFront:
-        cdpat = require_probabilistic(model, request.problem)
-        return prob_dag_ext.pareto_front_probabilistic_exact(
-            cdpat, max_bas=request.option("max_bas", 18)
-        )
-
-    def _cedpf(self, model: Model, request: AnalysisRequest) -> BackendOutput:
-        return BackendOutput(front=self._exact_front(model, request))
-
-    def _edgc(self, model: Model, request: AnalysisRequest) -> BackendOutput:
-        front = self._exact_front(model, request)
-        point = front.best_attack_given_cost(request.budget)
-        if point is None:
-            return BackendOutput(value=0.0, witness=None)
-        return BackendOutput(value=point.damage, witness=point.attack)
-
-    def _cged(self, model: Model, request: AnalysisRequest) -> BackendOutput:
-        front = self._exact_front(model, request)
-        point = front.cheapest_attack_given_damage(request.threshold)
-        if point is None:
-            return BackendOutput(value=None, witness=None)
-        return BackendOutput(value=point.cost, witness=point.attack)
-
-
-class MonteCarloBackend(BaseBackend):
-    """Sampled expected damage for probabilistic models of any shape.
-
-    Options: ``samples_per_attack`` (default 2000), ``seed`` (default 0),
-    ``max_bas`` (default 22).  Results carry per-point standard errors in
-    ``extras["standard_errors"]`` so callers can judge the resolution.
-    """
-
-    name = "monte-carlo"
-    exact = False
-    priority = 0
-    capabilities = cells(PROBABILISTIC_PROBLEMS, BOTH_SHAPES, Setting.PROBABILISTIC)
-    options_spec = {
-        "samples_per_attack": (int,),
-        "seed": (int,),
-        "max_bas": (int,),
-    }
-
-    def __init__(self) -> None:
-        self.handlers = {
-            Problem.CEDPF: self._cedpf,
-            Problem.EDGC: self._edgc,
-            Problem.CGED: self._cged,
-        }
-
-    def _estimate(self, model: Model, request: AnalysisRequest):
-        cdpat = require_probabilistic(model, request.problem)
-        return prob_dag_ext.pareto_front_probabilistic_montecarlo(
-            cdpat,
-            samples_per_attack=request.option("samples_per_attack", 2000),
-            seed=request.option("seed", 0),
-            max_bas=request.option("max_bas", 22),
-        )
-
-    def _as_front(self, model: Model, approximate_points) -> ParetoFront:
-        return ParetoFront(
-            ParetoPoint(
-                cost=point.cost,
-                damage=point.expected_damage,
-                attack=point.attack,
-                reaches_root=model.tree.is_successful(point.attack),
-            )
-            for point in approximate_points
-        )
-
-    def _errors(self, approximate_points) -> dict:
-        return {
-            "approximate": True,
-            "standard_errors": [
-                {
-                    "cost": point.cost,
-                    "expected_damage": point.expected_damage,
-                    "standard_error": point.estimate.standard_error,
-                    "samples": point.estimate.samples,
-                }
-                for point in approximate_points
-            ],
-        }
-
-    def _cedpf(self, model: Model, request: AnalysisRequest) -> BackendOutput:
-        points = self._estimate(model, request)
-        return BackendOutput(front=self._as_front(model, points), extras=self._errors(points))
-
-    def _edgc(self, model: Model, request: AnalysisRequest) -> BackendOutput:
-        points = self._estimate(model, request)
-        front = self._as_front(model, points)
-        point = front.best_attack_given_cost(request.budget)
-        if point is None:
-            return BackendOutput(value=0.0, witness=None, extras=self._errors(points))
-        return BackendOutput(
-            value=point.damage, witness=point.attack, extras=self._errors(points)
-        )
-
-    def _cged(self, model: Model, request: AnalysisRequest) -> BackendOutput:
-        points = self._estimate(model, request)
-        front = self._as_front(model, points)
-        point = front.cheapest_attack_given_damage(request.threshold)
-        if point is None:
-            return BackendOutput(value=None, witness=None, extras=self._errors(points))
-        return BackendOutput(
-            value=point.cost, witness=point.attack, extras=self._errors(points)
-        )
-
-
 def standard_backends() -> List[BaseBackend]:
-    """Fresh instances of every built-in backend.
-
-    The numpy fast path is an optional capability: it joins the roster only
-    when numpy is importable, so environments without it see exactly the
-    classic backend set.
-    """
-    backends: List[BaseBackend] = [
+    """Fresh instances of every built-in backend."""
+    return [
         BottomUpBackend(),
         ConditioningBackend(),
         BilpBackend(),
         EnumerativeBackend(),
         GeneticBackend(),
-        ProbDagBackend(),
-        MonteCarloBackend(),
     ]
-    if bottom_up.numpy_available():
-        backends.insert(1, BottomUpNumpyBackend())
-    return backends

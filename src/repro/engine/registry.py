@@ -4,9 +4,9 @@ The registry replaces the old ``if/elif`` ladder of
 ``repro.core.problems``: every backend declares which
 ``(problem, shape, setting)`` cells it covers, and
 :meth:`BackendRegistry.resolve` picks the highest-priority *exact* backend
-covering the requested cell.  Approximate backends (genetic, Monte-Carlo)
-are registered alongside the exact ones but are only reachable by explicit
-name, so automatic resolution always reproduces the paper's Table I:
+covering the requested cell.  The approximate ``genetic`` backend is
+registered alongside the exact ones but is only reachable by explicit name,
+so automatic resolution always reproduces the paper's Table I:
 
 ==============  =====  ==========================================
 setting         shape  resolved backend
@@ -15,14 +15,16 @@ deterministic   tree   ``bottom-up``  (Theorem 4)
 deterministic   dag    ``conditioning`` (few shared BASs), else
                        ``bilp`` (Theorem 6)
 probabilistic   tree   ``bottom-up``  (Theorem 9)
-probabilistic   dag    ``enumerative`` (the open problem's fallback)
+probabilistic   dag    ``enumerative`` (the open problem's fallback,
+                       up to its 16-BAS table limit)
 ==============  =====  ==========================================
 
-The deterministic-DAG cell holds two exact methods: a backend may
-*decline* a request it covers (:meth:`~repro.engine.backend.BaseBackend
-.declines`) when its cost rule says another is faster for that problem on
-that model, and automatic resolution then falls through to the next
-candidate.
+A backend may *decline* a request it covers (:meth:`~repro.engine.backend
+.BaseBackend.declines`) when its cost rule says another is faster for that
+problem on that model — automatic resolution then falls through to the
+next candidate — or that it would not finish at all, in which case the
+request fails fast with a :class:`CapabilityError` unless it names the
+backend.
 """
 
 from __future__ import annotations

@@ -69,8 +69,8 @@ class AnalysisRequest:
         Name of a registered backend to force, or ``None`` to let the
         registry resolve one following Table I.
     options:
-        Backend-specific keyword options (e.g. ``samples_per_attack`` for
-        the Monte-Carlo backend, ``generations`` for the genetic one).
+        Backend-specific keyword options (e.g. ``generations`` or
+        ``seed`` for the genetic backend).
         Stored canonically as a sorted tuple of pairs so requests are
         hashable and usable as cache keys.
     """
@@ -216,8 +216,8 @@ class AnalysisResult:
     node_count / bas_count:
         Size of the analyzed model.
     extras:
-        Backend-specific metadata (e.g. per-point standard errors of the
-        Monte-Carlo front).
+        Backend-specific metadata (e.g. the conditioning backend's
+        ``shared_bas`` count, or ``approximate`` for the genetic one).
     """
 
     request: AnalysisRequest

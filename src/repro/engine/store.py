@@ -9,19 +9,13 @@ canonical JSON, the request identity is :meth:`AnalysisRequest.cache_key`
 session cache made durable: repeated bench runs, process-pool workers and
 entirely separate processes all share results instead of recomputing them.
 
-Two implementations are provided:
+:class:`SqliteStore` is the local implementation: a single sqlite file,
+safe for concurrent readers and writers across threads *and* processes (WAL
+journaling plus sqlite's own file locking with a busy timeout).  The schema
+is versioned; opening a file written by an incompatible schema fails with a
+clear :class:`StoreError` instead of serving garbage.
 
-:class:`SqliteStore`
-    The persistent one: a single sqlite file, safe for concurrent readers
-    and writers across threads *and* processes (WAL journaling plus
-    sqlite's own file locking with a busy timeout).  The schema is
-    versioned; opening a file written by an incompatible schema fails with
-    a clear :class:`StoreError` instead of serving garbage.
-:class:`InMemoryStore`
-    A dict with the same interface, for tests and for sharing results
-    between sessions within one process without touching disk.
-
-A third implementation lives in :mod:`repro.net`:
+A second implementation lives in :mod:`repro.net`:
 :class:`~repro.net.HttpStore` speaks to an ``atcd serve`` broker over
 JSON/HTTP, for multi-host deployments with no shared filesystem;
 :func:`open_store` dispatches ``http(s)://`` URLs to it.
@@ -52,7 +46,6 @@ __all__ = [
     "StoreError",
     "StoreStats",
     "ResultStore",
-    "InMemoryStore",
     "NamespacedStore",
     "SqliteStore",
     "open_store",
@@ -116,9 +109,9 @@ class StoreStats:
     rejected: int = 0
 
 
-# Process-wide counters beside the per-instance StoreStats: every store in
-# this process (memory or sqlite; NamespacedStore delegates, so wrapped
-# stores count once) feeds the same exposition families.
+# Process-wide counters beside the per-instance StoreStats: every sqlite
+# store in this process (NamespacedStore delegates, so wrapped stores count
+# once) feeds the same exposition families.
 def _record_lookup(result: str) -> None:
     obs_families.store_lookups_total().inc(result=result)
 
@@ -230,124 +223,6 @@ class ResultStore(Protocol):
     def close(self) -> None:
         """Release any underlying resources (idempotent)."""
         ...
-
-
-class InMemoryStore:
-    """A process-local :class:`ResultStore`: the sqlite semantics, no disk.
-
-    Useful in tests and when several sessions over the *same* model family
-    should share results within one process.  Thread-safe; values are
-    stored in their serialized form so the round-trip (and the poisoning
-    guard) behaves identically to :class:`SqliteStore`.
-    """
-
-    def __init__(self) -> None:
-        #: key -> (serialized record, created-unix) — the timestamp feeds
-        #: the same TTL/size eviction the sqlite store offers.
-        self._rows: Dict[Tuple[str, str], Tuple[str, float]] = {}
-        self._lock = threading.Lock()
-        self.stats = StoreStats()
-
-    def get(
-        self, fingerprint: str, request: AnalysisRequest
-    ) -> Optional[AnalysisResult]:
-        key = request_key(request)
-        with self._lock:
-            entry = self._rows.get((fingerprint, key))
-        payload = entry[0] if entry is not None else None
-        if payload is None:
-            self.stats.misses += 1
-            _record_lookup("miss")
-            return None
-        result = _decode_record(payload, fingerprint, key)
-        if result is None:
-            self.stats.rejected += 1
-            self.stats.misses += 1
-            _record_lookup("rejected")
-            return None
-        self.stats.hits += 1
-        _record_lookup("hit")
-        return result
-
-    def put(
-        self, fingerprint: str, request: AnalysisRequest, result: AnalysisResult
-    ) -> None:
-        key = request_key(request)
-        payload = _encode_record(fingerprint, key, result)
-        with self._lock:
-            self._rows[(fingerprint, key)] = (payload, time.time())
-        self.stats.writes += 1
-        _record_write(len(payload))
-
-    def prune(self, fingerprint: Optional[str] = None) -> int:
-        with self._lock:
-            if fingerprint is None:
-                dropped = len(self._rows)
-                self._rows.clear()
-                return dropped
-            doomed = [k for k in self._rows if k[0] == fingerprint]
-            for k in doomed:
-                del self._rows[k]
-            return len(doomed)
-
-    def evict(
-        self,
-        ttl_seconds: Optional[float] = None,
-        max_bytes: Optional[int] = None,
-    ) -> int:
-        """Oldest-first eviction; ``max_bytes`` bounds total payload bytes."""
-        _validate_eviction_bounds(ttl_seconds, max_bytes)
-        dropped = 0
-        with self._lock:
-            if ttl_seconds is not None:
-                cutoff = time.time() - ttl_seconds
-                doomed = [
-                    key for key, (_, created) in self._rows.items()
-                    if created < cutoff
-                ]
-                for key in doomed:
-                    del self._rows[key]
-                dropped += len(doomed)
-                _record_evictions(len(doomed), "ttl")
-            if max_bytes is not None:
-                oldest_first = sorted(
-                    self._rows.items(), key=lambda item: item[1][1]
-                )
-                total = sum(len(payload) for _, (payload, _) in oldest_first)
-                size_dropped = 0
-                for key, (payload, _) in oldest_first:
-                    if total <= max_bytes:
-                        break
-                    del self._rows[key]
-                    total -= len(payload)
-                    size_dropped += 1
-                dropped += size_dropped
-                _record_evictions(size_dropped, "size")
-        return dropped
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._rows)
-
-    def summary(self) -> Dict[str, Any]:
-        with self._lock:
-            fingerprints = {k[0] for k in self._rows}
-            entries = len(self._rows)
-        return {
-            "kind": "memory",
-            "schema_version": STORE_SCHEMA_VERSION,
-            "entries": entries,
-            "models": len(fingerprints),
-        }
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "InMemoryStore":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 #: Grammar of store namespaces (tenant names).  The namespace becomes a

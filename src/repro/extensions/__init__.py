@@ -1,9 +1,9 @@
 """Extensions beyond the paper's claims.
 
 These modules implement the directions the paper explicitly lists as future
-work: probabilistic analysis of DAG-like ATs (via exact enumeration and
-Monte-Carlo estimation), genetic approximation of the Pareto front
-(NSGA-II), and robust analysis under interval-valued costs and damages.
+work: probabilistic analysis of DAG-like ATs (via reach polynomials),
+genetic approximation of the Pareto front (NSGA-II), and robust analysis
+under interval-valued costs and damages.
 They are clearly separated from :mod:`repro.core`, which only contains the
 algorithms the paper proves correct.
 """
@@ -21,16 +21,9 @@ from .polynomial import (
     pareto_front_probabilistic_polynomial,
     reach_polynomials,
 )
-from .prob_dag import (
-    ApproximateFrontPoint,
-    max_expected_damage_exact,
-    pareto_front_probabilistic_exact,
-    pareto_front_probabilistic_montecarlo,
-)
 from .robust import Interval, IntervalCostDamageAT, RobustFront, robust_pareto_front
 
 __all__ = [
-    "ApproximateFrontPoint",
     "Countermeasure",
     "GeneticConfig",
     "HardeningResult",
@@ -44,8 +37,5 @@ __all__ = [
     "IntervalCostDamageAT",
     "RobustFront",
     "approximate_pareto_front",
-    "max_expected_damage_exact",
-    "pareto_front_probabilistic_exact",
-    "pareto_front_probabilistic_montecarlo",
     "robust_pareto_front",
 ]

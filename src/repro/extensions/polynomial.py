@@ -26,8 +26,8 @@ largest reach polynomial has a handful of monomials).
 
 On top of the polynomials the module offers exact expected damage and an
 exact CEDPF solver for DAG-like cdp-ATs whose per-attack evaluation is
-polynomial-sized instead of the ``2^|x|`` actualization enumeration used by
-:mod:`repro.extensions.prob_dag`.
+polynomial-sized instead of the ``2^|x|`` actualization enumeration of
+:func:`repro.probability.actualization.expected_damage`.
 """
 
 from __future__ import annotations
@@ -219,8 +219,9 @@ def pareto_front_probabilistic_polynomial(
     Still enumerates the ``2^|B|`` attacks (the front itself can be that
     large, Theorem 5), but each attack is evaluated against the precomputed
     polynomials instead of enumerating its ``2^|x|`` actualizations, which is
-    dramatically faster than :func:`repro.extensions.prob_dag.pareto_front_probabilistic_exact`
-    on models with more than a dozen BASs.
+    dramatically faster than per-attack
+    :func:`repro.probability.actualization.expected_damage` on models with
+    more than a dozen BASs.
     """
     bas_count = len(cdpat.tree.basic_attack_steps)
     if bas_count > max_bas:

@@ -1,4 +1,4 @@
-"""Probabilistic attack semantics: actualizations, expected damage, Monte Carlo."""
+"""Probabilistic attack semantics: actualizations and expected damage."""
 
 from .actualization import (
     actualization_distribution,
@@ -8,20 +8,12 @@ from .actualization import (
     reach_probabilities_exact,
     reach_probabilities_treelike,
 )
-from .montecarlo import (
-    MonteCarloEstimate,
-    estimate_expected_damage,
-    sample_actualization,
-)
 
 __all__ = [
-    "MonteCarloEstimate",
     "actualization_distribution",
-    "estimate_expected_damage",
     "expected_damage",
     "expected_damage_via_enumeration",
     "reach_probabilities",
     "reach_probabilities_exact",
     "reach_probabilities_treelike",
-    "sample_actualization",
 ]

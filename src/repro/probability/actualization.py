@@ -11,9 +11,9 @@ For **treelike** ATs, ``PS`` can be computed bottom-up because the children
 of a node depend on disjoint BAS sets and are therefore independent
 (Equations (8)–(9)).  For **DAG-like** ATs that independence fails; this
 module then falls back to exact enumeration over the ``2^{|x|}``
-actualizations (adequate for the small attacks used in tests and as the
-ground truth for the Monte-Carlo estimator in
-:mod:`repro.probability.montecarlo`).
+actualizations (adequate for the small attacks used in tests, and the
+per-attack fallback of :mod:`repro.core.enumerative` beyond its table
+limit).
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ by every transformation.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from typing import Dict, List, Tuple
 
@@ -52,6 +53,51 @@ def data_server() -> CostDamageAT:
 def example10() -> CostDamageProbAT:
     """The Example 10 OR pair used to contrast deterministic/probabilistic."""
     return catalog.example10_or_pair()
+
+
+# --------------------------------------------------------------------------- #
+# shared databases
+# --------------------------------------------------------------------------- #
+class TwoHandles:
+    """Route each call to one of two handles on the same database file, in
+    turn, the way a coordinator and its workers each open their own handle.
+
+    Semantic tests run through it to show that every piece of queue or
+    store state lives in the database: a write through one handle must be
+    seen by a read through the other.  Per-instance counters (a store's
+    ``stats``) are not persisted by design, so they are summed.
+    """
+
+    def __init__(self, first, second) -> None:
+        self._handles = (first, second)
+        self._calls = 0
+
+    def __getattr__(self, name):
+        attribute = getattr(self._handles[self._calls % 2], name)
+        if not callable(attribute):
+            return attribute
+
+        def call(*args, **kwargs):
+            handle = self._handles[self._calls % 2]
+            self._calls += 1
+            return getattr(handle, name)(*args, **kwargs)
+
+        return call
+
+    @property
+    def stats(self):
+        first, second = (handle.stats for handle in self._handles)
+        return type(first)(**{
+            field.name: getattr(first, field.name) + getattr(second, field.name)
+            for field in dataclasses.fields(first)
+        })
+
+    def __len__(self) -> int:
+        return self.__getattr__("__len__")()
+
+    def close(self) -> None:
+        for handle in self._handles:
+            handle.close()
 
 
 # --------------------------------------------------------------------------- #

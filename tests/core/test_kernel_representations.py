@@ -1,34 +1,29 @@
 """Tests for the compact kernel representations.
 
 The bottom-up solver stores fronts as parallel lists, witnesses as integer
-bitsets and memoises structurally identical subtrees; an optional numpy
-path vectorises the gate-fold inner loops.  These tests pin the contracts
-those representations must keep: witnesses materialise back to attacks that
-actually have the claimed attributes, memo hits never change results, the
-numpy path is bit-identical to the pure-Python fold, and accelerator
-selection fails loudly on bad input.
+bitsets and memoises structurally identical subtrees.  These tests pin the
+contracts those representations must keep: witnesses materialise back to
+attacks that actually have the claimed attributes, memo hits never change
+results, and the gate fold (outer sums, early budget cut, staircase) agrees
+with full enumeration with and without a budget.
 """
 
 import pytest
 
-import repro.core.bottom_up as bottom_up
 from repro.attacktree.builder import AttackTreeBuilder
 from repro.core.bottom_up import (
     _TripleKernel,
     max_damage_given_cost_treelike,
     node_pareto_front,
-    numpy_available,
     pareto_front_treelike,
 )
-from repro.core.enumerative import enumerate_pareto_front
+from repro.core.enumerative import (
+    enumerate_max_damage_given_cost,
+    enumerate_pareto_front,
+)
 from repro.core.semantics import evaluate_attack
 
 from ..conftest import make_random_tree
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy accelerator not installed"
-)
-
 
 def _twin_subtree_model():
     """An OR root over two decoration-identical AND subtrees."""
@@ -39,25 +34,6 @@ def _twin_subtree_model():
         builder.and_gate(f"g{suffix}", [f"a{suffix}", f"b{suffix}"], damage=5.0)
     builder.or_gate("root", ["g1", "g2"], damage=0.0)
     return builder.build_cd(root="root")
-
-
-class TestAcceleratorValidation:
-    def test_unknown_accelerator_rejected(self):
-        model = make_random_tree(0, treelike=True).deterministic()
-        with pytest.raises(ValueError, match="unknown accelerator"):
-            node_pareto_front(model, accelerator="cuda")
-
-    def test_numpy_requested_without_numpy(self, monkeypatch):
-        model = make_random_tree(0, treelike=True).deterministic()
-        monkeypatch.setattr(bottom_up, "_np", None)
-        with pytest.raises(ValueError, match="numpy is not installed"):
-            node_pareto_front(model, accelerator="numpy")
-
-    def test_accelerator_none_never_touches_numpy(self, monkeypatch):
-        monkeypatch.setattr(bottom_up, "_np", None)
-        model = make_random_tree(1, treelike=True).deterministic()
-        assert pareto_front_treelike(model).values() == \
-            enumerate_pareto_front(model).values()
 
 
 class TestBitsetWitnesses:
@@ -81,7 +57,7 @@ class TestBitsetWitnesses:
 class TestStructuralMemoization:
     def test_twin_subtrees_fold_once(self):
         model = _twin_subtree_model()
-        kernel = _TripleKernel(model, limit=float("inf"), use_numpy=False)
+        kernel = _TripleKernel(model, limit=float("inf"))
         kernel.compute(model.tree.root)
         # 7 nodes, but only 4 distinct structures: the two BAS decorations,
         # the AND subtree and the OR root.
@@ -99,35 +75,34 @@ class TestStructuralMemoization:
             enumerate_pareto_front(model).values()
 
 
-@needs_numpy
-class TestNumpyPathIdentity:
-    """The numpy fold must be bit-identical to the pure-Python fold —
-    values *and* witnesses — so the backends are interchangeable."""
-
-    @pytest.fixture(autouse=True)
-    def _force_numpy_path(self, monkeypatch):
-        # Small trees rarely cross the size cutoff; drop it so the numpy
-        # code path actually runs for every fold in these tests.
-        monkeypatch.setattr(bottom_up, "_NUMPY_CUTOFF", 1)
+class TestFoldAgainstEnumeration:
+    """The fold keeps every non-dominated combination and only those:
+    values match full enumeration and every witness has its claimed
+    attributes, on trees large enough for multi-point staircases."""
 
     @pytest.mark.parametrize("seed", range(15))
     def test_front_identical(self, seed):
-        model = make_random_tree(seed, treelike=True).deterministic()
-        python = node_pareto_front(model)
-        numpy = node_pareto_front(model, accelerator="numpy")
-        assert [item.triple for item in python] == [item.triple for item in numpy]
-        assert [item.attack for item in python] == [item.attack for item in numpy]
+        model = make_random_tree(seed, max_bas=10, treelike=True).deterministic()
+        front = pareto_front_treelike(model)
+        assert front.values() == enumerate_pareto_front(model).values()
+        for point in front:
+            cost, damage, reached = evaluate_attack(model, point.attack)
+            assert (cost, damage, reached) == (
+                point.cost, point.damage, point.reaches_root
+            )
 
     @pytest.mark.parametrize("seed", range(10))
     def test_dgc_identical_across_budgets(self, seed):
-        model = make_random_tree(seed, treelike=True).deterministic()
+        model = make_random_tree(seed, max_bas=10, treelike=True).deterministic()
         for budget in (0.0, 3.0, 7.0, 15.0, float("inf")):
-            assert max_damage_given_cost_treelike(model, budget) == \
-                max_damage_given_cost_treelike(model, budget, accelerator="numpy")
+            value, witness = max_damage_given_cost_treelike(model, budget)
+            assert value == enumerate_max_damage_given_cost(model, budget)[0]
+            cost, damage, _ = evaluate_attack(model, witness)
+            assert cost <= budget and damage == value
 
     def test_budget_pruning_identical(self):
-        model = make_random_tree(7, treelike=True).deterministic()
+        model = make_random_tree(7, max_bas=10, treelike=True).deterministic()
+        full = enumerate_pareto_front(model).values()
         for budget in (0.0, 2.0, 5.0, 9.0):
-            python = pareto_front_treelike(model, budget=budget)
-            numpy = pareto_front_treelike(model, budget=budget, accelerator="numpy")
-            assert python.values() == numpy.values()
+            pruned = pareto_front_treelike(model, budget=budget)
+            assert pruned.values() == [v for v in full if v[0] <= budget]

@@ -7,6 +7,7 @@ dead-lettered without sinking the run.
 """
 
 import json
+import sqlite3
 import threading
 import time
 
@@ -15,7 +16,7 @@ import pytest
 from repro.attacktree import serialization
 from repro.attacktree.catalog import factory
 from repro.bench.harness import execute_specs
-from repro.distributed import Coordinator, InMemoryQueue, QueueError, Worker
+from repro.distributed import Coordinator, QueueError, SqliteQueue, Worker
 from repro.engine import AnalysisRequest, AnalysisSession
 from repro.workloads import ScenarioSpec
 
@@ -48,8 +49,8 @@ def run_workers(queue, count, **kwargs):
 
 
 class TestProfileRuns:
-    def test_distributed_results_identical_to_sequential(self):
-        queue = InMemoryQueue()
+    def test_distributed_results_identical_to_sequential(self, tmp_path):
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
         coordinator = Coordinator(queue, poll_seconds=0.01)
         coordinator.submit_profile("tiny", TINY_SPECS)
         run_workers(queue, 2)
@@ -62,8 +63,8 @@ class TestProfileRuns:
         assert report.output["config"]["distributed"]["workers"] == 2
         assert len(report.workers) >= 1
 
-    def test_artifact_rows_keep_submission_order(self):
-        queue = InMemoryQueue()
+    def test_artifact_rows_keep_submission_order(self, tmp_path):
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
         coordinator = Coordinator(queue, poll_seconds=0.01)
         coordinator.submit_profile("tiny", TINY_SPECS)
         # Drain in deliberately scrambled order: claim everything, complete
@@ -82,8 +83,8 @@ class TestProfileRuns:
         assert [row["case_id"] for row in report.output["runs"]] == \
             [row["case_id"] for row in sequential]
 
-    def test_submit_validates_before_queueing(self):
-        queue = InMemoryQueue()
+    def test_submit_validates_before_queueing(self, tmp_path):
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
         coordinator = Coordinator(queue)
         bad = [ScenarioSpec(family="catalog", shape="treelike",
                             setting="deterministic", backend="nope")]
@@ -91,17 +92,17 @@ class TestProfileRuns:
             coordinator.submit_profile("bad", bad)
         assert queue.counts()["pending"] == 0
 
-    def test_one_queue_holds_one_run(self):
-        queue = InMemoryQueue()
+    def test_one_queue_holds_one_run(self, tmp_path):
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
         coordinator = Coordinator(queue)
         coordinator.submit_profile("tiny", TINY_SPECS[:1])
         with pytest.raises(QueueError, match="already holds run"):
             coordinator.submit_profile("tiny2", TINY_SPECS[:1])
 
-    def test_rejected_submit_does_not_poison_the_queue(self):
+    def test_rejected_submit_does_not_poison_the_queue(self, tmp_path):
         # A bad retry budget must fail *before* the run descriptor is
         # recorded, so the corrected re-submit succeeds on the same queue.
-        queue = InMemoryQueue()
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
         coordinator = Coordinator(queue)
         with pytest.raises(ValueError, match="max_attempts"):
             coordinator.submit_profile("tiny", TINY_SPECS[:1], max_attempts=0)
@@ -109,19 +110,19 @@ class TestProfileRuns:
         coordinator.submit_profile("tiny", TINY_SPECS[:1])
         assert queue.counts()["pending"] > 0
 
-    def test_gather_requires_a_drained_queue(self):
-        queue = InMemoryQueue()
+    def test_gather_requires_a_drained_queue(self, tmp_path):
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
         coordinator = Coordinator(queue)
         coordinator.submit_profile("tiny", TINY_SPECS[:1])
         with pytest.raises(QueueError, match="not complete"):
             coordinator.gather()
 
-    def test_gather_requires_a_run(self):
+    def test_gather_requires_a_run(self, tmp_path):
         with pytest.raises(QueueError, match="no run"):
-            Coordinator(InMemoryQueue()).gather()
+            Coordinator(SqliteQueue(str(tmp_path / "queue.sqlite"))).gather()
 
-    def test_wait_times_out_with_outstanding_work(self):
-        queue = InMemoryQueue()
+    def test_wait_times_out_with_outstanding_work(self, tmp_path):
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
         coordinator = Coordinator(queue, poll_seconds=0.01)
         coordinator.submit_profile("tiny", TINY_SPECS[:1])
         with pytest.raises(QueueError, match="did not drain"):
@@ -129,10 +130,10 @@ class TestProfileRuns:
 
 
 class TestFaultTolerance:
-    def test_killed_worker_mid_task_loses_and_duplicates_nothing(self):
+    def test_killed_worker_mid_task_loses_and_duplicates_nothing(self, tmp_path):
         """A worker that dies holding a lease: the task is retried elsewhere
         and the gathered artifact matches the sequential run exactly."""
-        queue = InMemoryQueue(grace_seconds=0.0)
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"), grace_seconds=0.0)
         coordinator = Coordinator(queue, poll_seconds=0.01)
         coordinator.submit_profile("tiny", TINY_SPECS)
         # "Crash" a worker mid-task: claim with a short lease, never finish.
@@ -150,15 +151,22 @@ class TestFaultTolerance:
         assert report.retries == 1
         assert report.output["config"]["distributed"]["retries"] == 1
 
-    def test_poison_task_dead_letters_but_run_completes(self):
-        queue = InMemoryQueue()
+    def test_poison_task_dead_letters_but_run_completes(self, tmp_path):
+        path = str(tmp_path / "queue.sqlite")
+        queue = SqliteQueue(path)
         coordinator = Coordinator(queue, poll_seconds=0.01)
         coordinator.submit_profile("tiny", TINY_SPECS, max_attempts=2)
         # Corrupt one task's payload after submission: it will fail on
         # every worker, every attempt.
         victim = queue.tasks()[0]
         victim.payload["model"]["nodes"] = "corrupted"
-        queue._tasks[victim.task_id] = victim  # in-memory surgery
+        connection = sqlite3.connect(path)
+        with connection:
+            connection.execute(
+                "UPDATE tasks SET payload = ? WHERE task_id = ?",
+                (json.dumps(victim.payload), victim.task_id),
+            )
+        connection.close()
         run_workers(queue, 2)
         counts = coordinator.wait(timeout=30)
         assert counts["dead"] == 1
@@ -175,14 +183,14 @@ class TestFaultTolerance:
         assert report.output["config"]["distributed"]["dead_tasks"] == \
             report.dead
 
-    def test_crash_retry_with_shared_store_is_idempotent(self):
+    def test_crash_retry_with_shared_store_is_idempotent(self, tmp_path):
         """First execution persisted to the store before the crash: the
         retry is a store hit with the original result."""
-        from repro.engine import InMemoryStore
+        from repro.engine import SqliteStore
         from repro.distributed import execute_task_payload
 
-        store = InMemoryStore()
-        queue = InMemoryQueue(grace_seconds=0.0)
+        store = SqliteStore(str(tmp_path / "results.sqlite"))
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"), grace_seconds=0.0)
         coordinator = Coordinator(queue, poll_seconds=0.01)
         coordinator.submit_profile("tiny", TINY_SPECS[:1])
         doomed = queue.claim("doomed", lease_seconds=0.05)
@@ -201,14 +209,14 @@ class TestFaultTolerance:
 
 
 class TestBatchRuns:
-    def test_batch_results_match_session_run_batch(self):
+    def test_batch_results_match_session_run_batch(self, tmp_path):
         model = factory()
         requests = [
             {"problem": "cdpf"},
             {"problem": "dgc", "budget": 2},
             {"problem": "cgd", "threshold": 200},
         ]
-        queue = InMemoryQueue()
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
         coordinator = Coordinator(queue, poll_seconds=0.01)
         coordinator.submit_requests(serialization.to_dict(model), requests)
         run_workers(queue, 2)
@@ -224,8 +232,8 @@ class TestBatchRuns:
         assert [row["request"]["problem"] for row in report.output] == \
             [entry["problem"] for entry in requests]
 
-    def test_batch_submit_validates_every_request(self):
-        queue = InMemoryQueue()
+    def test_batch_submit_validates_every_request(self, tmp_path):
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
         coordinator = Coordinator(queue)
         with pytest.raises(ValueError, match=r"requests\[1\]"):
             coordinator.submit_requests(

@@ -1,9 +1,9 @@
 """Tests for the durable work queue: state machine, leases, hardening.
 
-The semantic tests run against all three implementations (the in-memory
-queue and the HTTP broker client must behave exactly like the sqlite
-one); the hardening and cross-process tests target :class:`SqliteQueue`,
-mirroring ``tests/engine/test_store.py``.  Lease-timing tests construct
+The semantic tests run against both implementations (the HTTP broker
+client must behave exactly like the sqlite queue) and against two sqlite
+handles on one file used in turn (nothing may be kept per handle); the
+hardening and cross-process tests target :class:`SqliteQueue`, mirroring ``tests/engine/test_store.py``.  Lease-timing tests construct
 queues with ``grace_seconds=0`` so short leases expire on the dot; the
 skew grace itself is covered by :class:`TestClockAndGrace` with an
 injected clock.
@@ -21,12 +21,13 @@ from pathlib import Path
 import pytest
 
 from repro.distributed import (
-    InMemoryQueue,
     QueueError,
     SqliteQueue,
     TaskState,
     open_queue,
 )
+
+from ..conftest import TwoHandles
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -36,11 +37,9 @@ def queue_path(tmp_path):
     return str(tmp_path / "queue.sqlite")
 
 
-@pytest.fixture(params=["sqlite", "memory", "http"])
+@pytest.fixture(params=["sqlite", "sqlite-shared", "http"])
 def any_queue(request, queue_path):
-    if request.param == "memory":
-        queue = InMemoryQueue(grace_seconds=0.0)
-    elif request.param == "http":
+    if request.param == "http":
         from repro.net import BrokerServer, HttpQueue
 
         server = BrokerServer(queue_path=queue_path, grace_seconds=0.0)
@@ -50,6 +49,11 @@ def any_queue(request, queue_path):
         queue.close()
         server.close()
         return
+    if request.param == "sqlite-shared":
+        queue = TwoHandles(
+            SqliteQueue(queue_path, grace_seconds=0.0),
+            SqliteQueue(queue_path, grace_seconds=0.0),
+        )
     else:
         queue = SqliteQueue(queue_path, grace_seconds=0.0)
     yield queue
@@ -555,17 +559,14 @@ class TestClockAndGrace:
     """Lease expiry must run on the queue's injected clock, with a skew
     grace — an NTP step on one host must never double-execute a task."""
 
-    @pytest.fixture(params=["sqlite", "memory"])
+    @pytest.fixture(params=["sqlite", "sqlite-shared"])
     def clocked_queue(self, request, queue_path):
         clock = {"now": 1000.0}
-        if request.param == "memory":
-            queue = InMemoryQueue(
-                clock=lambda: clock["now"], grace_seconds=5.0
-            )
-        else:
-            queue = SqliteQueue(
-                queue_path, clock=lambda: clock["now"], grace_seconds=5.0
-            )
+        handles = [
+            SqliteQueue(queue_path, clock=lambda: clock["now"], grace_seconds=5.0)
+            for _ in range(2 if request.param == "sqlite-shared" else 1)
+        ]
+        queue = TwoHandles(*handles) if len(handles) == 2 else handles[0]
         yield queue, clock
         queue.close()
 
@@ -602,8 +603,6 @@ class TestClockAndGrace:
         assert queue.complete(task.task_id, "w", {"ok": True})
 
     def test_negative_grace_is_rejected(self, queue_path):
-        with pytest.raises(QueueError, match="grace_seconds"):
-            InMemoryQueue(grace_seconds=-1.0)
         with pytest.raises(QueueError, match="grace_seconds"):
             SqliteQueue(queue_path, grace_seconds=-0.5)
 

@@ -8,9 +8,9 @@ import pytest
 from repro.attacktree import serialization
 from repro.attacktree.catalog import factory
 from repro.core.problems import Problem
-from repro.engine import AnalysisRequest, InMemoryStore, run_request
+from repro.engine import AnalysisRequest, SqliteStore, run_request
 from repro.distributed import (
-    InMemoryQueue,
+    SqliteQueue,
     TaskState,
     Worker,
     execute_task_payload,
@@ -41,8 +41,8 @@ def request_payload(budget=2.0):
 
 
 class TestExecution:
-    def test_worker_drains_bench_case_tasks(self):
-        queue = InMemoryQueue()
+    def test_worker_drains_bench_case_tasks(self, tmp_path):
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
         payloads = catalog_payloads()
         queue.submit(payloads)
         report = Worker(queue, worker_id="w", poll_seconds=0.01).run()
@@ -54,8 +54,8 @@ class TestExecution:
         ]
         assert all(task.result["wall_time_seconds"] >= 0 for task in done)
 
-    def test_worker_executes_request_tasks(self):
-        queue = InMemoryQueue()
+    def test_worker_executes_request_tasks(self, tmp_path):
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
         queue.submit([request_payload(budget=2.0)])
         report = Worker(queue, worker_id="w", poll_seconds=0.01).run()
         assert report.completed == 1
@@ -63,8 +63,8 @@ class TestExecution:
         expected = run_request(factory(), AnalysisRequest(Problem.DGC, budget=2.0))
         assert done.result["value"] == expected.value
 
-    def test_unknown_kind_is_dead_lettered_not_a_crash(self):
-        queue = InMemoryQueue()
+    def test_unknown_kind_is_dead_lettered_not_a_crash(self, tmp_path):
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
         queue.submit([{"kind": "nonsense"}], max_attempts=2)
         queue.submit([request_payload()])
         report = Worker(queue, worker_id="w", poll_seconds=0.01).run()
@@ -75,8 +75,8 @@ class TestExecution:
         assert "unknown task kind" in dead.error
         assert queue.drained()
 
-    def test_max_tasks_bounds_the_loop(self):
-        queue = InMemoryQueue()
+    def test_max_tasks_bounds_the_loop(self, tmp_path):
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
         queue.submit(catalog_payloads())
         report = Worker(
             queue, worker_id="w", max_tasks=1, poll_seconds=0.01
@@ -88,8 +88,8 @@ class TestExecution:
         with pytest.raises(ValueError, match="unknown task kind"):
             execute_task_payload({"kind": "nope"})
 
-    def test_trace_memory_payload_records_peak_kb(self):
-        queue = InMemoryQueue()
+    def test_trace_memory_payload_records_peak_kb(self, tmp_path):
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
         queue.submit(catalog_payloads(trace_memory=True))
         Worker(queue, worker_id="w", poll_seconds=0.01).run()
         for task in queue.tasks(TaskState.DONE):
@@ -97,11 +97,11 @@ class TestExecution:
 
 
 class TestIdempotency:
-    def test_store_hit_short_circuits_a_retried_task(self):
+    def test_store_hit_short_circuits_a_retried_task(self, tmp_path):
         """A task whose first execution persisted its result is answered
         from the store on retry — including the original wall time."""
-        store = InMemoryStore()
-        queue = InMemoryQueue(grace_seconds=0.0)
+        store = SqliteStore(str(tmp_path / "results.sqlite"))
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"), grace_seconds=0.0)
         (payload,) = [request_payload(budget=3.0)]
         queue.submit([payload])
         # First attempt: executes for real, writes through, but the worker
@@ -122,13 +122,13 @@ class TestIdempotency:
         assert done.result["wall_time_seconds"] == first["wall_time_seconds"]
         assert store.stats.hits == 1
 
-    def test_bench_case_retry_reports_store_hit(self):
-        store = InMemoryStore()
+    def test_bench_case_retry_reports_store_hit(self, tmp_path):
+        store = SqliteStore(str(tmp_path / "results.sqlite"))
         payloads = catalog_payloads()
-        warm = InMemoryQueue()
+        warm = SqliteQueue(str(tmp_path / "warm.sqlite"))
         warm.submit(payloads)
         Worker(warm, worker_id="first", store=store, poll_seconds=0.01).run()
-        retry = InMemoryQueue()
+        retry = SqliteQueue(str(tmp_path / "retry.sqlite"))
         retry.submit(payloads)
         Worker(retry, worker_id="second", store=store, poll_seconds=0.01).run()
         for task in retry.tasks(TaskState.DONE):
@@ -136,10 +136,10 @@ class TestIdempotency:
 
 
 class TestHeartbeats:
-    def test_long_task_outlives_its_lease_via_heartbeats(self):
+    def test_long_task_outlives_its_lease_via_heartbeats(self, tmp_path):
         """A task running far past lease_seconds is never reassigned while
         its worker lives."""
-        queue = InMemoryQueue()
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
         queue.submit([{"kind": "slow"}])
 
         def slow_executor(payload):
@@ -172,11 +172,11 @@ class TestHeartbeats:
         (done,) = queue.tasks(TaskState.DONE)
         assert done.worker_id == "slow"
 
-    def test_lost_lease_is_reported_as_failure_not_success(self):
+    def test_lost_lease_is_reported_as_failure_not_success(self, tmp_path):
         """A worker stalled past its lease (no heartbeat — executor blocks
         the keeper's renewals from mattering by claiming directly) must not
         count the task as completed once someone else finished it."""
-        queue = InMemoryQueue(grace_seconds=0.0)
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"), grace_seconds=0.0)
         queue.submit([{"kind": "x"}])
         task = queue.claim("stalled", lease_seconds=0.05)
         time.sleep(0.1)
@@ -194,12 +194,12 @@ class TestGracefulShutdown:
     """WorkerShutdown (what the SIGTERM/SIGINT handler raises) must fail
     the in-flight task back to the queue instead of abandoning it."""
 
-    def test_shutdown_mid_task_fails_the_claim_back(self):
+    def test_shutdown_mid_task_fails_the_claim_back(self, tmp_path):
         import signal as signal_module
 
         from repro.distributed import WorkerShutdown
 
-        queue = InMemoryQueue(grace_seconds=0.0)
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"), grace_seconds=0.0)
         queue.submit([{"kind": "x"}], max_attempts=3)
 
         def interrupted_executor(payload):
@@ -218,14 +218,14 @@ class TestGracefulShutdown:
         assert "signal" in pending.error
         assert queue.claim("survivor", lease_seconds=30) is not None
 
-    def test_shutdown_fail_back_is_ownership_checked(self):
+    def test_shutdown_fail_back_is_ownership_checked(self, tmp_path):
         """A task whose lease already moved to another worker must not be
         failed back by the interrupted (former) owner."""
         import signal as signal_module
 
         from repro.distributed import WorkerShutdown
 
-        queue = InMemoryQueue(grace_seconds=0.0)
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"), grace_seconds=0.0)
         queue.submit([{"kind": "x"}], max_attempts=5)
 
         def steal_then_shutdown(payload):
@@ -249,12 +249,12 @@ class TestGracefulShutdown:
         (done,) = queue.tasks(TaskState.DONE)
         assert done.result == {"by": "thief"}
 
-    def test_shutdown_between_tasks_exits_cleanly(self):
+    def test_shutdown_between_tasks_exits_cleanly(self, tmp_path):
         import signal as signal_module
 
         from repro.distributed import WorkerShutdown
 
-        queue = InMemoryQueue(grace_seconds=0.0)
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"), grace_seconds=0.0)
         done_first = []
 
         def one_then_shutdown(payload):
@@ -272,7 +272,7 @@ class TestGracefulShutdown:
         assert report.interrupted == signal_module.SIGINT
         assert queue.counts()["pending"] == 1
 
-    def test_shutdown_during_claim_fails_back_the_committed_claim(self):
+    def test_shutdown_during_claim_fails_back_the_committed_claim(self, tmp_path):
         """The narrowest race: the signal lands after the queue committed
         our claim but before run() assigned it.  The shutdown path must
         ask the queue what it believes is ours and fail that back."""
@@ -280,7 +280,7 @@ class TestGracefulShutdown:
 
         from repro.distributed import WorkerShutdown
 
-        inner = InMemoryQueue(grace_seconds=0.0)
+        inner = SqliteQueue(str(tmp_path / "queue.sqlite"), grace_seconds=0.0)
         inner.submit([{"kind": "x"}], max_attempts=3)
 
         class ShutdownInsideClaim:
@@ -304,7 +304,7 @@ class TestGracefulShutdown:
         assert pending.attempts == 1 and "signal" in pending.error
         assert inner.claim("survivor", lease_seconds=30) is not None
 
-    def test_second_signal_does_not_interrupt_the_fail_back(self):
+    def test_second_signal_does_not_interrupt_the_fail_back(self, tmp_path):
         """The installed handler raises once; later signals only confirm
         the stop, so the fail-back (or report printing) is never aborted
         by an impatient second Ctrl-C."""
@@ -313,7 +313,7 @@ class TestGracefulShutdown:
 
         from repro.distributed import WorkerShutdown, signal_shutdown
 
-        worker = Worker(InMemoryQueue(grace_seconds=0.0), worker_id="w")
+        worker = Worker(SqliteQueue(str(tmp_path / "queue.sqlite"), grace_seconds=0.0), worker_id="w")
         with signal_shutdown(worker):
             with pytest.raises(WorkerShutdown):
                 os.kill(os.getpid(), signal_module.SIGTERM)

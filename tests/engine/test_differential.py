@@ -11,21 +11,27 @@ backend returns identical results for each supported problem.
 It doubles as the regression net for the shared result store (a result
 that survives the store's JSON round-trip must still equal the live one)
 and for any future exact probabilistic-DAG method: register it as an exact
-backend and this suite starts differential-testing it for free.
+backend and this suite starts differential-testing it for free.  Until one
+exists, the probabilistic cells get a second opinion from ``enumerative``
+with its table path disabled, which sums every attack's actualizations
+one by one instead of running the zeta transform.
 
 Sizes are capped so the enumerative baseline stays tractable; Hypothesis
 settings are derandomized for CI stability.
 """
+
+from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
+from repro.core import enumerative  # noqa: E402
 from repro.core.problems import Problem  # noqa: E402
 from repro.engine import (  # noqa: E402
     AnalysisRequest,
-    InMemoryStore,
+    SqliteStore,
     model_fingerprint,
     run_request,
 )
@@ -100,20 +106,29 @@ def _scalar_parameters(front_values):
     return sorted(budgets), sorted(thresholds)
 
 
+#: Pseudo-backend: ``enumerative`` forced onto its per-attack fallback
+#: (``repro.probability.actualization.expected_damage`` per attack).
+_PER_ATTACK = "enumerative/per-attack"
+
+
+def _run(model, backend, problem, **params):
+    """Run one request on ``backend`` (or the per-attack pseudo-backend)."""
+    if backend == _PER_ATTACK:
+        with mock.patch.object(enumerative, "_TABLE_LIMIT", 0):
+            return _run(model, "enumerative", problem, **params)
+    return run_request(model, AnalysisRequest(problem, backend=backend, **params))
+
+
 def _capable_exact_backends(model, probabilistic):
     """The exact backends covering this model, per Table I capabilities."""
-    from repro.core.bottom_up import numpy_available
-
     if probabilistic:
-        backends = ["enumerative", "prob-dag"]
-        if model.tree.is_treelike:
-            backends.append("bottom-up")
+        # Trees have bottom-up; the DAG cell, no exact method but enumeration.
+        second = "bottom-up" if model.tree.is_treelike else _PER_ATTACK
+        backends = ["enumerative", second]
     else:
         backends = ["enumerative", "bilp"]
         if model.tree.is_treelike:
             backends.append("bottom-up")
-            if numpy_available():
-                backends.append("bottom-up-numpy")
         else:
             backends.append("conditioning")
     return backends
@@ -169,7 +184,7 @@ class TestProbabilisticBackendsAgree:
             model, AnalysisRequest(Problem.CEDPF, backend="enumerative")
         )
         for backend in backends:
-            result = run_request(model, AnalysisRequest(Problem.CEDPF, backend=backend))
+            result = _run(model, backend, Problem.CEDPF)
             _assert_fronts_equal(reference, result, f"cedpf via {backend}")
 
         budgets, thresholds = _scalar_parameters(_front_values(reference))
@@ -179,9 +194,7 @@ class TestProbabilisticBackendsAgree:
                 AnalysisRequest(Problem.EDGC, budget=budget, backend="enumerative"),
             )
             for backend in backends:
-                got = run_request(
-                    model, AnalysisRequest(Problem.EDGC, budget=budget, backend=backend)
-                )
+                got = _run(model, backend, Problem.EDGC, budget=budget)
                 _assert_values_equal(expected, got, f"edgc({budget}) via {backend}")
         for threshold in thresholds:
             expected = run_request(
@@ -191,13 +204,16 @@ class TestProbabilisticBackendsAgree:
                 ),
             )
             for backend in backends:
-                got = run_request(
-                    model,
-                    AnalysisRequest(
-                        Problem.CGED, threshold=threshold, backend=backend
-                    ),
-                )
+                got = _run(model, backend, Problem.CGED, threshold=threshold)
                 _assert_values_equal(expected, got, f"cged({threshold}) via {backend}")
+
+
+@pytest.fixture(scope="module")
+def sqlite_store(tmp_path_factory):
+    """A :class:`SqliteStore` shared by every Hypothesis example (each
+    drawn model has its own fingerprint, so keys never collide)."""
+    with SqliteStore(str(tmp_path_factory.mktemp("store") / "results.sqlite")) as store:
+        yield store
 
 
 @pytest.fixture(scope="module")
@@ -218,24 +234,24 @@ def broker_store(tmp_path_factory):
 class TestStoreRoundTripFidelity:
     """A result served from the store must equal the freshly computed one.
 
-    Runs against the in-memory store and — the full network path: JSON
+    Runs against a sqlite store and — the full network path: JSON
     over the wire, sqlite persistence on the broker, identity-verified
     read back — against an ``HttpStore``.
     """
 
     @_SETTINGS
     @given(data=st.data())
-    def test_deterministic_results_survive_the_store(self, data):
+    def test_deterministic_results_survive_the_store(self, sqlite_store, data):
         self._assert_round_trip(
-            InMemoryStore(), "deterministic", _DETERMINISTIC_CELLS,
+            sqlite_store, "deterministic", _DETERMINISTIC_CELLS,
             Problem.CDPF, data,
         )
 
     @_SETTINGS
     @given(data=st.data())
-    def test_probabilistic_results_survive_the_store(self, data):
+    def test_probabilistic_results_survive_the_store(self, sqlite_store, data):
         self._assert_round_trip(
-            InMemoryStore(), "probabilistic", _PROBABILISTIC_CELLS,
+            sqlite_store, "probabilistic", _PROBABILISTIC_CELLS,
             Problem.CEDPF, data,
         )
 

@@ -30,11 +30,9 @@ DETERMINISTIC = (Problem.CDPF, Problem.DGC, Problem.CGD)
 PROBABILISTIC = (Problem.CEDPF, Problem.EDGC, Problem.CGED)
 
 
-def _shared_bas(size):
+def _shared_bas(size, setting="deterministic"):
     """The shared-bas workload DAG of a given pool size (k = size / 2)."""
-    spec = ScenarioSpec(
-        family="shared-bas", shape="dag", setting="deterministic", sizes=(size,)
-    )
+    spec = ScenarioSpec(family="shared-bas", shape="dag", setting=setting, sizes=(size,))
     return expand(spec)[0].model
 
 
@@ -89,6 +87,18 @@ class TestTable1Resolution:
         model = with_unit_probabilities(data_server())
         assert registry.resolve(problem, model).name == "enumerative"
 
+    @pytest.mark.parametrize("problem", PROBABILISTIC)
+    def test_probabilistic_dag_beyond_table_limit_fails_fast(self, registry, problem):
+        # Up to 16 BASs enumerative runs on its tables; past that, per-attack
+        # evaluation is too slow to serve, so auto-resolution refuses it.
+        largest = _shared_bas(16, "probabilistic")
+        assert registry.resolve(problem, largest).name == "enumerative"
+        model = _shared_bas(17, "probabilistic")
+        with pytest.raises(CapabilityError, match="enumerative: 17 BASs exceed"):
+            registry.resolve(problem, model)
+        named = registry.resolve(problem, model, backend="enumerative")
+        assert named.name == "enumerative"
+
     def test_capability_report_matches_table1(self, registry):
         table = registry.capability_report()
         assert len(table) == 4
@@ -99,7 +109,7 @@ class TestTable1Resolution:
         assert "open problem" in table[("probabilistic", "dag")]
 
     def test_approximate_backends_never_auto_resolve(self, registry):
-        """Genetic/Monte-Carlo cover many cells but require explicit opt-in."""
+        """Genetic covers every cell but requires explicit opt-in."""
         for problem in DETERMINISTIC:
             for model in (factory(), data_server()):
                 assert registry.resolve(problem, model).exact
@@ -108,6 +118,11 @@ class TestTable1Resolution:
 
 
 class TestExplicitSelection:
+    def test_one_backend_per_method(self):
+        assert [backend.name for backend in standard_backends()] == [
+            "bottom-up", "conditioning", "bilp", "enumerative", "genetic",
+        ]
+
     def test_every_standard_backend_reachable_by_name(self, registry):
         for backend in standard_backends():
             assert registry.get(backend.name).name == backend.name
@@ -128,14 +143,14 @@ class TestExplicitSelection:
         with pytest.raises(CapabilityError, match="treelike"):
             registry.resolve(Problem.CDPF, data_server(), backend="bottom-up")
 
-    def test_prob_dag_rejects_deterministic_problems(self, registry):
+    def test_conditioning_rejects_probabilistic_problems(self, registry):
         model = with_unit_probabilities(data_server())
-        with pytest.raises(CapabilityError, match="probabilistic problems"):
-            registry.resolve(Problem.CDPF, model, backend="prob-dag")
+        with pytest.raises(CapabilityError, match="only answers the deterministic"):
+            registry.resolve(Problem.CEDPF, model, backend="conditioning")
 
-    def test_monte_carlo_rejects_deterministic_problems(self, registry):
-        with pytest.raises(CapabilityError):
-            registry.resolve(Problem.DGC, factory(), backend="monte-carlo")
+    def test_conditioning_rejects_treelike_models(self, registry):
+        with pytest.raises(CapabilityError, match="only covers DAG-like"):
+            registry.resolve(Problem.DGC, factory(), backend="conditioning")
 
 
 class TestRegistration:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.attacktree.catalog import factory, factory_probabilistic, panda_iot
+from repro.attacktree.catalog import data_server, factory, panda_iot
 from repro.core.problems import Problem
 from repro.engine import AnalysisRequest, AnalysisResult, AnalysisSession
 
@@ -20,13 +20,13 @@ class TestRequestRoundTrip:
         request = AnalysisRequest(
             Problem.EDGC,
             budget=7.5,
-            backend="monte-carlo",
-            options={"samples_per_attack": 500, "seed": 3},
+            backend="genetic",
+            options={"generations": 500, "seed": 3},
         )
         restored = AnalysisRequest.from_json(request.to_json())
         assert restored == request
         assert restored.option("seed") == 3
-        assert restored.options_dict() == {"samples_per_attack": 500, "seed": 3}
+        assert restored.options_dict() == {"generations": 500, "seed": 3}
 
     def test_problem_accepts_string_value(self):
         assert AnalysisRequest("cgd", threshold=2).problem is Problem.CGD
@@ -99,19 +99,11 @@ class TestResultRoundTrip:
         assert restored.value is None and restored.witness is None
 
     def test_extras_survive(self):
-        session = AnalysisSession(factory_probabilistic())
-        result = session.run(
-            AnalysisRequest(
-                Problem.CEDPF,
-                backend="monte-carlo",
-                options={"samples_per_attack": 50},
-            )
-        )
+        session = AnalysisSession(data_server())
+        result = session.run(AnalysisRequest(Problem.CDPF, backend="conditioning"))
         restored = AnalysisResult.from_json(result.to_json())
-        assert restored.extras["approximate"] is True
-        assert len(restored.extras["standard_errors"]) == len(
-            result.extras["standard_errors"]
-        )
+        assert restored.extras == result.extras
+        assert restored.extras["shared_bas"] >= 1
 
     def test_json_is_plain_data(self):
         """The wire format must be stock JSON: no custom encoder needed."""

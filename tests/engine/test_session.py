@@ -8,7 +8,7 @@ from repro.core.problems import Problem
 from repro.engine import AnalysisRequest, AnalysisSession, model_fingerprint
 
 
-def small_prob_dag():
+def small_probabilistic_dag():
     """A tiny probabilistic DAG (shared BAS under two gates)."""
     builder = AttackTreeBuilder()
     builder.bas("a", cost=1, probability=0.5)
@@ -62,16 +62,14 @@ class TestCaching:
         assert model_fingerprint(cheap) == model_fingerprint(cheap)
 
     def test_mutating_extras_does_not_corrupt_cache(self):
-        session = AnalysisSession(small_prob_dag())
-        request = AnalysisRequest(
-            Problem.CEDPF, backend="monte-carlo", options={"samples_per_attack": 50}
-        )
+        session = AnalysisSession(data_server())
+        request = AnalysisRequest(Problem.CDPF, backend="conditioning")
         first = session.run(request)
         first.extras.clear()
         session.cached_results()[0].extras.clear()
         second = session.run(request)
         assert second.cache_hit
-        assert second.extras["standard_errors"]
+        assert second.extras["shared_bas"] == 1
 
     def test_sessions_on_same_model_share_keys_not_results(self):
         one, two = AnalysisSession(factory()), AnalysisSession(factory())
@@ -193,56 +191,6 @@ class TestAllProblemsViaRegistryAlone:
         exact = session.run(AnalysisRequest(Problem.CDPF)).front
         assert result.front.values() == exact.values()
 
-    def test_prob_dag_backend_reachable(self):
-        session = AnalysisSession(small_prob_dag())
-        result = session.run(AnalysisRequest(Problem.CEDPF, backend="prob-dag"))
-        assert result.backend == "prob-dag"
-        enumerated = session.run(
-            AnalysisRequest(Problem.CEDPF, backend="enumerative")
-        )
-        assert result.front.values_equal(enumerated.front)
-
-    def test_prob_dag_backend_guards_large_models(self):
-        session = AnalysisSession(small_prob_dag())
-        with pytest.raises(ValueError, match="limit is 2\\^1"):
-            session.run(
-                AnalysisRequest(Problem.CEDPF, backend="prob-dag", options={"max_bas": 1})
-            )
-
-    def test_monte_carlo_backend_reachable(self):
-        session = AnalysisSession(small_prob_dag())
-        result = session.run(
-            AnalysisRequest(
-                Problem.CEDPF,
-                backend="monte-carlo",
-                options={"samples_per_attack": 4000, "seed": 1},
-            )
-        )
-        assert result.backend == "monte-carlo"
-        errors = result.extras["standard_errors"]
-        assert errors and all(e["samples"] == 4000 for e in errors)
-        exact = session.run(AnalysisRequest(Problem.CEDPF, backend="prob-dag"))
-        # Every exact point should be approximated within a loose tolerance.
-        for cost, damage in exact.front.values():
-            close = [
-                v for v in result.front.values()
-                if abs(v[0] - cost) < 1e-9 and abs(v[1] - damage) < 1.0
-            ]
-            assert close, f"no Monte-Carlo point near ({cost}, {damage})"
-
-    def test_monte_carlo_edgc_close_to_exact(self):
-        session = AnalysisSession(small_prob_dag())
-        exact = session.run(AnalysisRequest(Problem.EDGC, budget=3, backend="prob-dag"))
-        sampled = session.run(
-            AnalysisRequest(
-                Problem.EDGC,
-                budget=3,
-                backend="monte-carlo",
-                options={"samples_per_attack": 8000},
-            )
-        )
-        assert sampled.value == pytest.approx(exact.value, abs=1.0)
-
 
 class TestWrongRequests:
     def test_budget_required(self):
@@ -264,13 +212,13 @@ class TestWrongRequests:
             )
 
     def test_typoed_option_key_rejected(self):
-        """'samples' (a typo for samples_per_attack) must not be silently
-        ignored and run with the 2000-sample default."""
-        session = AnalysisSession(small_prob_dag())
-        with pytest.raises(ValueError, match="samples_per_attack"):
+        """'generation' (a typo for generations) must not be silently
+        ignored and run with the default generation count."""
+        session = AnalysisSession(small_probabilistic_dag())
+        with pytest.raises(ValueError, match="generations"):
             session.run(
                 AnalysisRequest(
-                    Problem.CEDPF, backend="monte-carlo", options={"samples": 5}
+                    Problem.CEDPF, backend="genetic", options={"generation": 5}
                 )
             )
 
@@ -281,12 +229,12 @@ class TestWrongRequests:
             )
 
     def test_wrongly_typed_option_value_rejected(self):
-        session = AnalysisSession(small_prob_dag())
+        session = AnalysisSession(small_probabilistic_dag())
         with pytest.raises(ValueError, match="must be int"):
             session.run(
                 AnalysisRequest(
                     Problem.CEDPF,
-                    backend="monte-carlo",
-                    options={"samples_per_attack": "lots"},
+                    backend="genetic",
+                    options={"generations": "lots"},
                 )
             )

@@ -11,7 +11,6 @@ import os
 import sqlite3
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -22,7 +21,6 @@ from repro.core.problems import Problem
 from repro.engine import (
     AnalysisRequest,
     AnalysisSession,
-    InMemoryStore,
     NamespacedStore,
     SqliteStore,
     StoreError,
@@ -32,6 +30,8 @@ from repro.engine import (
 )
 from repro.engine.store import STORE_SCHEMA_VERSION, request_key
 
+from ..conftest import TwoHandles
+
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
@@ -40,13 +40,12 @@ def store_path(tmp_path):
     return str(tmp_path / "results.sqlite")
 
 
-@pytest.fixture(params=["sqlite", "memory", "http"])
+@pytest.fixture(params=["sqlite", "sqlite-shared", "http"])
 def any_store(request, store_path):
-    """All three store implementations must share one semantics; ``http``
-    runs against a live ``atcd serve`` broker backed by a sqlite store."""
-    if request.param == "memory":
-        store = InMemoryStore()
-    elif request.param == "http":
+    """Both store implementations must share one semantics; ``http`` runs
+    against a live ``atcd serve`` broker backed by a sqlite store, and
+    ``sqlite-shared`` uses two handles on one file in turn."""
+    if request.param == "http":
         from repro.net import BrokerServer, HttpStore
 
         server = BrokerServer(store_path=store_path)
@@ -56,6 +55,8 @@ def any_store(request, store_path):
         store.close()
         server.close()
         return
+    if request.param == "sqlite-shared":
+        store = TwoHandles(SqliteStore(store_path), SqliteStore(store_path))
     else:
         store = SqliteStore(store_path)
     yield store
@@ -376,16 +377,6 @@ class TestEviction:
             is None
         store.close()
 
-    def test_ttl_on_memory_store(self, monkeypatch):
-        store = InMemoryStore()
-        self._fill(store, [1, 2])
-        # Age everything by faking the clock forward.
-        real_time = time.time
-        monkeypatch.setattr(time, "time", lambda: real_time() + 3600)
-        self._fill(store, [3])
-        assert store.evict(ttl_seconds=60) == 2
-        assert len(store) == 1
-
     def test_max_bytes_evicts_oldest_first_until_file_fits(self, store_path):
         store = SqliteStore(store_path)
         self._fill(store, list(range(1, 31)))
@@ -411,12 +402,6 @@ class TestEviction:
         assert store.evict(max_bytes=1) == 2
         assert len(store) == 0
         store.close()
-
-    def test_max_bytes_on_memory_store_bounds_payload_bytes(self):
-        store = InMemoryStore()
-        self._fill(store, [1, 2, 3])
-        assert store.evict(max_bytes=0) == 3
-        assert len(store) == 0
 
     def test_negative_bounds_are_rejected(self, any_store):
         with pytest.raises(ValueError, match="ttl_seconds"):

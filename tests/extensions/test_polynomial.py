@@ -8,6 +8,7 @@ from repro.attacktree.builder import AttackTreeBuilder
 from repro.attacktree.catalog import data_server, example10_or_pair, factory_probabilistic
 from repro.attacktree.transform import with_unit_probabilities
 from repro.core.bottom_up_prob import pareto_front_treelike_probabilistic
+from repro.core.enumerative import enumerate_pareto_front_probabilistic
 from repro.core.semantics import all_attacks
 from repro.extensions.polynomial import (
     MultilinearPolynomial,
@@ -15,7 +16,6 @@ from repro.extensions.polynomial import (
     pareto_front_probabilistic_polynomial,
     reach_polynomials,
 )
-from repro.extensions.prob_dag import pareto_front_probabilistic_exact
 from repro.probability.actualization import expected_damage
 
 from ..conftest import make_random_tree
@@ -148,7 +148,7 @@ class TestPolynomialCedpf:
         builder.or_gate("root", ["g1", "g2"], damage=8)
         model = builder.build_cdp(root="root")
         fast = pareto_front_probabilistic_polynomial(model)
-        slow = pareto_front_probabilistic_exact(model)
+        slow = enumerate_pareto_front_probabilistic(model)
         assert len(fast) == len(slow)
         for a, b in zip(fast.values(), slow.values()):
             assert a == pytest.approx(b)

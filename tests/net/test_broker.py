@@ -338,13 +338,13 @@ class TestRetrySafety:
             assert [task.task_id for task in check.tasks()] == ids
 
     def test_explicit_dedupe_key_round_trips_all_backends(
-        self, tmp_path
+        self, tmp_path, broker
     ):
-        from repro.distributed import InMemoryQueue, SqliteQueue
+        from repro.distributed import SqliteQueue
 
         for queue in (
-            InMemoryQueue(),
             SqliteQueue(str(tmp_path / "dedupe.sqlite")),
+            HttpQueue(broker.url),
         ):
             with queue:
                 first = queue.submit([{"i": 1}, {"i": 2}], dedupe_key="run-a")

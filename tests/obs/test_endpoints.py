@@ -19,7 +19,7 @@ import pytest
 from repro.attacktree import serialization
 from repro.attacktree.catalog import factory
 from repro.cli import main
-from repro.distributed import InMemoryQueue, Worker
+from repro.distributed import SqliteQueue, Worker
 from repro.net import BrokerServer
 from repro.net.accesslog import AccessLog
 from repro.obs.promtext import CONTENT_TYPE, parse
@@ -46,11 +46,11 @@ def broker(tmp_path):
 
 
 @pytest.fixture
-def service():
+def service(tmp_path):
     registry = TenantRegistry([Tenant(name="acme", key=ACME_KEY)])
     log_stream = io.StringIO()
     with ServiceServer(
-        InMemoryQueue(), registry, poll_seconds=0.01,
+        SqliteQueue(str(tmp_path / "service.queue")), registry, poll_seconds=0.01,
         access_log=AccessLog(log_stream),
     ) as server:
         server.log_stream = log_stream
@@ -156,12 +156,12 @@ class TestServiceMetrics:
         ) >= 2
         assert job["job_id"]
 
-    def test_quota_rejections_are_counted_by_tenant(self):
+    def test_quota_rejections_are_counted_by_tenant(self, tmp_path):
         registry = TenantRegistry([
             Tenant(name="tiny", key="tiny-key-12345678", max_in_flight=1),
         ])
         with ServiceServer(
-            InMemoryQueue(), registry, poll_seconds=0.01
+            SqliteQueue(str(tmp_path / "service.queue")), registry, poll_seconds=0.01
         ) as service:
             service.start()
             body = json.dumps({

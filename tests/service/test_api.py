@@ -1,7 +1,7 @@
 """Tests for the HTTP surface of the analysis service.
 
-Every test drives a real :class:`ServiceServer` over an in-memory queue
-with plain ``urllib`` — the same path an external client walks.  Where a
+Every test drives a real :class:`ServiceServer` over a sqlite queue with
+plain ``urllib`` — the same path an external client walks.  Where a
 job must make progress, a background :class:`Worker` thread drains the
 queue exactly as ``atcd dist worker`` would.
 """
@@ -21,7 +21,7 @@ import pytest
 
 from repro.attacktree import serialization
 from repro.attacktree.catalog import factory
-from repro.distributed import InMemoryQueue, Worker
+from repro.distributed import SqliteQueue, Worker
 from repro.service import (
     API_KEY_HEADER,
     SERVICE_NAME,
@@ -30,6 +30,7 @@ from repro.service import (
     Tenant,
     TenantRegistry,
 )
+from repro.workloads import ScenarioSpec, expand
 
 MODEL = serialization.to_dict(factory())
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -39,13 +40,13 @@ GLOBEX_KEY = "globex-key-12345678"
 
 
 @pytest.fixture
-def server():
+def server(tmp_path):
     registry = TenantRegistry([
         Tenant(name="acme", key=ACME_KEY),
         Tenant(name="globex", key=GLOBEX_KEY, max_in_flight=2),
     ])
     with ServiceServer(
-        InMemoryQueue(), registry, poll_seconds=0.01,
+        SqliteQueue(str(tmp_path / "api.queue")), registry, poll_seconds=0.01,
     ) as service:
         service.start()
         yield service
@@ -167,6 +168,19 @@ class TestValidationAtTheEdge:
         )
         assert status == 400
         assert doc["field"] == "model"
+
+    def test_model_beyond_enumerative_table_limit_is_400(self, server):
+        # Auto-resolution refuses a 17-BAS probabilistic DAG (per-attack
+        # enumeration would run for many minutes) before anything is enqueued.
+        spec = ScenarioSpec(
+            family="shared-bas", shape="dag", setting="probabilistic", sizes=(17,)
+        )
+        model = serialization.to_dict(expand(spec)[0].model)
+        status, _, doc = submit(server, model=model, requests=[{"problem": "cedpf"}])
+        assert status == 400
+        assert doc["kind"] == "validation"
+        assert "17 BASs exceed" in doc["error"]
+        assert call(server, "/v1/jobs")[2]["jobs"] == []
 
     def test_rejected_batch_leaves_no_job_behind(self, server):
         submit(server, requests=[{"problem": "nonsense"}])
@@ -297,12 +311,12 @@ class TestTenancyOverHttp:
         )
         assert status == 202
 
-    def test_rate_limited_tenant_gets_429(self):
+    def test_rate_limited_tenant_gets_429(self, tmp_path):
         registry = TenantRegistry([
             Tenant(name="acme", key=ACME_KEY, rate_per_second=0.001,
                    burst=2.0),
         ])
-        with ServiceServer(InMemoryQueue(), registry) as service:
+        with ServiceServer(SqliteQueue(str(tmp_path / "api.queue")), registry) as service:
             service.start()
             assert submit(service, requests=[{"problem": "cdpf"}] * 2)[0] \
                 == 202

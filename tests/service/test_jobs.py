@@ -4,15 +4,15 @@ import pytest
 
 from repro.attacktree import serialization
 from repro.attacktree.catalog import factory
-from repro.distributed import InMemoryQueue, TaskState, Worker
+from repro.distributed import SqliteQueue, TaskState, Worker
 from repro.service import JobManager, JobValidationError, validate_batch
 
 MODEL = serialization.to_dict(factory())
 
 
 @pytest.fixture
-def queue():
-    with InMemoryQueue() as q:
+def queue(tmp_path):
+    with SqliteQueue(str(tmp_path / "jobs.queue")) as q:
         yield q
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.attacktree import catalog, serialization
 from repro.cli import build_parser, main
+from repro.workloads import ScenarioSpec, expand
 
 
 @pytest.fixture
@@ -259,15 +260,27 @@ class TestErrorPaths:
         assert len(error_lines) == 1
         assert error_lines[0].startswith("atcd: ")
         assert "Traceback" not in captured.err
+        return error_lines[0]
 
     def test_unknown_backend_exits_2(self, factory_json, capsys):
         assert main(["pareto", factory_json, "--backend", "nope"]) == 2
         self._assert_one_line_error(capsys)
 
     def test_uncovered_capability_exits_2(self, factory_json, capsys):
-        # prob-dag cannot answer deterministic problems: capability error.
-        assert main(["pareto", factory_json, "--backend", "prob-dag"]) == 2
-        self._assert_one_line_error(capsys)
+        # conditioning cannot answer treelike models: capability error.
+        assert main(["pareto", factory_json, "--backend", "conditioning"]) == 2
+        assert "only covers DAG-like ATs" in self._assert_one_line_error(capsys)
+
+    def test_model_beyond_enumerative_table_limit_exits_2(self, tmp_path, capsys):
+        # Auto-resolution refuses a 17-BAS probabilistic DAG instead of
+        # starting a many-minute per-attack enumeration.
+        spec = ScenarioSpec(
+            family="shared-bas", shape="dag", setting="probabilistic", sizes=(17,)
+        )
+        path = str(tmp_path / "shared17.json")
+        serialization.save_json(expand(spec)[0].model, path)
+        assert main(["dgc", path, "--probabilistic", "--budget", "3"]) == 2
+        assert "17 BASs exceed" in self._assert_one_line_error(capsys)
 
     def test_malformed_batch_json_exits_2(self, factory_json, tmp_path, capsys):
         requests = tmp_path / "requests.json"
