@@ -13,6 +13,18 @@ that requirement with a deliberately small, stdlib-only HTTP layer:
     identity-verified reads, eviction) are the sqlite implementations',
     inherited rather than reimplemented — and because every operation
     executes on the broker, its clock is the only one lease math sees.
+``edge``
+    The HTTP edge the broker and the analysis service (``atcd api``)
+    share: :class:`~repro.net.edge.JsonHandler` runs every request under
+    a request id, trace context, request metrics and an access-log line
+    and answers errors as ``{"ok": false, "error", "kind", ...}`` — 400
+    for an undeclarable length or undecodable (or too deeply nested)
+    JSON, 413 plus ``Connection: close`` for a body over
+    ``MAX_BODY_BYTES``, 503 plus ``Connection: close`` once the server
+    is closing, 500 for an unexpected handler failure.  Every reply
+    first drains any declared body the handler left unread, so a
+    kept-alive socket never desyncs.
+    :class:`~repro.net.edge.JsonServer` owns the bind and the lifecycle.
 ``client``
     :class:`HttpQueue` / :class:`HttpStore` — drop-in ``WorkQueue`` /
     ``ResultStore`` implementations with per-thread connection reuse and

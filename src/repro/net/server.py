@@ -25,10 +25,6 @@ from __future__ import annotations
 
 import contextlib
 import hmac
-import json
-import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
 from ..distributed.queue import (
@@ -41,20 +37,13 @@ from ..distributed.queue import (
 from ..distributed.roots import QueueRoot, validate_queue_name
 from ..engine.requests import AnalysisRequest, AnalysisResult
 from ..engine.store import SqliteStore, StoreError
-from ..obs import families as obs_families
 from ..obs.promtext import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from ..obs.scrape import render_fleet_metrics
-from ..obs.trace import activate_context
-from ..obs.trace import span as trace_span
-from .accesslog import AccessLog, REQUEST_ID_HEADER, request_trace_seed
+from .accesslog import AccessLog
+from .edge import JsonHandler, JsonServer
 from .wire import AUTH_HEADER, SERVER_NAME, WIRE_VERSION, task_to_wire
 
 __all__ = ["BrokerServer"]
-
-#: Maximum accepted request body, in bytes.  Task payloads embed whole
-#: serialized models, so this is generous — but a broken or hostile client
-#: must not make the server buffer arbitrary amounts of memory.
-MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: The operation names :func:`_queue_operation` / :func:`_store_operation`
 #: dispatch on.  Route *labels* on the request metrics are drawn only from
@@ -172,165 +161,20 @@ def _store_operation(
     raise KeyError(f"unknown store operation {op!r}")
 
 
-class _BrokerHandler(BaseHTTPRequestHandler):
-    """One request: authenticate, dispatch, reply JSON.  Quiet by default."""
+class _BrokerHandler(JsonHandler):
+    """One request: authenticate, dispatch, reply JSON."""
 
-    protocol_version = "HTTP/1.1"  # keep-alive, so clients reuse connections
     server_version = f"{SERVER_NAME}/{WIRE_VERSION}"
-
-    _request_id = ""
-    _status = 0
-    _route = "other"
-    _counted = False
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if getattr(self.server, "verbose", False):
-            super().log_message(format, *args)
-
-    # ------------------------------------------------------------------ #
-    # plumbing
-    # ------------------------------------------------------------------ #
-    def _observed(self, method: str, handler: Any) -> None:
-        """Dispatch one request under a request id, trace context, request
-        metrics and an access-log line.
-
-        A tracing caller's ``X-Trace-Context`` (or a plausible
-        ``X-Request-Id``) becomes the ambient trace for the handler, so a
-        span exported here carries the caller's trace id — an untraced
-        request runs without a span at all, keeping the hot claim/
-        heartbeat polling loop free of per-request span exports.
-        """
-        self._request_id, context = request_trace_seed(self.headers)
-        self._status = 0
-        self._counted = False
-        route = self._route = _route_template(self.path)
-        started = time.perf_counter()
-        try:
-            if context is not None:
-                with activate_context(context), trace_span(
-                    "http.request",
-                    attrs={"server": "broker", "method": method,
-                           "route": route},
-                ):
-                    handler()
-            else:
-                handler()
-        finally:
-            elapsed = time.perf_counter() - started
-            if not self._counted:
-                # The reply methods count before flushing (a client that
-                # saw the response must find it on an immediate scrape);
-                # this covers handlers that crashed before replying.
-                self._count_request(self._status)
-            obs_families.http_request_seconds().observe(
-                elapsed, server="broker", route=route
-            )
-            log = self.server.broker.access_log
-            if log is not None:
-                log.record(
-                    method=method,
-                    route=self.path,
-                    status=self._status,
-                    latency_ms=elapsed * 1000.0,
-                    request_id=self._request_id,
-                    trace_id=None if context is None else context.trace_id,
-                )
-
-    def _count_request(self, status: int) -> None:
-        """Count the request *before* the reply is flushed.
-
-        A client that saw the response may scrape ``/metrics`` on its next
-        request; counting after the flush (the old shape) lost that race.
-        """
-        self._counted = True
-        obs_families.http_requests_total().inc(
-            server="broker", route=self._route, status=str(status)
-        )
-
-    def _reply(
-        self, status: int, document: Dict[str, Any], close: bool = False
-    ) -> None:
-        body = json.dumps(document, sort_keys=True).encode("utf-8")
-        self._status = status
-        self._count_request(status)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self._request_id:
-            self.send_header(REQUEST_ID_HEADER, self._request_id)
-        if close:
-            self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_text(self, status: int, body: str, content_type: str) -> None:
-        payload = body.encode("utf-8")
-        self._status = status
-        self._count_request(status)
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        if self._request_id:
-            self.send_header(REQUEST_ID_HEADER, self._request_id)
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _reply_error(
-        self, status: int, message: str, kind: str, close: bool = False
-    ) -> None:
-        self._reply(status, {"ok": False, "error": message, "kind": kind},
-                    close=close or status == 503)
-
-    def _drain_body(self) -> None:
-        """Consume an unread request body before an early error reply.
-
-        Leftover body bytes on a kept-alive socket would be parsed as the
-        next request line (garbling every later call), and closing the
-        socket instead can RST away the error reply while the client is
-        still uploading — so errors sent before dispatch (401, 404) read
-        and discard the declared body first.  Undeclared or oversized
-        lengths cannot be resynced; those connections are dropped.
-        """
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0 or length > MAX_BODY_BYTES:
-            self.close_connection = True
-            return
-        remaining = length
-        while remaining > 0:
-            chunk = self.rfile.read(min(remaining, 1 << 20))
-            if not chunk:
-                break
-            remaining -= len(chunk)
-
-    def _shutting_down(self) -> bool:
-        """Answer 503 (and drop the connection) on a closing broker.
-
-        ``server_close()`` only closes the *listening* socket — handler
-        threads blocked on kept-alive connections would otherwise keep
-        answering against closed queue/store handles after a restart.
-        The 503 tells clients to reconnect (their retry path), and
-        ``Connection: close`` retires this stale socket.
-        """
-        if not self.server.broker.closing:
-            return False
-        self._reply_error(
-            503, "broker is shutting down; retry", "unavailable"
-        )
-        return True
+    route_template = staticmethod(_route_template)
 
     def _authorized(self) -> bool:
-        token = self.server.broker.token
+        token = self.owner.token
         if token is None:
             return True
         presented = self.headers.get(AUTH_HEADER, "")
         expected = f"Bearer {token}"
         if hmac.compare_digest(presented.encode(), expected.encode()):
             return True
-        self._drain_body()
         self._reply_error(
             401,
             "unauthorized: this broker requires a bearer token "
@@ -339,45 +183,10 @@ class _BrokerHandler(BaseHTTPRequestHandler):
         )
         return False
 
-    def _read_body(self) -> Optional[Dict[str, Any]]:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0 or length > MAX_BODY_BYTES:
-            self._reply_error(
-                400, f"invalid request body length {length}", "bad-request",
-                close=True,  # the body was not (and will not be) read
-            )
-            return None
-        raw = self.rfile.read(length) if length else b""
-        try:
-            args = json.loads(raw.decode("utf-8")) if raw else {}
-        except (ValueError, UnicodeDecodeError):
-            self._reply_error(
-                400, "request body is not valid JSON", "bad-request"
-            )
-            return None
-        if not isinstance(args, dict):
-            self._reply_error(
-                400, "request body must be a JSON object", "bad-request"
-            )
-            return None
-        return args
-
-    # ------------------------------------------------------------------ #
-    # endpoints
-    # ------------------------------------------------------------------ #
-    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-        self._observed("GET", self._handle_get)
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._observed("POST", self._handle_post)
-
     def _handle_get(self) -> None:
-        if self._shutting_down() or not self._authorized():
+        if not self._authorized():
             return
-        broker = self.server.broker
+        broker = self.owner
         if self.path == "/ping":
             document = {
                 "ok": True,
@@ -412,18 +221,17 @@ class _BrokerHandler(BaseHTTPRequestHandler):
                 return
             self._reply(200, {"ok": True, "value": value})
             return
-        self._reply_error(404, f"unknown endpoint {self.path!r}", "not-found")
+        self._reply_unknown_endpoint()
 
     def _resolve_queue(self, parts: Any) -> Optional[SqliteQueue]:
         """The queue a ``/queue/...`` or ``/queues/<name>/...`` path names.
 
-        Replies with the appropriate error (and drains the body) when the
-        path does not resolve; the caller just returns on ``None``.
+        Replies with the appropriate error when the path does not
+        resolve; the caller just returns on ``None``.
         """
-        broker = self.server.broker
+        broker = self.owner
         if parts[0] == "queue":
             if broker.queue is None:
-                self._drain_body()
                 message = (
                     "this broker serves named queues; use /queues/<name>/<op>"
                     if broker.root is not None else "this broker serves no queue"
@@ -433,7 +241,6 @@ class _BrokerHandler(BaseHTTPRequestHandler):
             return broker.queue
         name = parts[1]
         if broker.root is None:
-            self._drain_body()
             self._reply_error(
                 404, "this broker serves no queue root", "not-found"
             )
@@ -441,11 +248,9 @@ class _BrokerHandler(BaseHTTPRequestHandler):
         try:
             validate_queue_name(name)
         except QueueError as error:
-            self._drain_body()
             self._reply_error(400, str(error), "queue-error")
             return None
         if not broker.root.exists(name):
-            self._drain_body()
             self._reply_error(
                 404,
                 f"no queue named {name!r}; create it with 'atcd queue create'",
@@ -456,9 +261,8 @@ class _BrokerHandler(BaseHTTPRequestHandler):
 
     def _handle_root_verb(self, op: str) -> None:
         """``POST /queues/create`` / ``POST /queues/drop`` management verbs."""
-        broker = self.server.broker
+        broker = self.owner
         if broker.root is None:
-            self._drain_body()
             self._reply_error(
                 404, "this broker serves no queue root", "not-found"
             )
@@ -480,7 +284,7 @@ class _BrokerHandler(BaseHTTPRequestHandler):
             self._reply(200, {"ok": True, "value": value})
 
     def _handle_post(self) -> None:
-        if self._shutting_down() or not self._authorized():
+        if not self._authorized():
             return
         parts = self.path.strip("/").split("/")
         if len(parts) == 2 and parts[0] == "queues" and parts[1] in (
@@ -494,18 +298,14 @@ class _BrokerHandler(BaseHTTPRequestHandler):
         )
         is_store_op = len(parts) == 2 and parts[0] == "store"
         if not is_queue_op and not is_store_op:
-            self._drain_body()
-            self._reply_error(
-                404, f"unknown endpoint {self.path!r}", "not-found"
-            )
+            self._reply_unknown_endpoint()
             return
         op = parts[-1]
         resource = "store" if is_store_op else "queue"
-        broker = self.server.broker
+        broker = self.owner
         if is_store_op:
             target = broker.store
             if target is None:
-                self._drain_body()
                 self._reply_error(
                     404, "this broker serves no store", "not-found"
                 )
@@ -538,17 +338,15 @@ class _BrokerHandler(BaseHTTPRequestHandler):
             self._reply_error(
                 400, f"bad {resource} request: {error}", "bad-request"
             )
-        # staticcheck: allow-broad-except(the broker must answer 500, not hang the client on an unexpected handler failure)
-        except Exception as error:  # noqa: BLE001 — must answer, not hang
-            self._reply_error(
-                500, f"internal broker error: {error}", "internal"
-            )
         else:
             self._reply(200, {"ok": True, "value": value})
 
 
-class BrokerServer:
+class BrokerServer(JsonServer):
     """Serve a work queue and/or result store over HTTP.
+
+    Lifecycle (``url``, ``start``, ``serve_forever``, ``close``, context
+    manager) is :class:`~repro.net.edge.JsonServer`'s.
 
     Parameters
     ----------
@@ -579,6 +377,9 @@ class BrokerServer:
         per served request (request id, route, status, latency).
     """
 
+    label = "broker"
+    handler_class = _BrokerHandler
+
     def __init__(
         self,
         queue_path: Optional[str] = None,
@@ -604,10 +405,6 @@ class BrokerServer:
         self.queue: Optional[SqliteQueue] = None
         self.store: Optional[SqliteStore] = None
         self.root: Optional[QueueRoot] = None
-        self.access_log = access_log
-        self._thread: Optional[threading.Thread] = None
-        self._served = threading.Event()
-        self._closed = False
         try:
             if queue_path is not None:
                 self.queue = SqliteQueue(
@@ -617,17 +414,10 @@ class BrokerServer:
                 self.root = QueueRoot(root, grace_seconds=grace_seconds)
             if store_path is not None:
                 self.store = SqliteStore(store_path)
-            self._http = ThreadingHTTPServer((host, port), _BrokerHandler)
         except BaseException:
             self.close()
             raise
-        self._http.daemon_threads = True
-        self._http.broker = self
-        self._http.verbose = verbose
-        self.host, self.port = self._http.server_address[:2]
-        # Register every metric family up front so a scrape taken before
-        # the first request still shows the full catalog (at zero).
-        obs_families.ensure_all()
+        super().__init__(host, port, verbose=verbose, access_log=access_log)
 
     def metrics_body(self) -> str:
         """The ``GET /metrics`` exposition body for this broker.
@@ -645,51 +435,8 @@ class BrokerServer:
                     queues.append(self.root.open(name))
         return render_fleet_metrics(queues=queues, store=self.store)
 
-    @property
-    def url(self) -> str:
-        """The base URL clients point ``--queue``/``--store`` at."""
-        return f"http://{self.host}:{self.port}"
-
-    @property
-    def closing(self) -> bool:
-        """True once :meth:`close` began; handlers answer 503 from then."""
-        return self._closed
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`close` (or a signal)."""
-        self._served.set()
-        self._http.serve_forever(poll_interval=0.1)
-
-    def start(self) -> None:
-        """Serve on a background daemon thread (tests, embedding)."""
-        self._served.set()
-        self._thread = threading.Thread(
-            target=self.serve_forever, name="atcd-broker", daemon=True
-        )
-        self._thread.start()
-
-    def close(self) -> None:
-        """Stop serving and release the queue/store files (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        http = getattr(self, "_http", None)
-        if http is not None:
-            # shutdown() handshakes with a running serve loop and would
-            # block forever if serving never started (e.g. a failed
-            # constructor) — only the socket needs closing then.
-            if self._served.is_set():
-                http.shutdown()
-            http.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
+    def _release(self) -> None:
         for resource in (self.queue, self.store, self.root):
             if resource is not None:
                 with contextlib.suppress(Exception):
                     resource.close()
-
-    def __enter__(self) -> "BrokerServer":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()

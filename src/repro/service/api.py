@@ -9,7 +9,9 @@ nothing — it validates at the edge, admits against quotas, and translates
 job state; every durable fact lives in the queue.
 
 Wire schema (all bodies JSON; errors are
-``{"ok": false, "error": str, "kind": str, ...}``):
+``{"ok": false, "error": str, "kind": str, ...}``, and body limits,
+draining, 503-on-close and the 500 envelope are the shared edge's, see
+:mod:`repro.net.edge`):
 
 ``GET /ping``
     Liveness, unauthenticated: ``{"server": "atcd-service",
@@ -49,19 +51,16 @@ from __future__ import annotations
 
 import contextlib
 import json
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional
 
 from ..distributed.queue import QueueError, WorkQueue
 from ..engine.store import StoreError
-from ..net.accesslog import AccessLog, REQUEST_ID_HEADER, request_trace_seed
+from ..net.accesslog import AccessLog
+from ..net.edge import JsonHandler, JsonServer
 from ..obs import families as obs_families
 from ..obs.promtext import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from ..obs.scrape import render_fleet_metrics
-from ..obs.trace import activate_context
-from ..obs.trace import span as trace_span
 from .jobs import JobError, JobManager, JobValidationError, validate_batch
 from .quotas import QuotaExceeded, QuotaManager
 from .tenants import API_KEY_HEADER, Tenant, TenantRegistry
@@ -74,11 +73,6 @@ SERVICE_NAME = "atcd-service"
 
 #: Version of the service wire schema; bump on incompatible change.
 SERVICE_VERSION = 1
-
-#: Maximum accepted request body.  Batches embed whole serialized models,
-#: so this is generous — but a hostile client must not make the service
-#: buffer unbounded memory.
-MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 def _route_template(path: str) -> str:
@@ -102,194 +96,30 @@ def _route_template(path: str) -> str:
     return "other"
 
 
-class _ServiceHandler(BaseHTTPRequestHandler):
+class _ServiceHandler(JsonHandler):
     """One request: authenticate, admit, dispatch, reply JSON."""
 
-    protocol_version = "HTTP/1.1"
     server_version = f"{SERVICE_NAME}/{SERVICE_VERSION}"
-
-    _request_id = ""
-    _status = 0
-    _route = "other"
-    _counted = False
-    _tenant: Optional[Tenant] = None
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if getattr(self.server, "verbose", False):
-            super().log_message(format, *args)
-
-    # ------------------------------------------------------------------ #
-    # plumbing (the broker's, plus tenant attribution)
-    # ------------------------------------------------------------------ #
-    def _observed(self, method: str, handler: Callable[[], None]) -> None:
-        self._request_id, context = request_trace_seed(self.headers)
-        self._status = 0
-        self._counted = False
-        self._tenant = None
-        route = self._route = _route_template(self.path)
-        started = time.perf_counter()
-        try:
-            if context is not None:
-                # A tracing caller's context becomes the ambient trace, so
-                # the job.submit span (and through the queue payload, every
-                # worker span) carries the caller's trace id.
-                with activate_context(context), trace_span(
-                    "http.request",
-                    attrs={"server": "service", "method": method,
-                           "route": route},
-                ):
-                    handler()
-            else:
-                handler()
-        finally:
-            elapsed = time.perf_counter() - started
-            if not self._counted:
-                # Normally _count_request ran before the reply bytes left
-                # the socket (so a scrape issued right after the response
-                # already sees this request); this fallback covers
-                # handlers that crashed before replying.
-                self._count_request(self._status)
-            obs_families.http_request_seconds().observe(
-                elapsed, server="service", route=route
-            )
-            log = self.server.service.access_log
-            if log is not None:
-                log.record(
-                    method=method,
-                    route=self.path,
-                    status=self._status,
-                    latency_ms=elapsed * 1000.0,
-                    request_id=self._request_id,
-                    tenant=None if self._tenant is None else self._tenant.name,
-                    trace_id=None if context is None else context.trace_id,
-                )
-
-    def _count_request(self, status: int) -> None:
-        """Count the request *before* the reply is flushed.
-
-        A client that saw the response may scrape ``/metrics`` on its next
-        request; counting after the flush (the old shape) lost that race.
-        """
-        self._counted = True
-        obs_families.http_requests_total().inc(
-            server="service", route=self._route, status=str(status)
-        )
-
-    def _reply(
-        self,
-        status: int,
-        document: Dict[str, Any],
-        close: bool = False,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        body = json.dumps(document, sort_keys=True).encode("utf-8")
-        self._status = status
-        self._count_request(status)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header(REQUEST_ID_HEADER, self._request_id)
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        if close:
-            self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_error(
-        self,
-        status: int,
-        message: str,
-        kind: str,
-        close: bool = False,
-        headers: Optional[Dict[str, str]] = None,
-        **extra: Any,
-    ) -> None:
-        document = {"ok": False, "error": message, "kind": kind}
-        document.update(extra)
-        self._reply(
-            status, document, close=close or status == 503, headers=headers
-        )
-
-    def _drain_body(self) -> None:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0 or length > MAX_BODY_BYTES:
-            self.close_connection = True
-            return
-        remaining = length
-        while remaining > 0:
-            chunk = self.rfile.read(min(remaining, 1 << 20))
-            if not chunk:
-                break
-            remaining -= len(chunk)
-
-    def _shutting_down(self) -> bool:
-        if not self.server.service.closing:
-            return False
-        self._reply_error(503, "service is shutting down; retry", "unavailable")
-        return True
+    route_template = staticmethod(_route_template)
 
     def _authenticate(self) -> Optional[Tenant]:
         """The calling tenant, or ``None`` after replying 401/403."""
         presented = self.headers.get(API_KEY_HEADER)
         if not presented:
-            self._drain_body()
             self._reply_error(
                 401,
                 f"missing api key: pass the {API_KEY_HEADER} header",
                 "unauthorized",
             )
             return None
-        tenant = self.server.service.tenants.authenticate(presented)
+        tenant = self.owner.tenants.authenticate(presented)
         if tenant is None:
-            self._drain_body()
             self._reply_error(403, "unknown api key", "forbidden")
             return None
-        self._tenant = tenant
+        self._tenant = tenant.name
         return tenant
 
-    def _read_body(self) -> Optional[Dict[str, Any]]:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0 or length > MAX_BODY_BYTES:
-            self._reply_error(
-                400, f"invalid request body length {length}", "bad-request",
-                close=True,
-            )
-            return None
-        raw = self.rfile.read(length) if length else b""
-        try:
-            args = json.loads(raw.decode("utf-8")) if raw else {}
-        except (ValueError, UnicodeDecodeError):
-            self._reply_error(
-                400, "request body is not valid JSON", "bad-request"
-            )
-            return None
-        if not isinstance(args, dict):
-            self._reply_error(
-                400, "request body must be a JSON object", "bad-request"
-            )
-            return None
-        return args
-
-    # ------------------------------------------------------------------ #
-    # dispatch
-    # ------------------------------------------------------------------ #
-    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-        self._observed("GET", self._handle_get)
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._observed("POST", self._handle_post)
-
     def _handle_get(self) -> None:
-        if self._shutting_down():
-            return
         if self.path == "/ping":
             self._reply(200, {
                 "ok": True,
@@ -301,22 +131,15 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             # Operator-facing like /ping, so it shares /ping's (open) auth
             # posture: per-tenant API keys authenticate *tenants*, and a
             # fleet-wide scrape belongs to no one tenant.
-            body = self.server.service.metrics_body()
-            payload = body.encode("utf-8")
-            self._status = 200
-            self._count_request(200)
-            self.send_response(200)
-            self.send_header("Content-Type", PROMETHEUS_CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(payload)))
-            self.send_header(REQUEST_ID_HEADER, self._request_id)
-            self.end_headers()
-            self.wfile.write(payload)
+            self._reply_text(
+                200, self.owner.metrics_body(), PROMETHEUS_CONTENT_TYPE
+            )
             return
         tenant = self._authenticate()
         if tenant is None:
             return
         parts = self.path.strip("/").split("/")
-        jobs = self.server.service.jobs
+        jobs = self.owner.jobs
         try:
             if parts == ["v1", "jobs"]:
                 self._reply(200, {
@@ -348,11 +171,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         except (QueueError, StoreError) as error:
             self._reply_backend_error(error)
             return
-        self._reply_error(404, f"unknown endpoint {self.path!r}", "not-found")
+        self._reply_unknown_endpoint()
 
     def _handle_post(self) -> None:
-        if self._shutting_down():
-            return
         tenant = self._authenticate()
         if tenant is None:
             return
@@ -366,20 +187,16 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 and parts[:2] == ["v1", "jobs"]
                 and parts[3] == "cancel"
             ):
-                status = self.server.service.jobs.cancel(tenant.name, parts[2])
+                status = self.owner.jobs.cancel(tenant.name, parts[2])
                 if status is None:
-                    self._drain_body()
                     self._reply_job_not_found(parts[2])
                     return
-                self._drain_body()
                 self._reply(200, {"ok": True, "job": status})
                 return
         except (QueueError, StoreError) as error:
-            self._drain_body()
             self._reply_backend_error(error)
             return
-        self._drain_body()
-        self._reply_error(404, f"unknown endpoint {self.path!r}", "not-found")
+        self._reply_unknown_endpoint()
 
     def _reply_job_not_found(self, job_id: str) -> None:
         self._reply_error(
@@ -396,7 +213,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     # endpoints
     # ------------------------------------------------------------------ #
     def _submit_job(self, tenant: Tenant) -> None:
-        service = self.server.service
+        service = self.owner
         args = self._read_body()
         if args is None:
             return
@@ -470,19 +287,14 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         ``http.server``.  Results stream in completion order; the terminal
         line carries the job's final state and status document.
         """
-        service = self.server.service
+        service = self.owner
         jobs = service.jobs
         if jobs.status(tenant.name, job_id) is None:
             self._reply_job_not_found(job_id)
             return
-        self._status = 200
-        self._count_request(200)
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header(REQUEST_ID_HEADER, self._request_id)
-        self.send_header("Connection", "close")
-        self.close_connection = True
-        self.end_headers()
+        self._start_reply(
+            200, {"Content-Type": "application/x-ndjson"}, close=True
+        )
 
         def emit(document: Dict[str, Any]) -> None:
             self.wfile.write(
@@ -527,7 +339,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return
 
 
-class ServiceServer:
+class ServiceServer(JsonServer):
     """Serve the multi-tenant analysis API over one work queue.
 
     Parameters
@@ -555,7 +367,14 @@ class ServiceServer:
         access log is the structured alternative).
     clock:
         Injectable time source (descriptor timestamps, rate buckets).
+
+    Lifecycle (``url``, ``start``, ``serve_forever``, ``close``, context
+    manager) is :class:`~repro.net.edge.JsonServer`'s; :meth:`close`
+    also closes the queue.
     """
+
+    label = "service"
+    handler_class = _ServiceHandler
 
     def __init__(
         self,
@@ -580,22 +399,7 @@ class ServiceServer:
         self.quotas = QuotaManager()
         self.poll_seconds = poll_seconds
         self.stream_timeout_seconds = stream_timeout_seconds
-        self.access_log = access_log
-        self._thread: Optional[threading.Thread] = None
-        self._served = threading.Event()
-        self._closed = False
-        try:
-            self._http = ThreadingHTTPServer((host, port), _ServiceHandler)
-        except BaseException:
-            self.close()
-            raise
-        self._http.daemon_threads = True
-        self._http.service = self
-        self._http.verbose = verbose
-        self.host, self.port = self._http.server_address[:2]
-        # Register every metric family up front so a scrape taken before
-        # the first request still shows the full catalog (at zero).
-        obs_families.ensure_all()
+        super().__init__(host, port, verbose=verbose, access_log=access_log)
 
     def metrics_body(self) -> str:
         """The ``GET /metrics`` exposition body for this service.
@@ -607,46 +411,6 @@ class ServiceServer:
         """
         return render_fleet_metrics(queues=[self.queue])
 
-    @property
-    def url(self) -> str:
-        """The base URL clients submit jobs against."""
-        return f"http://{self.host}:{self.port}"
-
-    @property
-    def closing(self) -> bool:
-        """True once :meth:`close` began; handlers answer 503 from then."""
-        return self._closed
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`close` (or a signal)."""
-        self._served.set()
-        self._http.serve_forever(poll_interval=0.1)
-
-    def start(self) -> None:
-        """Serve on a background daemon thread (tests, embedding)."""
-        self._served.set()
-        self._thread = threading.Thread(
-            target=self.serve_forever, name="atcd-service", daemon=True
-        )
-        self._thread.start()
-
-    def close(self) -> None:
-        """Stop serving and release the queue (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        http = getattr(self, "_http", None)
-        if http is not None:
-            if self._served.is_set():
-                http.shutdown()
-            http.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
+    def _release(self) -> None:
         with contextlib.suppress(Exception):
             self.queue.close()
-
-    def __enter__(self) -> "ServiceServer":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()

@@ -2,11 +2,12 @@
 
 import io
 import json
+import time
 
-import pytest
-
-from repro.net import AccessLog, BrokerServer, HttpQueue, REQUEST_ID_HEADER
+from repro.net import AccessLog, REQUEST_ID_HEADER
 from repro.net.accesslog import new_request_id
+
+from .conftest import exchange
 
 
 class TestAccessLog:
@@ -45,49 +46,59 @@ class TestAccessLog:
         assert all(len(request_id) == 12 for request_id in ids)
 
 
-class TestBrokerAccessLog:
-    def test_every_request_is_logged_and_id_echoed(self, tmp_path):
-        stream = io.StringIO()
-        server = BrokerServer(
-            queue_path=str(tmp_path / "q.sqlite"),
-            access_log=AccessLog(stream),
-        )
-        server.start()
+def await_log_lines(edge, count, timeout=5.0):
+    """The access log once it holds ``count`` lines: each line is written
+    just after its reply is flushed, so the client can get there first."""
+    deadline = time.monotonic() + timeout
+    while len(edge.log_lines()) < count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return edge.log_lines()
+
+
+class TestServerAccessLog:
+    def test_every_request_is_logged_and_id_echoed(self, edge):
+        submit_path, submit_body, submit_status = edge.submit
+        calls = [
+            ("GET", "/ping", None, 200),
+            ("POST", submit_path, json.dumps(submit_body).encode(),
+             submit_status),
+            ("GET", edge.get_route, None, 200),
+        ]
+        connection = edge.connect()
+        echoed = []
         try:
-            with HttpQueue(server.url) as queue:
-                queue.ping()
-                queue.submit([{"kind": "t"}])
-                queue.counts()
+            for method, path, body, want in calls:
+                status, headers, _ = exchange(connection, method, path,
+                                              body=body, headers=edge.auth)
+                assert status == want
+                echoed.append(headers[REQUEST_ID_HEADER])
         finally:
-            server.close()
-        lines = [json.loads(line) for line in stream.getvalue().splitlines()]
-        routes = [line["route"] for line in lines]
-        assert routes == ["/ping", "/queue/submit", "/queue/counts"]
-        assert all(line["status"] == 200 for line in lines)
+            connection.close()
+        lines = await_log_lines(edge, len(calls))
+        assert [(line["method"], line["route"], line["status"])
+                for line in lines] == [
+            (method, path, want) for method, path, _, want in calls
+        ]
         assert all(line["latency_ms"] >= 0 for line in lines)
+        assert [line["request_id"] for line in lines] == echoed
         assert all(len(line["request_id"]) == 12 for line in lines)
-        # The broker has no tenants; the field is present but null.
-        assert all(line["tenant"] is None for line in lines)
+        # /ping is unauthenticated everywhere; the broker has no tenants
+        # (its one token is shared), so its field is present but null.
+        assert [line["tenant"] for line in lines] == [
+            None, edge.tenant, edge.tenant
+        ]
 
-    def test_failed_requests_are_logged_too(self, tmp_path):
-        import urllib.error
-        import urllib.request
-
-        stream = io.StringIO()
-        server = BrokerServer(
-            queue_path=str(tmp_path / "q.sqlite"),
-            access_log=AccessLog(stream),
-        )
-        server.start()
+    def test_failed_requests_are_logged_too(self, edge):
+        connection = edge.connect()
         try:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(f"{server.url}/nonsense", timeout=10)
-            assert excinfo.value.code == 404
-            # The response carries the id the log line recorded.
-            echoed = excinfo.value.headers[REQUEST_ID_HEADER]
+            status, headers, _ = exchange(connection, "GET", "/nonsense",
+                                          headers=edge.auth)
         finally:
-            server.close()
-        (line,) = [json.loads(l) for l in stream.getvalue().splitlines()]
-        assert line["status"] == 404
-        assert line["route"] == "/nonsense"
-        assert line["request_id"] == echoed
+            connection.close()
+        assert status == 404
+        (line,) = await_log_lines(edge, 1)
+        assert (line["method"], line["route"], line["status"]) == (
+            "GET", "/nonsense", 404)
+        assert line["tenant"] == edge.tenant
+        # The response carries the id the log line recorded.
+        assert line["request_id"] == headers[REQUEST_ID_HEADER]

@@ -360,9 +360,9 @@ class TestKeepAliveHygiene:
     def test_unattached_resource_errors_do_not_desync_the_connection(
         self, paths
     ):
-        """Early error replies (sent before the body is read) must retire
-        the kept-alive socket; otherwise the unread body bytes would be
-        parsed as the next request and garble every later call."""
+        """Early error replies (sent before the body is read) must drain
+        the body; otherwise its bytes would be parsed as the next request
+        on the kept-alive socket and garble every later call."""
         queue_path, _ = paths
         with BrokerServer(queue_path=queue_path) as server:
             server.start()
@@ -375,6 +375,8 @@ class TestKeepAliveHygiene:
                 assert queue.counts()["pending"] == 0
 
     def test_repeated_unauthorized_posts_keep_clean_errors(self, paths):
+        """The real client on one kept-alive connection: each 401 stays a
+        clean QueueError, never a garbled reply or a dropped socket."""
         queue_path, _ = paths
         with BrokerServer(queue_path=queue_path, token="t0ken") as server:
             server.start()
@@ -431,28 +433,3 @@ class TestLostResponseReplays:
             assert queue.get_meta("run") == "{\"name\": \"mine\"}"
         finally:
             queue.close()
-
-
-class TestBodyDraining:
-    def test_early_404_drains_large_body_and_keeps_the_connection(self, broker):
-        """An error reply sent before dispatch must consume the request
-        body (not slam the socket shut): the client both receives the
-        4xx — no RST racing a mid-upload close — and can reuse the
-        connection for the next call."""
-        connection = http.client.HTTPConnection(broker.host, broker.port,
-                                                timeout=30)
-        try:
-            big_body = b"{" + b" " * (1 << 20) + b"}"  # 1 MiB of JSON
-            connection.request("POST", "/nowhere/at-all", body=big_body)
-            response = connection.getresponse()
-            assert response.status == 404
-            assert b"unknown endpoint" in response.read()
-            # Same socket, next request: parsed cleanly, not from body
-            # leftovers.
-            connection.request("POST", "/queue/counts", body=b"{}")
-            response = connection.getresponse()
-            assert response.status == 200
-            assert json.loads(response.read())["value"]["counts"][
-                "pending"] == 0
-        finally:
-            connection.close()
