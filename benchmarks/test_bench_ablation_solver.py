@@ -1,47 +1,21 @@
-"""A-ABL3: ablation of the single-objective ILP backend.
+"""A-ABL3: the single-objective ILP solver on the data-server case study.
 
-The paper drives its BILP formulation with Gurobi.  This reproduction ships
-three backends: SciPy's HiGHS MILP (the default), the pure-Python
-branch-and-bound with HiGHS LP relaxations, and the same branch-and-bound
-with the from-scratch simplex.  All three solve the identical Theorem 6
-programs to optimality; the benchmark quantifies the constant-factor price
-of each level of "from scratch-ness" on the data-server case study.
+The paper drives its BILP formulation with Gurobi.  This reproduction
+solves the identical Theorem 6/7 programs to optimality with SciPy's HiGHS
+MILP; the benchmark records its cost for the front sweep and for one DgC
+program.
 """
 
 from repro.core.bilp import max_damage_given_cost_bilp, pareto_front_bilp
-from repro.milp.branch_bound import BranchAndBoundSolver
-from repro.milp.highs import HighsSolver
 
 PAPER_FRONT = [(0, 0), (250, 24), (568, 60), (976, 70.8), (1131, 75.8), (1281, 82.8)]
 
 
 def test_ablation_solver_highs_front(benchmark, data_server_model):
-    front = benchmark(pareto_front_bilp, data_server_model, HighsSolver())
-    assert front.values() == PAPER_FRONT
-
-
-def test_ablation_solver_branch_bound_front(benchmark, data_server_model):
-    front = benchmark(pareto_front_bilp, data_server_model, BranchAndBoundSolver())
-    assert front.values() == PAPER_FRONT
-
-
-def test_ablation_solver_pure_simplex_front(benchmark, data_server_model):
-    front = benchmark.pedantic(
-        pareto_front_bilp,
-        args=(data_server_model, BranchAndBoundSolver(lp_engine="simplex")),
-        rounds=1,
-        iterations=1,
-    )
+    front = benchmark(pareto_front_bilp, data_server_model)
     assert front.values() == PAPER_FRONT
 
 
 def test_ablation_solver_highs_dgc(benchmark, data_server_model):
-    value, _ = benchmark(max_damage_given_cost_bilp, data_server_model, 600, HighsSolver())
-    assert value == 60.0
-
-
-def test_ablation_solver_branch_bound_dgc(benchmark, data_server_model):
-    value, _ = benchmark(
-        max_damage_given_cost_bilp, data_server_model, 600, BranchAndBoundSolver()
-    )
+    value, _ = benchmark(max_damage_given_cost_bilp, data_server_model, 600)
     assert value == 60.0

@@ -8,19 +8,12 @@ alongside, mirroring the Fig. 5 row of Table III.
 
 from repro.core.bilp import max_damage_given_cost_bilp, pareto_front_bilp
 from repro.core.enumerative import enumerate_pareto_front
-from repro.milp.branch_bound import BranchAndBoundSolver
 
 PAPER_FRONT = [(0, 0), (250, 24), (568, 60), (976, 70.8), (1131, 75.8), (1281, 82.8)]
 
 
 def test_fig6c_bilp_highs(benchmark, data_server_model):
     front = benchmark(pareto_front_bilp, data_server_model)
-    assert front.values() == PAPER_FRONT
-
-
-def test_fig6c_bilp_branch_and_bound(benchmark, data_server_model):
-    solver = BranchAndBoundSolver()
-    front = benchmark(pareto_front_bilp, data_server_model, solver)
     assert front.values() == PAPER_FRONT
 
 

@@ -6,19 +6,13 @@ is shared by three different exploits — so the bottom-up method does not
 apply and the analysis uses the bi-objective integer linear programming
 translation of Theorem 6.
 
-The example also demonstrates solver choice: the same Pareto front is
-computed with the HiGHS backend and with the library's pure-Python
-branch-and-bound solver.
-
 Run it with::
 
     python examples/data_server.py
 """
 
 from repro import CostDamageAnalyzer, catalog
-from repro.core.bilp import pareto_front_bilp
 from repro.experiments.casestudies import PAPER_FIG6C_FRONT
-from repro.milp.branch_bound import BranchAndBoundSolver
 
 
 def main() -> None:
@@ -75,14 +69,6 @@ def main() -> None:
     result = analyzer.min_cost(threshold)
     print(f"CgD: damage ≥ {threshold} requires at least {result.value:g} s "
           f"(attack {sorted(result.witness)})")
-    print()
-
-    # ------------------------------------------------------------------ #
-    # Same front with the pure-Python branch-and-bound backend
-    # ------------------------------------------------------------------ #
-    pure_front = pareto_front_bilp(model, solver=BranchAndBoundSolver())
-    print("Pure-Python branch-and-bound backend reproduces the same front: "
-          f"{pure_front.values() == front.values()}")
 
 
 if __name__ == "__main__":

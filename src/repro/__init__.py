@@ -33,9 +33,8 @@ Quickstart
 ...      AnalysisRequest(Problem.CGD, threshold=300)])]
 [200.0, 5.0]
 
-Sessions cache by (model fingerprint, request), report wall time and the
-resolved backend on every result, and accept the approximate ``genetic``
-extension backend by name.
+Sessions cache by (model fingerprint, request) and report wall time and the
+resolved backend on every result.
 
 Backwards compatibility: the original entry points keep working —
 ``solve(model, problem, method=...)`` forwards to the engine (``method``

@@ -19,7 +19,7 @@ import itertools
 import math
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..milp.highs import default_solver
+from ..milp.highs import HighsSolver
 from ..milp.model import ConstraintSense, LinearExpression
 from ..milp.solution import SolveStatus
 from .attributes import CostDamageAT, CostDamageProbAT
@@ -121,7 +121,7 @@ def min_cost_of_successful_attack(
         1.0,
         name="root-reached",
     )
-    solution = default_solver().solve(program, cost_objective(deterministic))
+    solution = HighsSolver().solve(program, cost_objective(deterministic))
     if solution.status is not SolveStatus.OPTIMAL:
         return None, None
     attack = frozenset(

@@ -628,17 +628,16 @@ def _run_batch_command(args: argparse.Namespace, store) -> int:
         print(f"atcd: {args.requests} must contain a JSON list of requests",
               file=sys.stderr)
         return 2
-    # Parse and validate the whole batch up front — field types, parameters,
-    # backend resolution AND backend options: a malformed entry, missing
-    # budget, bogus backend name, typo'd option, or a problem the model
-    # cannot support must not abort after the earlier analyses already ran.
+    # Parse and validate the whole batch up front — field types, parameters
+    # and backend resolution: a malformed entry, missing budget, bogus
+    # backend name or a problem the model cannot support must not abort
+    # after the earlier analyses already ran.
     requests = []
     for index, entry in enumerate(payload):
         try:
             request = AnalysisRequest.from_dict(entry)
             request.validate()
-            backend = session.resolve(request.problem, backend=request.backend)
-            backend.validate_options(request)
+            session.resolve(request.problem, backend=request.backend)
         except (ValueError, TypeError) as error:
             # Same format and exit code as engine errors on the other
             # subcommands, plus the offending entry's index.

@@ -29,7 +29,7 @@ from typing import FrozenSet, Optional, Tuple
 from ..attacktree.attributes import CostDamageAT
 from ..attacktree.node import NodeType
 from ..milp.biobjective import EpsilonConstraintSolver
-from ..milp.highs import default_solver
+from ..milp.highs import HighsSolver
 from ..milp.model import (
     ConstraintSense,
     IntegerProgram,
@@ -111,11 +111,7 @@ def _attack_from_solution(cdat: CostDamageAT, solution: MilpSolution) -> FrozenS
     return frozenset(attack)
 
 
-def pareto_front_bilp(
-    cdat: CostDamageAT,
-    solver=None,
-    step: Optional[float] = None,
-) -> ParetoFront:
+def pareto_front_bilp(cdat: CostDamageAT, step: Optional[float] = None) -> ParetoFront:
     """Solve CDPF for an arbitrary (DAG-like or treelike) cd-AT (Theorem 6).
 
     The bi-objective program (maximise damage, minimise cost) is handed to
@@ -124,7 +120,7 @@ def pareto_front_bilp(
     cost/damage values are independent of solver tolerances.
     """
     program = build_structure_program(cdat)
-    driver = EpsilonConstraintSolver(solver=solver, step=step)
+    driver = EpsilonConstraintSolver(step=step)
     result = driver.solve(program, primary=damage_objective(cdat), secondary=cost_objective(cdat))
 
     points = []
@@ -145,7 +141,7 @@ def pareto_front_bilp(
 
 
 def max_damage_given_cost_bilp(
-    cdat: CostDamageAT, budget: float, solver=None
+    cdat: CostDamageAT, budget: float
 ) -> Tuple[float, Optional[FrozenSet[str]]]:
     """Solve DgC via a single-objective ILP (Theorem 7).
 
@@ -154,11 +150,9 @@ def max_damage_given_cost_bilp(
     """
     if budget < 0:
         return 0.0, None
-    if solver is None:
-        solver = default_solver()
     program = build_structure_program(cdat, name="DgC")
     program.add_less_equal(cost_objective(cdat).expression, budget, name="budget")
-    solution = solver.solve(program, damage_objective(cdat))
+    solution = HighsSolver().solve(program, damage_objective(cdat))
     if solution.status is not SolveStatus.OPTIMAL:
         return 0.0, frozenset()
     attack = _attack_from_solution(cdat, solution)
@@ -167,7 +161,7 @@ def max_damage_given_cost_bilp(
 
 
 def min_cost_given_damage_bilp(
-    cdat: CostDamageAT, threshold: float, solver=None
+    cdat: CostDamageAT, threshold: float
 ) -> Tuple[Optional[float], Optional[FrozenSet[str]]]:
     """Solve CgD via a single-objective ILP (Theorem 7).
 
@@ -180,9 +174,7 @@ def min_cost_given_damage_bilp(
     satisfy the constraint, and the structure constraints exactly prevent
     ``y_v`` from exceeding ``S(x, v)``, so the formulation remains sound.
     """
-    if solver is None:
-        solver = default_solver()
-
+    solver = HighsSolver()
     # MILP feasibility tolerances (HiGHS uses ~1e-6) can make the all-zero
     # assignment "satisfy" a tiny positive threshold.  When the extracted
     # attack misses the threshold we re-solve with a slightly strengthened

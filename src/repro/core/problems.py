@@ -60,8 +60,7 @@ class Method(enum.Enum):
     ``AUTO`` lets the engine registry resolve following Table I; the other
     values force the engine backend of the same name.  The engine API
     (:class:`repro.engine.AnalysisRequest`) selects backends by *name*
-    instead, which also reaches the ``genetic`` extension backend this enum
-    predates.
+    instead.
     """
 
     AUTO = "auto"

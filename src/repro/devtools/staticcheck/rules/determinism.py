@@ -10,8 +10,8 @@ instead of as a flaky cross-host mismatch three layers up.
 ``time.perf_counter``/``process_time`` stay legal: relative timing never
 enters a result payload, and the bench harness measures kernels with
 them.  ``random.Random(seed)`` with an explicit seed is the sanctioned
-way to use randomness (the genetic extension does);
-``random.Random()`` with no arguments seeds from the OS and is banned.
+way to use randomness; ``random.Random()`` with no arguments seeds from
+the OS and is banned.
 """
 
 from __future__ import annotations

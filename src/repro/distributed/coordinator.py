@@ -190,8 +190,7 @@ class Coordinator:
             try:
                 request = AnalysisRequest.from_dict(entry)
                 request.validate()
-                backend = session.resolve(request.problem, backend=request.backend)
-                backend.validate_options(request)
+                session.resolve(request.problem, backend=request.backend)
             except (ValueError, TypeError) as error:
                 raise ValueError(f"requests[{index}]: {error}") from error
         payloads = [

@@ -12,8 +12,8 @@ Layers
     The :class:`SolverBackend` protocol and the ``(problem, shape,
     setting)`` capability cells (Table I of the paper, made data).
 ``backends``
-    The built-in backends: bottom-up, conditioning, BILP and enumerative
-    (exact, auto-selectable) plus genetic (approximate, explicit opt-in).
+    The built-in exact backends: bottom-up, conditioning, BILP and
+    enumerative.
 ``registry``
     Registration and data-driven resolution, replacing the old if/elif
     dispatch of ``repro.core.problems``.
@@ -68,14 +68,13 @@ from .store import (
 )
 
 #: Concrete backend classes are re-exported lazily (PEP 562): importing the
-#: engine package must not pull in the extension solver modules — they load
-#: on first registry use (default_registry) or first attribute access.
+#: engine package must not pull in the kernel modules — they load on first
+#: registry use (default_registry) or first attribute access.
 _LAZY_BACKEND_EXPORTS = frozenset({
     "BilpBackend",
     "BottomUpBackend",
     "ConditioningBackend",
     "EnumerativeBackend",
-    "GeneticBackend",
     "standard_backends",
 })
 
@@ -102,7 +101,6 @@ __all__ = [
     "ConditioningBackend",
     "EXECUTORS",
     "EnumerativeBackend",
-    "GeneticBackend",
     "NamespacedStore",
     "Model",
     "ResultStore",

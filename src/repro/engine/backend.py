@@ -1,7 +1,7 @@
 """The solver-backend abstraction of the analysis engine.
 
-A *backend* is one algorithm family (bottom-up propagation, BILP,
-enumeration, NSGA-II, …) wrapped behind a uniform interface.  Each backend
+A *backend* is one algorithm family (bottom-up propagation, conditioning,
+BILP, enumeration) wrapped behind a uniform interface.  Each backend
 declares the :class:`Capability` cells it covers — a cell is a
 ``(problem, shape, setting)`` triple mirroring Table I of the paper, where
 *shape* distinguishes treelike from DAG-like ATs and *setting* deterministic
@@ -121,12 +121,8 @@ class SolverBackend(Protocol):
     ----------
     name:
         Stable identifier used in requests, results and error messages.
-    exact:
-        Whether the backend computes exact answers.  Automatic resolution
-        only ever selects exact backends; approximate ones (genetic) must
-        be requested by name.
     priority:
-        Tie-breaker among exact backends covering the same cell; higher
+        Tie-breaker among backends covering the same cell; higher
         wins.  The defaults encode Table I's preferences (bottom-up over
         BILP over enumeration).
     capabilities:
@@ -134,7 +130,6 @@ class SolverBackend(Protocol):
     """
 
     name: str
-    exact: bool
     priority: int
     capabilities: FrozenSet[Capability]
 
@@ -152,10 +147,6 @@ class SolverBackend(Protocol):
         """A backend-specific explanation for an uncovered cell, if any."""
         ...
 
-    def validate_options(self, request: "AnalysisRequest") -> None:
-        """Raise ``ValueError`` for unknown or wrongly-typed request options."""
-        ...
-
 
 class BaseBackend:
     """Convenience base class implementing the protocol's bookkeeping.
@@ -163,38 +154,11 @@ class BaseBackend:
     Subclasses populate :attr:`handlers` — a plain mapping from
     :class:`Problem` to a callable ``(model, request) -> BackendOutput`` —
     so that per-problem dispatch is a data lookup, not an if/elif chain.
-    They also declare :attr:`options_spec`, the options they accept and the
-    types those accept, so typo'd or mistyped options fail loudly at
-    validation time instead of silently running with defaults (or crashing
-    deep inside a solver).
     """
 
     name: str = "base"
-    exact: bool = True
     priority: int = 0
     capabilities: FrozenSet[Capability] = frozenset()
-    #: Accepted request options: name -> tuple of allowed types.  Booleans
-    #: never satisfy a numeric spec (bool subclasses int in Python).
-    options_spec: Dict[str, tuple] = {}
-
-    def validate_options(self, request: "AnalysisRequest") -> None:
-        """Reject unknown option keys and wrongly-typed option values."""
-        options = request.options_dict()
-        unknown = set(options) - set(self.options_spec)
-        if unknown:
-            known = ", ".join(sorted(self.options_spec)) or "(none)"
-            raise ValueError(
-                f"backend {self.name!r} does not accept option(s) "
-                f"{sorted(unknown)}; known options: {known}"
-            )
-        for key, value in options.items():
-            allowed = self.options_spec[key]
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                names = "/".join(t.__name__ for t in allowed)
-                raise ValueError(
-                    f"option {key!r} of backend {self.name!r} must be "
-                    f"{names}, got {value!r}"
-                )
 
     def covers(self, problem: Problem, shape: Shape, setting: Setting) -> bool:
         return Capability(problem, shape, setting) in self.capabilities
@@ -229,8 +193,7 @@ class BaseBackend:
         return handler(model, request)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "exact" if self.exact else "approximate"
-        return f"<{type(self).__name__} {self.name!r} ({kind}, priority={self.priority})>"
+        return f"<{type(self).__name__} {self.name!r} (priority={self.priority})>"
 
 
 def cells(problem_iterable, shapes, setting: Setting) -> FrozenSet[Capability]:

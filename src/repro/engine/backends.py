@@ -1,6 +1,6 @@
-"""Built-in backends: the paper's three exact solvers plus extensions.
+"""Built-in backends: the paper's three exact solvers plus conditioning.
 
-Exact backends (auto-selectable, Table I):
+Every backend is exact and auto-selectable (Table I):
 
 * ``bottom-up`` — Pareto propagation for treelike ATs (Theorems 4 and 9);
 * ``conditioning`` — the treelike kernel run once per subset of a
@@ -12,10 +12,6 @@ Exact backends (auto-selectable, Table I):
 * ``enumerative`` — the exhaustive baseline; covers every cell, including
   the probabilistic-DAG open problem, at exponential cost.
 
-Approximate backend (explicit opt-in by name):
-
-* ``genetic`` — NSGA-II front approximation (:mod:`repro.extensions.genetic`).
-
 Each backend maps problems to handlers through a plain dict, so adding a
 problem or a backend never touches a dispatch ladder.
 """
@@ -26,8 +22,6 @@ from typing import List, Optional
 
 from ..core import bilp, bottom_up, bottom_up_prob, conditioning, enumerative
 from ..core.problems import Problem
-from ..extensions import genetic as genetic_ext
-from ..pareto.front import ParetoFront
 from .backend import (
     BackendOutput,
     BaseBackend,
@@ -45,7 +39,6 @@ __all__ = [
     "ConditioningBackend",
     "BilpBackend",
     "EnumerativeBackend",
-    "GeneticBackend",
     "standard_backends",
 ]
 
@@ -58,7 +51,6 @@ class BottomUpBackend(BaseBackend):
     """Bottom-up Pareto propagation for treelike ATs (Theorems 4 and 9)."""
 
     name = "bottom-up"
-    exact = True
     priority = 100
     capabilities = cells(
         DETERMINISTIC_PROBLEMS, (Shape.TREE,), Setting.DETERMINISTIC
@@ -135,7 +127,6 @@ class ConditioningBackend(BaseBackend):
     """
 
     name = "conditioning"
-    exact = True
     priority = 92
     capabilities = cells(DETERMINISTIC_PROBLEMS, (Shape.DAG,), Setting.DETERMINISTIC)
 
@@ -194,7 +185,6 @@ class BilpBackend(BaseBackend):
     """Bi-objective integer linear programming (Theorem 6), DAGs included."""
 
     name = "bilp"
-    exact = True
     priority = 90
     capabilities = cells(DETERMINISTIC_PROBLEMS, BOTH_SHAPES, Setting.DETERMINISTIC)
 
@@ -245,7 +235,6 @@ class EnumerativeBackend(BaseBackend):
     """
 
     name = "enumerative"
-    exact = True
     priority = 10
     capabilities = cells(
         DETERMINISTIC_PROBLEMS, BOTH_SHAPES, Setting.DETERMINISTIC
@@ -310,81 +299,6 @@ class EnumerativeBackend(BaseBackend):
         return BackendOutput(value=value, witness=witness)
 
 
-class GeneticBackend(BaseBackend):
-    """NSGA-II Pareto-front approximation (the paper's future-work item).
-
-    Options: ``population_size``, ``generations``, ``crossover_probability``,
-    ``mutation_probability``, ``seed`` (see
-    :class:`repro.extensions.genetic.GeneticConfig`).
-    Front problems are approximated directly; the single-objective problems
-    are answered by querying the approximate front.
-    """
-
-    name = "genetic"
-    exact = False
-    priority = 0
-    capabilities = cells(
-        DETERMINISTIC_PROBLEMS, BOTH_SHAPES, Setting.DETERMINISTIC
-    ) | cells(PROBABILISTIC_PROBLEMS, BOTH_SHAPES, Setting.PROBABILISTIC)
-
-    options_spec = {
-        "population_size": (int,),
-        "generations": (int,),
-        "crossover_probability": (int, float),
-        "mutation_probability": (int, float),
-        "seed": (int,),
-    }
-
-    def __init__(self) -> None:
-        self.handlers = {
-            Problem.CDPF: self._front,
-            Problem.CEDPF: self._front,
-            Problem.DGC: self._dgc,
-            Problem.EDGC: self._dgc,
-            Problem.CGD: self._cgd,
-            Problem.CGED: self._cgd,
-        }
-
-    def _config(self, request: AnalysisRequest) -> genetic_ext.GeneticConfig:
-        overrides = {
-            key: request.option(key)
-            for key in self.options_spec
-            if request.option(key) is not None
-        }
-        return genetic_ext.GeneticConfig(**overrides)
-
-    def _approximate(self, model: Model, request: AnalysisRequest) -> ParetoFront:
-        probabilistic = request.problem.is_probabilistic
-        if probabilistic:
-            require_probabilistic(model, request.problem)
-        return genetic_ext.approximate_pareto_front(
-            model, config=self._config(request), probabilistic=probabilistic
-        )
-
-    def _front(self, model: Model, request: AnalysisRequest) -> BackendOutput:
-        return BackendOutput(
-            front=self._approximate(model, request), extras={"approximate": True}
-        )
-
-    def _dgc(self, model: Model, request: AnalysisRequest) -> BackendOutput:
-        front = self._approximate(model, request)
-        point = front.best_attack_given_cost(request.budget)
-        if point is None:
-            return BackendOutput(value=0.0, witness=None, extras={"approximate": True})
-        return BackendOutput(
-            value=point.damage, witness=point.attack, extras={"approximate": True}
-        )
-
-    def _cgd(self, model: Model, request: AnalysisRequest) -> BackendOutput:
-        front = self._approximate(model, request)
-        point = front.cheapest_attack_given_damage(request.threshold)
-        if point is None:
-            return BackendOutput(value=None, witness=None, extras={"approximate": True})
-        return BackendOutput(
-            value=point.cost, witness=point.attack, extras={"approximate": True}
-        )
-
-
 def standard_backends() -> List[BaseBackend]:
     """Fresh instances of every built-in backend."""
     return [
@@ -392,5 +306,4 @@ def standard_backends() -> List[BaseBackend]:
         ConditioningBackend(),
         BilpBackend(),
         EnumerativeBackend(),
-        GeneticBackend(),
     ]

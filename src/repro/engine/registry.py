@@ -3,10 +3,9 @@
 The registry replaces the old ``if/elif`` ladder of
 ``repro.core.problems``: every backend declares which
 ``(problem, shape, setting)`` cells it covers, and
-:meth:`BackendRegistry.resolve` picks the highest-priority *exact* backend
-covering the requested cell.  The approximate ``genetic`` backend is
-registered alongside the exact ones but is only reachable by explicit name,
-so automatic resolution always reproduces the paper's Table I:
+:meth:`BackendRegistry.resolve` picks the highest-priority backend
+covering the requested cell, so automatic resolution reproduces the
+paper's Table I:
 
 ==============  =====  ==========================================
 setting         shape  resolved backend
@@ -121,14 +120,13 @@ class BackendRegistry:
     # resolution
     # ------------------------------------------------------------------ #
     def candidates(
-        self, problem: Problem, shape: Shape, setting: Setting, exact_only: bool = True
+        self, problem: Problem, shape: Shape, setting: Setting
     ) -> List[SolverBackend]:
         """Backends covering a cell, best (highest priority) first."""
         found = [
             backend
             for backend in self._backends.values()
             if backend.covers(problem, shape, setting)
-            and (backend.exact or not exact_only)
         ]
         return sorted(found, key=lambda b: (-b.priority, b.name))
 
@@ -138,7 +136,7 @@ class BackendRegistry:
         """Pick the backend answering ``problem`` on ``model``.
 
         With ``backend=None`` this reproduces Table I: the highest-priority
-        exact backend covering ``(problem, shape(model), setting(problem))``
+        backend covering ``(problem, shape(model), setting(problem))``
         that does not decline the request (see ``BaseBackend.declines``).
         With a name, that backend is returned after checking it covers the
         cell (backends can veto with a domain-specific message, e.g. "CEDPF
@@ -165,16 +163,9 @@ class BackendRegistry:
             return chosen
         found = self.candidates(problem, shape, setting)
         if not found:
-            approximate = self.candidates(problem, shape, setting, exact_only=False)
-            hint = (
-                "; approximate backends covering it: "
-                + ", ".join(b.name for b in approximate)
-                if approximate
-                else ""
-            )
             raise CapabilityError(
-                f"no exact backend covers problem {problem.value!r} on "
-                f"{setting.value} {shape.value}-shaped models{hint}"
+                f"no backend covers problem {problem.value!r} on "
+                f"{setting.value} {shape.value}-shaped models"
             )
         reasons = []
         for candidate in found:
@@ -184,7 +175,7 @@ class BackendRegistry:
                 return candidate
             reasons.append(f"{candidate.name}: {reason}")
         raise CapabilityError(
-            f"every exact backend covering problem {problem.value!r} on "
+            f"every backend covering problem {problem.value!r} on "
             f"{setting.value} {shape.value}-shaped models declined this model: "
             + "; ".join(reasons)
         )
@@ -222,11 +213,10 @@ class BackendRegistry:
         lines = []
         for name in self.names():
             backend = self._backends[name]
-            kind = "exact" if backend.exact else "approximate"
             problems = sorted({c.problem.value for c in backend.capabilities})
             shapes = sorted({c.shape.value for c in backend.capabilities})
             lines.append(
-                f"{name:<12} {kind:<12} priority={backend.priority:<4} "
+                f"{name:<12} priority={backend.priority:<4} "
                 f"problems={','.join(problems)} shapes={','.join(shapes)}"
             )
         return "\n".join(lines)
@@ -235,8 +225,8 @@ class BackendRegistry:
 def default_registry() -> BackendRegistry:
     """A fresh registry with every built-in backend registered.
 
-    The import is deferred so that backend modules (which pull in the
-    extension solvers) only load when the engine is actually used.
+    The import is deferred so that the kernel modules only load when the
+    engine is actually used.
     """
     from .backends import standard_backends
 

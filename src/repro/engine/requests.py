@@ -1,12 +1,11 @@
 """Typed analysis requests and results, with JSON round-tripping.
 
 :class:`AnalysisRequest` is the engine's unit of work: which problem to
-solve, its scalar parameter (budget or threshold), optionally a backend
-forced by name, and backend-specific options.  :class:`AnalysisResult`
-carries the answer together with structured metadata — which backend
-actually ran, wall-clock time, model size, whether the session cache was
-hit — so service-style callers can log, bill and debug analyses without
-parsing free text.
+solve, its scalar parameter (budget or threshold) and optionally a backend
+forced by name.  :class:`AnalysisResult` carries the answer together with
+structured metadata — which backend actually ran, wall-clock time, model
+size, whether the session cache was hit — so service-style callers can
+log, bill and debug analyses without parsing free text.
 
 Both types serialize to plain JSON-compatible dicts (and back), which is
 what the batch CLI sub-command and any future network service exchange.
@@ -25,34 +24,6 @@ from ..pareto.front import ParetoFront, ParetoPoint
 __all__ = ["AnalysisRequest", "AnalysisResult"]
 
 
-def _canonical_option_value(key: str, value: Any) -> Any:
-    """Canonicalize one option value into a hashable form.
-
-    Scalars pass through, JSON arrays become tuples (so requests stay
-    usable as cache keys), anything else — nested objects in particular —
-    is rejected eagerly with a clear error instead of surfacing later as
-    an unhashable-type failure inside the session cache.
-    """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return tuple(_canonical_option_value(key, item) for item in value)
-    raise ValueError(
-        f"option {key!r} has unsupported value {value!r}; option values must "
-        "be JSON scalars or arrays of them"
-    )
-
-
-def _freeze_options(options: Optional[Mapping[str, Any]]) -> Tuple[Tuple[str, Any], ...]:
-    """Canonicalize an options mapping into a hashable, sorted tuple."""
-    if not options:
-        return ()
-    return tuple(
-        sorted((key, _canonical_option_value(key, value)) for key, value in
-               dict(options).items())
-    )
-
-
 @dataclass(frozen=True)
 class AnalysisRequest:
     """One analysis to run against a model.
@@ -68,18 +39,12 @@ class AnalysisRequest:
     backend:
         Name of a registered backend to force, or ``None`` to let the
         registry resolve one following Table I.
-    options:
-        Backend-specific keyword options (e.g. ``generations`` or
-        ``seed`` for the genetic backend).
-        Stored canonically as a sorted tuple of pairs so requests are
-        hashable and usable as cache keys.
     """
 
     problem: Problem
     budget: Optional[float] = None
     threshold: Optional[float] = None
     backend: Optional[str] = None
-    options: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
         if not isinstance(self.problem, Problem):
@@ -95,12 +60,9 @@ class AnalysisRequest:
                 raise ValueError(f"{name} must be a number, got {value!r}")
         if self.backend is not None and not isinstance(self.backend, str):
             raise ValueError(f"backend must be a string name, got {self.backend!r}")
-        # Normalize unconditionally: even a pre-built tuple may carry
-        # unhashable values that would otherwise fail later in the cache.
-        object.__setattr__(self, "options", _freeze_options(dict(self.options or ())))
 
     # ------------------------------------------------------------------ #
-    # validation and option access
+    # validation
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
         """Check the parameter required by the problem is present."""
@@ -109,21 +71,9 @@ class AnalysisRequest:
         if self.problem in {Problem.CGD, Problem.CGED} and self.threshold is None:
             raise ValueError(f"problem {self.problem.value} requires a damage threshold")
 
-    def option(self, key: str, default: Any = None) -> Any:
-        """Look up one backend option."""
-        for name, value in self.options:
-            if name == key:
-                return value
-        return default
-
-    def options_dict(self) -> Dict[str, Any]:
-        """The options as a plain dict."""
-        return dict(self.options)
-
     def cache_key(self) -> Tuple[Any, ...]:
         """A hashable identity used by session caches."""
-        return (self.problem.value, self.budget, self.threshold, self.backend,
-                self.options)
+        return (self.problem.value, self.budget, self.threshold, self.backend)
 
     # ------------------------------------------------------------------ #
     # JSON round-trip
@@ -137,14 +87,12 @@ class AnalysisRequest:
             payload["threshold"] = self.threshold
         if self.backend is not None:
             payload["backend"] = self.backend
-        if self.options:
-            payload["options"] = self.options_dict()
         return payload
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AnalysisRequest":
         """Rebuild a request from :meth:`to_dict` output."""
-        unknown = set(data) - {"problem", "budget", "threshold", "backend", "options"}
+        unknown = set(data) - {"problem", "budget", "threshold", "backend"}
         if unknown:
             raise ValueError(f"unknown request fields: {sorted(unknown)!r}")
         if "problem" not in data:
@@ -154,7 +102,6 @@ class AnalysisRequest:
             budget=data.get("budget"),
             threshold=data.get("threshold"),
             backend=data.get("backend"),
-            options=_freeze_options(data.get("options")),
         )
 
     def to_json(self) -> str:
@@ -217,7 +164,7 @@ class AnalysisResult:
         Size of the analyzed model.
     extras:
         Backend-specific metadata (e.g. the conditioning backend's
-        ``shared_bas`` count, or ``approximate`` for the genetic one).
+        ``shared_bas`` count).
     """
 
     request: AnalysisRequest

@@ -87,7 +87,6 @@ def run_request(
     request.validate()
     registry = registry if registry is not None else shared_registry()
     backend = registry.resolve(request.problem, model, backend=request.backend)
-    backend.validate_options(request)
     started = time.perf_counter()
     with trace_span(
         "solve",
@@ -392,10 +391,7 @@ class AnalysisSession:
         # spawns or any earlier analysis runs.
         for request in requests:
             request.validate()
-            backend = self.registry.resolve(
-                request.problem, self.model, backend=request.backend
-            )
-            backend.validate_options(request)
+            self.registry.resolve(request.problem, self.model, backend=request.backend)
         # Partition into cache hits (served here) and misses (dispatched);
         # identical misses share one computation.
         outputs: List[Optional[AnalysisResult]] = [None] * len(requests)
@@ -506,48 +502,34 @@ class AnalysisSession:
     # ------------------------------------------------------------------ #
     # convenience constructors for the six problems
     # ------------------------------------------------------------------ #
-    def pareto_front(self, backend: Optional[str] = None, **options) -> AnalysisResult:
+    def pareto_front(self, backend: Optional[str] = None) -> AnalysisResult:
         """Problem CDPF."""
-        return self.run(AnalysisRequest(Problem.CDPF, backend=backend, options=options))
+        return self.run(AnalysisRequest(Problem.CDPF, backend=backend))
 
-    def max_damage(
-        self, budget: float, backend: Optional[str] = None, **options
-    ) -> AnalysisResult:
+    def max_damage(self, budget: float, backend: Optional[str] = None) -> AnalysisResult:
         """Problem DgC."""
-        return self.run(
-            AnalysisRequest(Problem.DGC, budget=budget, backend=backend, options=options)
-        )
+        return self.run(AnalysisRequest(Problem.DGC, budget=budget, backend=backend))
 
-    def min_cost(
-        self, threshold: float, backend: Optional[str] = None, **options
-    ) -> AnalysisResult:
+    def min_cost(self, threshold: float, backend: Optional[str] = None) -> AnalysisResult:
         """Problem CgD."""
         return self.run(
-            AnalysisRequest(
-                Problem.CGD, threshold=threshold, backend=backend, options=options
-            )
+            AnalysisRequest(Problem.CGD, threshold=threshold, backend=backend)
         )
 
-    def expected_pareto_front(
-        self, backend: Optional[str] = None, **options
-    ) -> AnalysisResult:
+    def expected_pareto_front(self, backend: Optional[str] = None) -> AnalysisResult:
         """Problem CEDPF."""
-        return self.run(AnalysisRequest(Problem.CEDPF, backend=backend, options=options))
+        return self.run(AnalysisRequest(Problem.CEDPF, backend=backend))
 
     def max_expected_damage(
-        self, budget: float, backend: Optional[str] = None, **options
+        self, budget: float, backend: Optional[str] = None
     ) -> AnalysisResult:
         """Problem EDgC."""
-        return self.run(
-            AnalysisRequest(Problem.EDGC, budget=budget, backend=backend, options=options)
-        )
+        return self.run(AnalysisRequest(Problem.EDGC, budget=budget, backend=backend))
 
     def min_cost_expected(
-        self, threshold: float, backend: Optional[str] = None, **options
+        self, threshold: float, backend: Optional[str] = None
     ) -> AnalysisResult:
         """Problem CgED."""
         return self.run(
-            AnalysisRequest(
-                Problem.CGED, threshold=threshold, backend=backend, options=options
-            )
+            AnalysisRequest(Problem.CGED, threshold=threshold, backend=backend)
         )

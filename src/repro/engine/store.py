@@ -5,7 +5,7 @@ computed :class:`~repro.engine.requests.AnalysisResult`.  The key layout is
 exactly the one :class:`~repro.engine.session.AnalysisSession` already uses
 for its in-process dict — the fingerprint is the SHA-256 of the model's
 canonical JSON, the request identity is :meth:`AnalysisRequest.cache_key`
-(problem, budget, threshold, backend, options) — so a store is simply the
+(problem, budget, threshold, backend) — so a store is simply the
 session cache made durable: repeated bench runs, process-pool workers and
 entirely separate processes all share results instead of recomputing them.
 
@@ -90,7 +90,7 @@ def request_key(request: AnalysisRequest) -> str:
 
     A sorted-keys JSON encoding of exactly the fields
     :meth:`AnalysisRequest.cache_key` hashes (problem, budget, threshold,
-    backend, options), with integral floats normalized to ints — identical
+    backend), with integral floats normalized to ints — identical
     across processes and equal whenever the session's in-memory keys are.
     """
     return json.dumps(_canonical_json_value(request.to_dict()), sort_keys=True)

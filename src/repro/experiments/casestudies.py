@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..attacktree import catalog
-from ..core.bilp import pareto_front_bilp
 from ..core.problems import Problem
 from ..engine import AnalysisRequest, AnalysisSession
 from ..pareto.front import ParetoFront
@@ -150,16 +149,9 @@ def run_fig6b_panda_probabilistic() -> CaseStudyResult:
     )
 
 
-def run_fig6c_data_server(solver=None) -> CaseStudyResult:
+def run_fig6c_data_server() -> CaseStudyResult:
     """Reproduce Fig. 6c: the deterministic CDPF of the data-server AT (BILP)."""
-    model = catalog.data_server()
-    if solver is not None:
-        # A custom MILP solver bypasses the engine: the backend registry
-        # has no per-request solver injection (yet), and this hook predates
-        # the engine.
-        front = pareto_front_bilp(model, solver=solver)
-    else:
-        front = _engine_front(model, Problem.CDPF, "bilp")
+    front = _engine_front(catalog.data_server(), Problem.CDPF, "bilp")
     return CaseStudyResult(
         experiment="Fig. 6c (data server, deterministic, BILP)",
         front=front,

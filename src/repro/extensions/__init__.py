@@ -1,14 +1,13 @@
 """Extensions beyond the paper's claims.
 
-These modules implement the directions the paper explicitly lists as future
+These modules implement directions the paper explicitly lists as future
 work: probabilistic analysis of DAG-like ATs (via reach polynomials),
-genetic approximation of the Pareto front (NSGA-II), and robust analysis
-under interval-valued costs and damages.
+defence hardening, and robust analysis under interval-valued costs and
+damages.
 They are clearly separated from :mod:`repro.core`, which only contains the
 algorithms the paper proves correct.
 """
 
-from .genetic import GeneticConfig, approximate_pareto_front
 from .hardening import (
     Countermeasure,
     HardeningResult,
@@ -25,7 +24,6 @@ from .robust import Interval, IntervalCostDamageAT, RobustFront, robust_pareto_f
 
 __all__ = [
     "Countermeasure",
-    "GeneticConfig",
     "HardeningResult",
     "Interval",
     "MultilinearPolynomial",
@@ -36,6 +34,5 @@ __all__ = [
     "reach_polynomials",
     "IntervalCostDamageAT",
     "RobustFront",
-    "approximate_pareto_front",
     "robust_pareto_front",
 ]

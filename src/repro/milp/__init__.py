@@ -1,9 +1,7 @@
 """Integer-linear-programming substrate.
 
-Replaces the paper's Gurobi + YALMIP stack: a small model layer, a HiGHS
-backend (via SciPy), a from-scratch branch-and-bound ILP solver with an
-optional pure-Python simplex engine, and an ε-constraint bi-objective
-driver.
+Replaces the paper's Gurobi + YALMIP stack: a small model layer, the HiGHS
+ILP solver (via SciPy), and an ε-constraint bi-objective driver.
 """
 
 from .biobjective import (
@@ -12,8 +10,7 @@ from .biobjective import (
     EpsilonConstraintSolver,
     infer_step,
 )
-from .branch_bound import BranchAndBoundSolver
-from .highs import HighsSolver, default_solver
+from .highs import HighsSolver
 from .model import (
     Constraint,
     ConstraintSense,
@@ -25,13 +22,11 @@ from .model import (
     Variable,
     VariableKind,
 )
-from .simplex import SimplexResult, solve_linear_program
 from .solution import MilpSolution, SolveStatus
 
 __all__ = [
     "BiobjectivePoint",
     "BiobjectiveResult",
-    "BranchAndBoundSolver",
     "Constraint",
     "ConstraintSense",
     "EpsilonConstraintSolver",
@@ -42,11 +37,8 @@ __all__ = [
     "ModelError",
     "Objective",
     "ObjectiveSense",
-    "SimplexResult",
     "SolveStatus",
     "Variable",
     "VariableKind",
-    "default_solver",
     "infer_step",
-    "solve_linear_program",
 ]

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from .highs import default_solver
+from .highs import HighsSolver
 from .model import (
     ConstraintSense,
     IntegerProgram,
@@ -90,11 +90,10 @@ def infer_step(coefficient_groups: Sequence[Sequence[float]], fallback: float = 
 class EpsilonConstraintSolver:
     """Enumerate the non-dominated set of a bi-objective integer program.
 
+    Each ε-subproblem is solved with :class:`HighsSolver`.
+
     Parameters
     ----------
-    solver:
-        Single-objective ILP solver exposing ``solve(program, objective)``;
-        defaults to the best available backend (HiGHS, else branch-and-bound).
     step:
         The ε decrement ``δ``; ``None`` derives it from the objective
         coefficients via :func:`infer_step`.
@@ -105,11 +104,9 @@ class EpsilonConstraintSolver:
 
     def __init__(
         self,
-        solver=None,
         step: Optional[float] = None,
         max_points: int = 100_000,
     ) -> None:
-        self.solver = solver if solver is not None else default_solver()
         self.step = step
         self.max_points = max_points
 
@@ -134,6 +131,7 @@ class EpsilonConstraintSolver:
                  list(secondary.expression.coefficients.values())]
             )
 
+        solver = HighsSolver()
         # Secondary objective normalised to minimisation for the ε bound.
         secondary_min_expr = secondary.as_minimization()
 
@@ -143,7 +141,7 @@ class EpsilonConstraintSolver:
 
         while len(points) < self.max_points:
             constrained = self._with_epsilon_bound(program, secondary_min_expr, epsilon)
-            first = self.solver.solve(constrained, primary)
+            first = solver.solve(constrained, primary)
             subproblems += 1
             if first.status is not SolveStatus.OPTIMAL:
                 break
@@ -153,7 +151,7 @@ class EpsilonConstraintSolver:
             # optimum, minimise the secondary objective.
             tightened = self._with_epsilon_bound(program, secondary_min_expr, epsilon)
             self._bound_primary(tightened, primary, primary_value, step)
-            second = self.solver.solve(tightened, secondary)
+            second = solver.solve(tightened, secondary)
             subproblems += 1
             if second.status is not SolveStatus.OPTIMAL:
                 # Numerical corner case: fall back to the first solution.

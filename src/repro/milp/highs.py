@@ -1,12 +1,10 @@
 """HiGHS backend: solve :class:`IntegerProgram` via ``scipy.optimize.milp``.
 
 The paper uses Gurobi (through YALMIP) to solve the ILP formulations of
-Theorems 6 and 7.  Gurobi is not available offline, so the primary backend
-here is the HiGHS mixed-integer solver bundled with SciPy, which solves the
-identical formulations to proven optimality; only wall-clock constants
-differ.  The pure-Python branch-and-bound solver
-(:mod:`repro.milp.branch_bound`) is the always-available fallback and the
-cross-check oracle.
+Theorems 6 and 7.  Gurobi is not available offline, so the single ILP
+solver here is the HiGHS mixed-integer solver bundled with SciPy, which
+solves the identical formulations to proven optimality; only wall-clock
+constants differ.
 """
 
 from __future__ import annotations
@@ -17,17 +15,12 @@ import sys
 import threading
 from typing import Iterator, Optional
 
+from scipy.optimize import Bounds, LinearConstraint, milp as _scipy_milp
 
 from .model import IntegerProgram, Objective
 from .solution import MilpSolution, SolveStatus
 
-try:
-    from scipy.optimize import LinearConstraint, milp as _scipy_milp
-    from scipy.optimize import Bounds
-except ImportError:  # pragma: no cover - SciPy is a declared dependency
-    _scipy_milp = None
-
-__all__ = ["HighsSolver", "default_solver"]
+__all__ = ["HighsSolver"]
 
 
 # The fd redirect below is process-global state, so overlapping solves
@@ -53,9 +46,7 @@ def _native_stdout_to_devnull() -> Iterator[None]:
     Reentrant and thread-safe: while any solve is in flight fd 1 stays on
     ``/dev/null``; the original descriptor returns when the last exits.
     The redirect is process-global, so stdout written by *other* threads
-    during that window — including a concurrent ``verbose=True`` solve's
-    log — is swallowed too; run verbose solves sequentially if their log
-    matters.
+    during that window is swallowed too.
     """
     global _gag_depth, _gag_saved_fd
     try:
@@ -87,32 +78,11 @@ def _native_stdout_to_devnull() -> Iterator[None]:
 
 
 class HighsSolver:
-    """Solve integer programs with SciPy's HiGHS MILP interface.
+    """Solve integer programs to proven optimality with SciPy's HiGHS.
 
-    Parameters
-    ----------
-    time_limit / mip_gap:
-        Passed to the HiGHS options verbatim.
-    verbose:
-        ``False`` (default) keeps the solve completely silent: solver
-        display stays off and HiGHS's stray native-stdout diagnostics are
-        suppressed at the file-descriptor level.  ``True`` enables the
-        solver log and leaves stdout alone.
+    Solves are silent: solver display stays off and HiGHS's stray
+    native-stdout diagnostics are suppressed at the file-descriptor level.
     """
-
-    def __init__(
-        self,
-        time_limit: Optional[float] = None,
-        mip_gap: float = 0.0,
-        verbose: bool = False,
-    ) -> None:
-        if _scipy_milp is None:  # pragma: no cover
-            raise RuntimeError(
-                "scipy.optimize.milp is unavailable; use BranchAndBoundSolver instead"
-            )
-        self.time_limit = time_limit
-        self.mip_gap = mip_gap
-        self.verbose = verbose
 
     def solve(
         self, program: IntegerProgram, objective: Optional[Objective] = None
@@ -125,20 +95,16 @@ class HighsSolver:
         constraints = []
         if a_ub.size:
             constraints.append(LinearConstraint(a_ub, ub=b_ub))
-        options = {"mip_rel_gap": self.mip_gap, "disp": self.verbose}
-        if self.time_limit is not None:
-            options["time_limit"] = self.time_limit
 
-        silencer = (
-            contextlib.nullcontext() if self.verbose else _native_stdout_to_devnull()
-        )
-        with silencer:
+        with _native_stdout_to_devnull():
             result = _scipy_milp(
                 c=c,
                 constraints=constraints,
                 bounds=Bounds(lb=lower, ub=upper),
                 integrality=integrality,
-                options=options,
+                # A zero gap keeps the answers exact: HiGHS would otherwise
+                # stop within its default 1e-4 relative gap of the optimum.
+                options={"mip_rel_gap": 0.0},
             )
 
         if result.status == 0 and result.x is not None:
@@ -156,20 +122,3 @@ class HighsSolver:
         if result.status == 3:
             return MilpSolution(status=SolveStatus.UNBOUNDED, backend="highs")
         return MilpSolution(status=SolveStatus.ERROR, backend="highs")
-
-
-def default_solver(prefer: str = "highs"):
-    """Return the preferred available single-objective ILP solver.
-
-    Parameters
-    ----------
-    prefer:
-        ``"highs"`` (default) or ``"branch-and-bound"``.  When HiGHS is
-        requested but SciPy's MILP interface is missing, the pure-Python
-        branch-and-bound solver is returned instead.
-    """
-    if prefer == "highs" and _scipy_milp is not None:
-        return HighsSolver()
-    from .branch_bound import BranchAndBoundSolver
-
-    return BranchAndBoundSolver()

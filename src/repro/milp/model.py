@@ -2,17 +2,13 @@
 
 The paper solves its DAG-like cost-damage problems by translating them into
 (bi-objective) integer linear programs and handing them to Gurobi through
-YALMIP (Section VII / X).  Neither tool is available here, so this package
-provides the whole substrate from scratch:
+YALMIP (Section VII / X).  Neither tool is open source, so this package
+builds the substrate around SciPy's HiGHS:
 
 * this module — the **model layer**: variables, linear expressions,
-  constraints, objectives, and conversion to the dense/sparse arrays the
-  solvers consume;
-* :mod:`repro.milp.simplex` — a pure-Python/numpy two-phase simplex for LP
-  relaxations;
-* :mod:`repro.milp.branch_bound` — a 0/1 branch-and-bound ILP solver on top
-  of either LP engine;
-* :mod:`repro.milp.highs` — a backend that delegates to
+  constraints, objectives, and conversion to the dense arrays the
+  solver consumes;
+* :mod:`repro.milp.highs` — the solver, which delegates to
   ``scipy.optimize.milp`` (the HiGHS solver shipped with SciPy);
 * :mod:`repro.milp.biobjective` — an ε-constraint driver that enumerates the
   exact non-dominated set of a bi-objective ILP.

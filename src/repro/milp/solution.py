@@ -1,4 +1,4 @@
-"""Solver result types shared by every MILP backend."""
+"""Solver result types of the MILP substrate."""
 
 from __future__ import annotations
 
@@ -37,17 +37,13 @@ class MilpSolution:
         ``None`` unless the status is optimal.
     assignment:
         Variable values; empty unless the status is optimal.
-    nodes_explored:
-        Number of branch-and-bound nodes processed (0 for direct backends
-        that do not expose the count).
     backend:
-        Name of the solving backend ("highs", "branch-and-bound", …).
+        Name of the solving backend (``"highs"``).
     """
 
     status: SolveStatus
     objective_value: Optional[float] = None
     assignment: Mapping[str, float] = field(default_factory=dict)
-    nodes_explored: int = 0
     backend: str = ""
 
     def value(self, variable: str) -> float:

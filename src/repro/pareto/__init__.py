@@ -1,7 +1,7 @@
 """Generic Pareto machinery: partial orders, minimisation, fronts, plotting."""
 
 from .front import ParetoFront, ParetoPoint
-from .plot import ascii_front, compare_fronts
+from .plot import ascii_front
 from .poset import (
     EPSILON,
     dominates_pair,
@@ -20,7 +20,6 @@ __all__ = [
     "ParetoFront",
     "ParetoPoint",
     "ascii_front",
-    "compare_fronts",
     "dominates_pair",
     "dominates_triple",
     "is_antichain_pairs",

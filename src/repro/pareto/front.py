@@ -225,30 +225,6 @@ class ParetoFront:
             for a, b in zip(mine, theirs)
         )
 
-    def hypervolume(self, cost_bound: Optional[float] = None) -> float:
-        """Area dominated by the front inside ``[0, cost_bound] × [0, max d]``.
-
-        A scalar quality indicator used by the genetic-approximation
-        extension to compare approximate fronts against the exact one.
-        """
-        if not self._points:
-            return 0.0
-        if cost_bound is None:
-            cost_bound = max(p.cost for p in self._points)
-        area = 0.0
-        # Walk points in decreasing cost; each step contributes a rectangle.
-        points = [p for p in self._points if p.cost <= cost_bound + EPSILON]
-        if not points:
-            return 0.0
-        upper = cost_bound
-        for point in sorted(points, key=lambda p: -p.cost):
-            width = upper - point.cost
-            if width > 0:
-                area += width * point.damage
-            upper = point.cost
-        # Note: damage achieved *at* cost 0 contributes nothing extra.
-        return area
-
     def table(self, header: bool = True) -> str:
         """Render the front as a plain-text table (used by the CLI/reports)."""
         lines = []

@@ -16,7 +16,7 @@ from typing import List
 
 from .front import ParetoFront
 
-__all__ = ["ascii_front", "compare_fronts"]
+__all__ = ["ascii_front"]
 
 
 def _scale(value: float, low: float, high: float, size: int) -> int:
@@ -90,42 +90,3 @@ def ascii_front(
     lines.append(" " * (label_width + 2) + "cost →  (damage ↑)")
     return "\n".join(lines)
 
-
-def compare_fronts(
-    exact: ParetoFront,
-    approximate: ParetoFront,
-    width: int = 60,
-    height: int = 18,
-    title: str = "",
-) -> str:
-    """Overlay an approximate front (``○``) on an exact one (``●``).
-
-    Used by the genetic-approximation benchmark reports: points of the
-    approximation that coincide with exact points render as ``●``.
-    """
-    exact_values = exact.values()
-    approx_values = approximate.values()
-    all_values = exact_values + approx_values
-    if not all_values:
-        return (title + "\n" if title else "") + "(empty fronts)"
-    max_cost = max(cost for cost, _ in all_values) or 1.0
-    max_damage = max(damage for _, damage in all_values) or 1.0
-
-    grid: List[List[str]] = [[" "] * width for _ in range(height)]
-    for cost, damage in approx_values:
-        column = _scale(cost, 0.0, max_cost, width)
-        row = _scale(damage, 0.0, max_damage, height)
-        grid[row][column] = "○"
-    for cost, damage in exact_values:
-        column = _scale(cost, 0.0, max_cost, width)
-        row = _scale(damage, 0.0, max_damage, height)
-        grid[row][column] = "●"
-
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for row in range(height - 1, -1, -1):
-        lines.append("|" + "".join(grid[row]))
-    lines.append("-" * (width + 1))
-    lines.append("● exact    ○ approximation   (cost →, damage ↑)")
-    return "\n".join(lines)

@@ -153,8 +153,7 @@ def validate_batch(
         try:
             request = AnalysisRequest.from_dict(entry)
             request.validate()
-            backend = session.resolve(request.problem, backend=request.backend)
-            backend.validate_options(request)
+            session.resolve(request.problem, backend=request.backend)
         except (ValueError, TypeError) as error:
             raise JobValidationError(
                 f"requests[{index}]: {error}", field="requests", index=index

@@ -20,7 +20,6 @@ from repro.core.enumerative import (
     enumerate_pareto_front,
 )
 from repro.core.semantics import attack_cost, attack_damage
-from repro.milp.branch_bound import BranchAndBoundSolver
 from repro.milp.model import ConstraintSense
 
 from ..conftest import make_random_tree
@@ -86,16 +85,6 @@ class TestParetoFrontBilp:
                 continue
             assert attack_cost(model, point.attack) == pytest.approx(point.cost)
             assert attack_damage(model, point.attack) == pytest.approx(point.damage)
-
-    def test_branch_and_bound_backend(self):
-        solver = BranchAndBoundSolver()
-        assert pareto_front_bilp(factory(), solver=solver).values() == \
-            pareto_front_treelike(factory()).values()
-
-    def test_branch_and_bound_with_pure_simplex_backend(self):
-        solver = BranchAndBoundSolver(lp_engine="simplex")
-        assert pareto_front_bilp(factory(), solver=solver).values() == \
-            pareto_front_treelike(factory()).values()
 
     @staticmethod
     def _assert_fronts_close(mine, oracle):

@@ -108,19 +108,11 @@ class TestTable1Resolution:
         assert "bottom-up" in table[("probabilistic", "tree")]
         assert "open problem" in table[("probabilistic", "dag")]
 
-    def test_approximate_backends_never_auto_resolve(self, registry):
-        """Genetic covers every cell but requires explicit opt-in."""
-        for problem in DETERMINISTIC:
-            for model in (factory(), data_server()):
-                assert registry.resolve(problem, model).exact
-        for problem in PROBABILISTIC:
-            assert registry.resolve(problem, panda_iot()).exact
-
 
 class TestExplicitSelection:
     def test_one_backend_per_method(self):
         assert [backend.name for backend in standard_backends()] == [
-            "bottom-up", "conditioning", "bilp", "enumerative", "genetic",
+            "bottom-up", "conditioning", "bilp", "enumerative",
         ]
 
     def test_every_standard_backend_reachable_by_name(self, registry):
@@ -199,22 +191,14 @@ class TestRegistration:
 
     def test_unregister(self):
         registry = default_registry()
-        registry.unregister("genetic")
-        assert "genetic" not in registry
+        registry.unregister("enumerative")
+        assert "enumerative" not in registry
         with pytest.raises(UnknownBackendError):
-            registry.get("genetic")
+            registry.get("enumerative")
 
     def test_empty_registry_reports_uncovered_cell(self):
         registry = BackendRegistry()
-        with pytest.raises(CapabilityError, match="no exact backend"):
-            registry.resolve(Problem.CDPF, factory())
-
-    def test_uncovered_cell_hints_at_approximate_backends(self):
-        registry = BackendRegistry()
-        for backend in standard_backends():
-            if not backend.exact:
-                registry.register(backend)
-        with pytest.raises(CapabilityError, match="genetic"):
+        with pytest.raises(CapabilityError, match="no backend covers"):
             registry.resolve(Problem.CDPF, factory())
 
 

@@ -17,42 +17,20 @@ class TestRequestRoundTrip:
         assert restored.cache_key() == request.cache_key()
 
     def test_full_request(self):
-        request = AnalysisRequest(
-            Problem.EDGC,
-            budget=7.5,
-            backend="genetic",
-            options={"generations": 500, "seed": 3},
-        )
+        request = AnalysisRequest(Problem.EDGC, budget=7.5, backend="enumerative")
         restored = AnalysisRequest.from_json(request.to_json())
         assert restored == request
-        assert restored.option("seed") == 3
-        assert restored.options_dict() == {"generations": 500, "seed": 3}
+        assert restored.cache_key() == request.cache_key()
+        assert restored.to_dict() == {
+            "problem": "edgc", "budget": 7.5, "backend": "enumerative",
+        }
 
     def test_problem_accepts_string_value(self):
         assert AnalysisRequest("cgd", threshold=2).problem is Problem.CGD
 
-    def test_options_mapping_is_canonicalized(self):
-        a = AnalysisRequest(Problem.CDPF, options={"x": 1, "y": 2})
-        b = AnalysisRequest(Problem.CDPF, options={"y": 2, "x": 1})
-        assert a == b and hash(a) == hash(b)
-
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown request fields"):
             AnalysisRequest.from_dict({"problem": "cdpf", "bugdet": 3})
-
-    def test_array_option_values_stay_hashable(self):
-        """JSON arrays in options must not break the session cache."""
-        request = AnalysisRequest(Problem.CDPF, options={"weights": [1, 2]})
-        assert hash(request) == hash(AnalysisRequest.from_json(request.to_json()))
-        assert request.option("weights") == (1, 2)
-
-    def test_nested_object_option_values_rejected_eagerly(self):
-        with pytest.raises(ValueError, match="option 'cfg'"):
-            AnalysisRequest(Problem.CDPF, options={"cfg": {"a": 1}})
-        with pytest.raises(ValueError, match="option 'cfg'"):
-            AnalysisRequest.from_dict(
-                {"problem": "cdpf", "options": {"cfg": {"a": 1}}}
-            )
 
     def test_missing_problem_rejected(self):
         with pytest.raises(ValueError, match="missing the 'problem'"):

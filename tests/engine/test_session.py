@@ -1,22 +1,19 @@
 """Tests for AnalysisSession: caching, batches, backend reachability."""
 
+import json
+import urllib.error
+import urllib.request
+
 import pytest
 
+from repro.attacktree import serialization
 from repro.attacktree.builder import AttackTreeBuilder
 from repro.attacktree.catalog import data_server, factory, panda_iot
+from repro.cli import main
 from repro.core.problems import Problem
+from repro.distributed import SqliteQueue
 from repro.engine import AnalysisRequest, AnalysisSession, model_fingerprint
-
-
-def small_probabilistic_dag():
-    """A tiny probabilistic DAG (shared BAS under two gates)."""
-    builder = AttackTreeBuilder()
-    builder.bas("a", cost=1, probability=0.5)
-    builder.bas("b", cost=2, damage=5, probability=0.8)
-    builder.and_gate("g1", ["a", "b"], damage=10)
-    builder.and_gate("g2", ["a"], damage=3)
-    builder.or_gate("root", ["g1", "g2"], damage=20)
-    return builder.build_cdp(root="root")
+from repro.service import API_KEY_HEADER, ServiceServer, Tenant, TenantRegistry
 
 
 class TestCaching:
@@ -152,8 +149,8 @@ class TestMetadata:
 
 
 class TestAllProblemsViaRegistryAlone:
-    """Acceptance: all six problems + three extension solvers through the
-    session with no Method-enum dispatch anywhere on the path."""
+    """Acceptance: all six problems through the session with no
+    Method-enum dispatch anywhere on the path."""
 
     def test_six_problems_on_panda(self):
         session = AnalysisSession(panda_iot())
@@ -176,21 +173,6 @@ class TestAllProblemsViaRegistryAlone:
         assert cged.value == 7
         assert {r.backend for r in results} == {"bottom-up"}
 
-    def test_genetic_backend_reachable(self):
-        session = AnalysisSession(factory())
-        result = session.run(
-            AnalysisRequest(
-                Problem.CDPF,
-                backend="genetic",
-                options={"generations": 20, "population_size": 32},
-            )
-        )
-        assert result.backend == "genetic"
-        assert result.extras.get("approximate") is True
-        # NSGA-II recovers the tiny factory front exactly.
-        exact = session.run(AnalysisRequest(Problem.CDPF)).front
-        assert result.front.values() == exact.values()
-
 
 class TestWrongRequests:
     def test_budget_required(self):
@@ -211,30 +193,50 @@ class TestWrongRequests:
                 AnalysisRequest(Problem.CDPF, backend="quantum")
             )
 
-    def test_typoed_option_key_rejected(self):
-        """'generation' (a typo for generations) must not be silently
-        ignored and run with the default generation count."""
-        session = AnalysisSession(small_probabilistic_dag())
-        with pytest.raises(ValueError, match="generations"):
-            session.run(
-                AnalysisRequest(
-                    Problem.CEDPF, backend="genetic", options={"generation": 5}
-                )
-            )
 
-    def test_option_for_optionless_backend_rejected(self):
-        with pytest.raises(ValueError, match="does not accept option"):
-            AnalysisSession(factory()).run(
-                AnalysisRequest(Problem.CDPF, options={"weights": (1, 2)})
-            )
+class TestOptionsRefused:
+    """Requests carry no backend options: a wire request that still has an
+    ``"options"`` field is refused at every entry point, never silently
+    run without them."""
 
-    def test_wrongly_typed_option_value_rejected(self):
-        session = AnalysisSession(small_probabilistic_dag())
-        with pytest.raises(ValueError, match="must be int"):
-            session.run(
-                AnalysisRequest(
-                    Problem.CEDPF,
-                    backend="genetic",
-                    options={"generations": "lots"},
-                )
+    WITH_OPTIONS = {"problem": "cdpf", "options": {"generations": 5}}
+
+    def test_from_dict_raises(self):
+        with pytest.raises(ValueError, match=r"unknown request fields: \['options'\]"):
+            AnalysisRequest.from_dict(self.WITH_OPTIONS)
+
+    def test_batch_cli_exits_2_with_one_line(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        serialization.save_json(factory(), str(model))
+        requests = tmp_path / "requests.json"
+        requests.write_text(json.dumps([{"problem": "cdpf"}, self.WITH_OPTIONS]))
+        assert main(["batch", str(model), str(requests)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error_lines = [line for line in captured.err.splitlines() if line]
+        assert len(error_lines) == 1
+        assert error_lines[0].startswith("atcd: ")
+        assert "[1]" in error_lines[0] and "options" in error_lines[0]
+
+    def test_service_answers_400_and_enqueues_nothing(self, tmp_path):
+        key = "acme-key-12345678"
+        queue = SqliteQueue(str(tmp_path / "api.queue"))
+        registry = TenantRegistry([Tenant(name="acme", key=key)])
+        with ServiceServer(queue, registry, poll_seconds=0.01) as service:
+            service.start()
+            body = {
+                "model": serialization.to_dict(factory()),
+                "requests": [{"problem": "cdpf"}, self.WITH_OPTIONS],
+            }
+            request = urllib.request.Request(
+                service.url + "/v1/jobs", data=json.dumps(body).encode("utf-8"),
+                method="POST", headers={API_KEY_HEADER: key},
             )
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                urllib.request.urlopen(request, timeout=30)
+            assert caught.value.code == 400
+            doc = json.loads(caught.value.read().decode("utf-8"))
+            assert doc["kind"] == "validation"
+            assert doc["index"] == 1
+            assert "options" in doc["error"]
+            assert queue.tasks() == []

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.milp.biobjective import EpsilonConstraintSolver, infer_step
-from repro.milp.branch_bound import BranchAndBoundSolver
 from repro.milp.model import (
     IntegerProgram,
     LinearExpression,
@@ -76,13 +75,6 @@ class TestEpsilonConstraint:
         program, value_obj, weight_obj = biobjective_knapsack()
         result = EpsilonConstraintSolver().solve(program, value_obj, weight_obj)
         assert result.subproblems_solved >= 2 * len(result.points)
-
-    def test_branch_and_bound_backend(self):
-        program, value_obj, weight_obj = biobjective_knapsack()
-        result = EpsilonConstraintSolver(solver=BranchAndBoundSolver()).solve(
-            program, value_obj, weight_obj
-        )
-        assert set(result.values()) == brute_force_front()
 
     def test_max_points_cap(self):
         program, value_obj, weight_obj = biobjective_knapsack()

@@ -1,6 +1,5 @@
 """Unit and property tests for the ParetoFront object."""
 
-import pytest
 from hypothesis import given, settings
 
 from repro.pareto.front import ParetoFront, ParetoPoint
@@ -105,20 +104,6 @@ class TestSetOperations:
 
 
 class TestIndicatorsAndDisplay:
-    def test_hypervolume_monotone_in_points(self):
-        small = ParetoFront.from_values([(0, 0), (5, 100)])
-        large = ParetoFront.from_values([(0, 0), (1, 80), (5, 100)])
-        bound = 10
-        assert large.hypervolume(bound) >= small.hypervolume(bound)
-
-    def test_hypervolume_simple_rectangle(self):
-        front = ParetoFront.from_values([(0, 0), (2, 10)])
-        # Damage 10 is available on [2, 4]: area 2 * 10 = 20.
-        assert front.hypervolume(4) == pytest.approx(20)
-
-    def test_hypervolume_empty(self):
-        assert ParetoFront([]).hypervolume(10) == 0.0
-
     def test_table_rendering(self):
         front = ParetoFront.from_attacks([(frozenset({"ca"}), 1.0, 200.0)])
         text = front.table()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.pareto.front import ParetoFront
-from repro.pareto.plot import ascii_front, compare_fronts
+from repro.pareto.plot import ascii_front
 
 
 @pytest.fixture
@@ -45,15 +45,3 @@ class TestAsciiFront:
     def test_custom_marker(self, factory_front):
         plot = ascii_front(factory_front, marker="X")
         assert "X" in plot and "●" not in plot
-
-
-class TestCompareFronts:
-    def test_overlay_markers(self, factory_front):
-        approximate = ParetoFront.from_values([(0, 0), (3, 180)])
-        plot = compare_fronts(factory_front, approximate, title="cmp")
-        assert "●" in plot and "○" in plot
-        assert "cmp" in plot
-        assert "exact" in plot
-
-    def test_empty_inputs(self):
-        assert "(empty fronts)" in compare_fronts(ParetoFront([]), ParetoFront([]))
