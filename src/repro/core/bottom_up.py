@@ -31,21 +31,27 @@ local BAS universe (child masks are shifted and OR-ed when folding a gate),
 so combining two partial attacks is one integer OR instead of a frozenset
 union.  Because the bit of ``R`` strictly beats the bit of ``N``, the DTrip
 minimisation reduces to: staircase each quadrant, then drop ``N`` entries
-weakly dominated by an ``R`` entry (a single merge scan).  Structurally
-identical subtrees (same gate types, decorations and child order) are
-detected by an interned fingerprint and computed once.  Masks are
-materialised back to ``frozenset[str]`` — and the paper's ε-tolerant
-``min_U`` is applied — only at the public API boundary, so exact internal
-pruning keeps a superset of every ε-pruned front and remains sound.
+weakly dominated by an ``R`` entry (a single merge scan).  The post-order
+traversal and the memo of structurally identical subtrees (same gate types,
+decorations and child order, detected by an interned fingerprint) are the
+:class:`_Kernel` driver, which the probabilistic setting shares.
+
+Masks are materialised back to ``frozenset[str]`` — and the paper's
+ε-tolerant ``min`` is applied — only at the public API boundary, so exact
+internal pruning keeps a superset of every ε-pruned front and remains
+sound.  The answers (CDPF, DgC, CgD) need only the ``(cost, damage)``
+projection of the root rows, so they minimise once, in 2-D; only
+:func:`node_pareto_front`, the paper's ``C_U(v)``, minimises in the full
+DTrip order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Generic, List, Optional, Tuple, TypeVar, Union
 
-from ..attacktree.attributes import CostDamageAT
+from ..attacktree.attributes import CostDamageAT, CostDamageProbAT
 from ..attacktree.node import NodeType
 from ..pareto.front import ParetoFront, ParetoPoint
 from ..pareto.poset import EPSILON, pareto_minimal_pairs, pareto_minimal_triples
@@ -88,6 +94,9 @@ class AttributedAttack:
 # A quadrant front: parallel (costs, damages, masks) lists forming an exact
 # 2-D staircase — costs strictly increasing, damages strictly increasing.
 _Front = Tuple[List[float], List[float], List[int]]
+
+# A node's DTrip front: its (N, R) quadrants.
+_Quadrants = Tuple[_Front, _Front]
 
 _EMPTY_FRONT: _Front = ([], [], [])
 
@@ -173,97 +182,141 @@ def _mask_to_attack(mask: int, names: Tuple[str, ...]) -> FrozenSet[str]:
     return frozenset(selected)
 
 
-class _TripleKernel:
-    """Reachability-tracking bottom-up fold over (N, R) quadrant fronts.
+F = TypeVar("F")
 
-    One instance per solver call: the memo caches each structural
-    fingerprint's computed quadrants, so decoration-identical subtrees
+
+class _Kernel(Generic[F]):
+    """The bottom-up fold of both settings, over node fronts of type ``F``.
+
+    One instance per solver call.  The driver visits the subtree in
+    iterative post-order (reversed pre-order, so deep chains do not hit the
+    interpreter recursion limit) and memoises each structural fingerprint's
+    front — ``("B", *decoration)`` for a BAS, ``(gate type, gate damage,
+    child fingerprints)`` for a gate — so decoration-identical subtrees
     (common in generated workloads) are folded once.  Memoised fronts are
-    shared read-only; masks live in the subtree-local bit universe, so a hit
-    is valid for every occurrence regardless of the actual BAS names.
+    shared read-only; masks live in the subtree-local bit universe, so a
+    hit is valid for every occurrence regardless of the actual BAS names.
+
+    A setting supplies :meth:`_decoration` and :meth:`_leaf` (a BAS's
+    front), :meth:`_fold` (one child into a gate's running combination)
+    and :meth:`_add_gate_damage`.
     """
 
-    def __init__(self, cdat: CostDamageAT, limit: float) -> None:
-        self.cdat = cdat
+    #: The message refusing a DAG-like tree, whose shared subtrees this
+    #: recursion would double count (Section VII).
+    dag_error: str
+
+    def __init__(
+        self, model: Union[CostDamageAT, CostDamageProbAT], limit: float
+    ) -> None:
+        self.model = model
         self.limit = limit
         self.fingerprints: Dict[object, int] = {}
-        self.memo: Dict[int, Tuple[_Front, _Front, int]] = {}
+        self.memo: Dict[int, F] = {}
+
+    @classmethod
+    def run(
+        cls,
+        model: Union[CostDamageAT, CostDamageProbAT],
+        node: Optional[str],
+        budget: float,
+    ) -> Tuple[F, Tuple[str, ...]]:
+        """Validate the arguments and fold ``node``'s subtree (the root when
+        ``None``) under the cost budget."""
+        tree = model.tree
+        if not tree.is_treelike:
+            raise ValueError(cls.dag_error)
+        if budget < 0:
+            raise ValueError("the cost budget must be non-negative")
+        target = node if node is not None else tree.root
+        if target not in tree.nodes:
+            raise KeyError(f"no node named {target!r} in this attack tree")
+        return cls(model, budget + EPSILON).compute(target)
 
     def _intern(self, key: object) -> int:
         return self.fingerprints.setdefault(key, len(self.fingerprints))
 
-    def compute(self, target: str) -> Tuple[_Front, _Front, Tuple[str, ...]]:
-        """Return ``(n_front, r_front, bas_names)`` for the target's subtree.
-
-        Iterative post-order (reversed pre-order) so deep chains do not hit
-        the interpreter recursion limit.
-        """
-        tree = self.cdat.tree
+    def compute(self, target: str) -> Tuple[F, Tuple[str, ...]]:
+        """Return the target's front and its subtree's BAS names (mask bit
+        ``i`` is ``names[i]``)."""
+        tree = self.model.tree
         order: List[str] = []
         stack = [target]
         while stack:
             name = stack.pop()
             order.append(name)
             stack.extend(tree.node(name).children)
-        # name -> (n_front, r_front, bas_names, fingerprint id)
-        done: Dict[str, Tuple[_Front, _Front, Tuple[str, ...], int]] = {}
+        # name -> (front, bas_names, fingerprint id)
+        done: Dict[str, Tuple[F, Tuple[str, ...], int]] = {}
         for name in reversed(order):
             node = tree.node(name)
             if node.is_bas:
-                cost = self.cdat.cost[name]
-                damage = self.cdat.damage[name]
-                fingerprint = self._intern(("B", cost, damage))
-                cached = self.memo.get(fingerprint)
-                if cached is None:
-                    if cost > self.limit:
-                        cached = (([0.0], [0.0], [0]), _EMPTY_FRONT, 1)
-                    else:
-                        cached = (([0.0], [0.0], [0]), ([cost], [damage], [1]), 1)
-                    self.memo[fingerprint] = cached
-                done[name] = (cached[0], cached[1], (name,), fingerprint)
+                decoration = self._decoration(name)
+                fingerprint = self._intern(("B",) + decoration)
+                front = self.memo.get(fingerprint)
+                if front is None:
+                    front = self.memo[fingerprint] = self._leaf(*decoration)
+                done[name] = (front, (name,), fingerprint)
                 continue
-            child_results = [done[child] for child in node.children]
+            children = [done[child] for child in node.children]
             names: Tuple[str, ...] = ()
-            for _, _, child_names, _ in child_results:
+            for _, child_names, _ in children:
                 names += child_names
-            gate_damage = self.cdat.damage[name]
+            gate_damage = self.model.damage[name]
             fingerprint = self._intern(
-                (node.type.value, gate_damage, tuple(r[3] for r in child_results))
+                (node.type.value, gate_damage, tuple(child[2] for child in children))
             )
-            cached = self.memo.get(fingerprint)
-            if cached is not None:
-                done[name] = (cached[0], cached[1], names, fingerprint)
-                continue
-            n_front, r_front, _, _ = child_results[0]
-            width = len(child_results[0][2])
-            for child_n, child_r, child_names, _ in child_results[1:]:
-                n_front, r_front = self._fold(
-                    n_front, r_front, child_n, child_r, node.type, width
-                )
-                width += len(child_names)
-            if gate_damage != 0.0 and r_front[0]:
-                r_front = (
-                    r_front[0],
-                    [value + gate_damage for value in r_front[1]],
-                    r_front[2],
-                )
-                n_front = _filter_not_reached(n_front, r_front)
-            self.memo[fingerprint] = (n_front, r_front, len(names))
-            done[name] = (n_front, r_front, names, fingerprint)
-        n_front, r_front, names, _ = done[target]
-        return n_front, r_front, names
+            front = self.memo.get(fingerprint)
+            if front is None:
+                conjunctive = node.type is NodeType.AND
+                front, first_names, _ = children[0]
+                width = len(first_names)
+                for child_front, child_names, _ in children[1:]:
+                    front = self._fold(front, child_front, conjunctive, width)
+                    width += len(child_names)
+                if gate_damage != 0.0:
+                    front = self._add_gate_damage(front, gate_damage)
+                self.memo[fingerprint] = front
+            done[name] = (front, names, fingerprint)
+        front, names, _ = done[target]
+        return front, names
+
+    def _decoration(self, name: str) -> tuple:
+        raise NotImplementedError
+
+    def _leaf(self, *decoration: float) -> F:
+        raise NotImplementedError
+
+    def _fold(self, acc: F, child: F, conjunctive: bool, shift: int) -> F:
+        raise NotImplementedError
+
+    def _add_gate_damage(self, front: F, gate_damage: float) -> F:
+        raise NotImplementedError
+
+
+class _TripleKernel(_Kernel[_Quadrants]):
+    """The DTrip setting: a node's front is its (N, R) quadrant pair."""
+
+    dag_error = (
+        "the bottom-up method requires a treelike AT; "
+        "use repro.core.bilp for DAG-like ATs (Theorem 6)"
+    )
+
+    def _decoration(self, name: str) -> Tuple[float, float]:
+        return (self.model.cost[name], self.model.damage[name])
+
+    def _leaf(self, cost: float, damage: float) -> _Quadrants:
+        if cost > self.limit:
+            return ([0.0], [0.0], [0]), _EMPTY_FRONT
+        return ([0.0], [0.0], [0]), ([cost], [damage], [1])
 
     def _fold(
-        self,
-        acc_n: _Front,
-        acc_r: _Front,
-        child_n: _Front,
-        child_r: _Front,
-        gate_type: NodeType,
-        shift: int,
-    ) -> Tuple[_Front, _Front]:
+        self, acc: _Quadrants, child: _Quadrants, conjunctive: bool, shift: int
+    ) -> _Quadrants:
         """Fold one child into the running combination (Equations (4)–(5))."""
-        if gate_type is NodeType.AND:
+        acc_n, acc_r = acc
+        child_n, child_r = child
+        if conjunctive:
             r_products = [(acc_r, child_r, shift)]
             n_products = [
                 (acc_n, child_n, shift),
@@ -281,107 +334,31 @@ class _TripleKernel:
         n_front = _combine(n_products, self.limit)
         return _filter_not_reached(n_front, r_front), r_front
 
+    def _add_gate_damage(self, front: _Quadrants, gate_damage: float) -> _Quadrants:
+        """Only reached rows earn the gate's damage; it may now dominate
+        ``N`` rows."""
+        n_front, r_front = front
+        if not r_front[0]:
+            return front
+        r_front = (r_front[0], [value + gate_damage for value in r_front[1]], r_front[2])
+        return _filter_not_reached(n_front, r_front), r_front
 
-class _PairKernel:
-    """The ablation kernel: 2-D pruning that ignores the reached bit.
 
-    This reproduces the *incorrect* naive propagation the paper warns about
-    (Example 4) and is exposed only for the ablation study.  Each node's
-    front is a single staircase of ``(cost, damage, reached, mask)`` rows;
-    the reached flag rides along (it decides gate-damage application) but
-    takes no part in domination.
-    """
-
-    def __init__(self, cdat: CostDamageAT, limit: float) -> None:
-        self.cdat = cdat
-        self.limit = limit
-        self.fingerprints: Dict[object, int] = {}
-        self.memo: Dict[int, Tuple[list, int]] = {}
-
-    def _intern(self, key: object) -> int:
-        return self.fingerprints.setdefault(key, len(self.fingerprints))
-
-    @staticmethod
-    def _staircase(buffer: list) -> list:
-        buffer.sort(key=lambda entry: (entry[0], -entry[1]))
-        kept = []
-        best = -math.inf
-        for entry in buffer:
-            if entry[1] > best:
-                kept.append(entry)
-                best = entry[1]
-        return kept
-
-    def compute(self, target: str) -> Tuple[list, Tuple[str, ...]]:
-        tree = self.cdat.tree
-        order: List[str] = []
-        stack = [target]
-        while stack:
-            name = stack.pop()
-            order.append(name)
-            stack.extend(tree.node(name).children)
-        done: Dict[str, Tuple[list, Tuple[str, ...], int]] = {}
-        for name in reversed(order):
-            node = tree.node(name)
-            if node.is_bas:
-                cost = self.cdat.cost[name]
-                damage = self.cdat.damage[name]
-                fingerprint = self._intern(("B", cost, damage))
-                cached = self.memo.get(fingerprint)
-                if cached is None:
-                    front = [(0.0, 0.0, False, 0)]
-                    if cost <= self.limit:
-                        front = self._staircase(front + [(cost, damage, True, 1)])
-                    cached = (front, 1)
-                    self.memo[fingerprint] = cached
-                done[name] = (cached[0], (name,), fingerprint)
-                continue
-            child_results = [done[child] for child in node.children]
-            names: Tuple[str, ...] = ()
-            for _, child_names, _ in child_results:
-                names += child_names
-            gate_damage = self.cdat.damage[name]
-            fingerprint = self._intern(
-                (node.type.value, gate_damage, tuple(r[2] for r in child_results))
-            )
-            cached = self.memo.get(fingerprint)
-            if cached is not None:
-                done[name] = (cached[0], names, fingerprint)
-                continue
-            conjunctive = node.type is NodeType.AND
-            front = child_results[0][0]
-            width = len(child_results[0][1])
-            for child_front, child_names, _ in child_results[1:]:
-                buffer = []
-                for lc, ld, lr, lmask in front:
-                    for rc, rd, rr, rmask in child_front:
-                        cost = lc + rc
-                        if cost > self.limit:
-                            break
-                        reached = (lr and rr) if conjunctive else (lr or rr)
-                        buffer.append(
-                            (cost, ld + rd, reached, lmask | (rmask << width))
-                        )
-                front = self._staircase(buffer)
-                width += len(child_names)
-            if gate_damage != 0.0:
-                front = self._staircase(
-                    [
-                        (cost, damage + gate_damage if reached else damage, reached, mask)
-                        for cost, damage, reached, mask in front
-                    ]
-                )
-            self.memo[fingerprint] = (front, len(names))
-            done[name] = (front, names, fingerprint)
-        front, names, _ = done[target]
-        return front, names
+def _root_points(cdat: CostDamageAT, budget: float) -> List[ParetoPoint]:
+    """The root rows as (cost, damage) points with witnesses, unminimised."""
+    (n_front, r_front), names = _TripleKernel.run(cdat, None, budget)
+    return [
+        ParetoPoint(cost=cost, damage=damage, attack=_mask_to_attack(mask, names),
+                    reaches_root=reached)
+        for reached, front in ((False, n_front), (True, r_front))
+        for cost, damage, mask in zip(*front)
+    ]
 
 
 def node_pareto_front(
     cdat: CostDamageAT,
     node: Optional[str] = None,
     budget: float = math.inf,
-    track_reachability: bool = True,
 ) -> List[AttributedAttack]:
     """Compute the incomplete Pareto front ``C^D_U(v)`` of a node.
 
@@ -393,10 +370,6 @@ def node_pareto_front(
         The node whose front to return; defaults to the root.
     budget:
         The cost budget ``U``; ``inf`` for the unconstrained CDPF case.
-    track_reachability:
-        Keep the third (reached) dimension in the Pareto order, as the paper
-        requires.  Setting this to ``False`` reproduces the naive two
-        dimensional propagation that loses optimal attacks (ablation only).
 
     Returns
     -------
@@ -410,75 +383,29 @@ def node_pareto_front(
         If the underlying tree is DAG-like — shared subtrees would be double
         counted by this recursion (Section VII); use the BILP solver instead.
     """
-    tree = cdat.tree
-    if not tree.is_treelike:
-        raise ValueError(
-            "the bottom-up method requires a treelike AT; "
-            "use repro.core.bilp for DAG-like ATs (Theorem 6)"
-        )
-    if budget < 0:
-        raise ValueError("the cost budget must be non-negative")
-    target = node if node is not None else tree.root
-    if target not in tree.nodes:
-        raise KeyError(f"no node named {target!r} in this attack tree")
-
-    limit = budget + EPSILON
-    if track_reachability:
-        kernel = _TripleKernel(cdat, limit)
-        n_front, r_front, names = kernel.compute(target)
-        items = [
-            AttributedAttack(
-                cost=cost, damage=damage, reached=False,
-                attack=_mask_to_attack(mask, names),
-            )
-            for cost, damage, mask in zip(*n_front)
-        ]
-        items += [
-            AttributedAttack(
-                cost=cost, damage=damage, reached=True,
-                attack=_mask_to_attack(mask, names),
-            )
-            for cost, damage, mask in zip(*r_front)
-        ]
-        # The paper's ε-tolerant min_U is applied once, at the boundary.
-        return pareto_minimal_triples(items, key=lambda item: item.triple)
-
-    pair_kernel = _PairKernel(cdat, limit)
-    front, names = pair_kernel.compute(target)
+    (n_front, r_front), names = _TripleKernel.run(cdat, node, budget)
     items = [
-        AttributedAttack(
-            cost=cost, damage=damage, reached=reached,
-            attack=_mask_to_attack(mask, names),
-        )
-        for cost, damage, reached, mask in front
+        AttributedAttack(cost=cost, damage=damage, reached=reached,
+                         attack=_mask_to_attack(mask, names))
+        for reached, front in ((False, n_front), (True, r_front))
+        for cost, damage, mask in zip(*front)
     ]
-    return pareto_minimal_pairs(items, key=lambda item: (item.cost, item.damage))
+    # The paper's ε-tolerant min_U in the DTrip order, applied once.
+    return pareto_minimal_triples(items, key=lambda item: item.triple)
 
 
 def pareto_front_treelike(
     cdat: CostDamageAT,
     budget: float = math.inf,
-    track_reachability: bool = True,
 ) -> ParetoFront:
     """Solve CDPF for a treelike cd-AT bottom-up (Theorem 4).
 
-    The incomplete front at the root is projected onto ``(cost, damage)``
-    and minimised.  With a finite ``budget`` this instead yields the Pareto
-    front restricted to affordable attacks, from which DgC can be read off
+    The root rows are projected onto ``(cost, damage)`` and minimised.
+    With a finite ``budget`` this instead yields the Pareto front
+    restricted to affordable attacks, from which DgC can be read off
     (Theorem 3).
     """
-    root_front = node_pareto_front(
-        cdat,
-        cdat.tree.root,
-        budget=budget,
-        track_reachability=track_reachability,
-    )
-    points = [
-        ParetoPoint(cost=item.cost, damage=item.damage, attack=item.attack,
-                    reaches_root=item.reached)
-        for item in root_front
-    ]
-    return ParetoFront(points)
+    return ParetoFront(_root_points(cdat, budget))
 
 
 def max_damage_given_cost_treelike(
@@ -488,17 +415,14 @@ def max_damage_given_cost_treelike(
 
     Propagates the budget ``U`` through the bottom-up recursion so that
     partial attacks exceeding the budget are discarded early, then returns
-    the most damaging affordable triple at the root.  Damage ties are broken
-    towards the least cost, then the fewest activated BASs, so the witness
-    is never needlessly expensive.
+    the most damaging affordable point of the root's (cost, damage) front.
+    Damage ties are broken towards the least cost, then the fewest
+    activated BASs, so the witness is never needlessly expensive.
     """
     if budget < 0:
         return 0.0, None
-    root_front = node_pareto_front(cdat, cdat.tree.root, budget=budget)
-    best = max(
-        root_front,
-        key=lambda item: (item.damage, -item.cost, -len(item.attack)),
-    )
+    points = pareto_minimal_pairs(_root_points(cdat, budget), key=lambda p: p.value)
+    best = max(points, key=lambda p: (p.damage, -p.cost, -len(p.attack)))
     return best.damage, best.attack
 
 

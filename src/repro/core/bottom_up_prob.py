@@ -33,11 +33,17 @@ subtree-local BAS universe.  Because the reach probability is continuous the
 front cannot be split into reached/not-reached quadrants; instead pruning is
 an exact 3-D sweep: rows are sorted by (cost asc, damage desc, probability
 desc) and checked against a monotone (damage, probability) skyline of the
-rows kept so far, which makes each insertion ``O(log k)`` amortised instead
-of the former ``O(k)`` window scan.  Structurally identical subtrees are
-memoised by interned fingerprint; masks are materialised to
-``frozenset[str]`` and the paper's ε-tolerant ``min_U`` applied only at the
-API boundary.
+rows kept so far, which makes each insertion ``O(log k)`` amortised.  The
+traversal and the memo of structurally identical subtrees are the shared
+:class:`repro.core.bottom_up._Kernel` driver; this module supplies only the
+PTrip leaf front, child fold and gate-damage step.
+
+Masks are materialised to ``frozenset[str]`` and the paper's ε-tolerant
+``min`` applied only at the API boundary.  The answers (CEDPF, EDgC, CgED)
+read ``(cost, expected damage)`` alone (Theorems 8–9), so they minimise the
+projected root rows once, in 2-D; only
+:func:`node_pareto_front_probabilistic`, the paper's ``C^P_U(v)``,
+minimises in the full PTrip order.
 """
 
 from __future__ import annotations
@@ -45,12 +51,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from ..attacktree.attributes import CostDamageProbAT
-from ..attacktree.node import NodeType
 from ..pareto.front import ParetoFront, ParetoPoint
-from ..pareto.poset import EPSILON, pareto_minimal_triples
+from ..pareto.poset import pareto_minimal_pairs, pareto_minimal_triples
+from .bottom_up import _Kernel, _mask_to_attack
 
 __all__ = [
     "ProbabilisticAttributedAttack",
@@ -134,84 +140,25 @@ def _prune3(buffer: List[Tuple[float, float, float, int]]) -> _Rows:
     return costs, damages, probabilities, masks
 
 
-class _ProbKernel:
-    """Bottom-up PTrip fold with fingerprint memoisation.
+class _ProbKernel(_Kernel[_Rows]):
+    """The PTrip setting: a node's front is one exactly minimal row set."""
 
-    One instance per solver call; see :class:`repro.core.bottom_up._TripleKernel`
-    for the memo discipline (fronts are shared read-only, masks live in the
-    subtree-local bit universe).
-    """
+    dag_error = (
+        "the probabilistic bottom-up method requires a treelike AT; "
+        "probabilistic DAG-like analysis is an open problem in the paper "
+        "(see repro.core.enumerative for the exhaustive baseline)"
+    )
 
-    def __init__(self, cdpat: CostDamageProbAT, limit: float) -> None:
-        self.cdpat = cdpat
-        self.limit = limit
-        self.fingerprints: Dict[object, int] = {}
-        self.memo: Dict[int, Tuple[_Rows, int]] = {}
+    def _decoration(self, name: str) -> Tuple[float, float, float]:
+        model = self.model
+        return (model.cost[name], model.damage[name], model.probability[name])
 
-    def _intern(self, key: object) -> int:
-        return self.fingerprints.setdefault(key, len(self.fingerprints))
-
-    def compute(self, target: str) -> Tuple[_Rows, Tuple[str, ...]]:
-        tree = self.cdpat.tree
-        order: List[str] = []
-        stack = [target]
-        while stack:
-            name = stack.pop()
-            order.append(name)
-            stack.extend(tree.node(name).children)
-        done: Dict[str, Tuple[_Rows, Tuple[str, ...], int]] = {}
-        for name in reversed(order):
-            node = tree.node(name)
-            if node.is_bas:
-                cost = self.cdpat.cost[name]
-                damage = self.cdpat.damage[name]
-                probability = self.cdpat.probability[name]
-                fingerprint = self._intern(("B", cost, damage, probability))
-                cached = self.memo.get(fingerprint)
-                if cached is None:
-                    if cost > self.limit:
-                        front: _Rows = ([0.0], [0.0], [0.0], [0])
-                    else:
-                        front = _prune3(
-                            [
-                                (0.0, 0.0, 0.0, 0),
-                                (cost, probability * damage, probability, 1),
-                            ]
-                        )
-                    cached = (front, 1)
-                    self.memo[fingerprint] = cached
-                done[name] = (cached[0], (name,), fingerprint)
-                continue
-            child_results = [done[child] for child in node.children]
-            names: Tuple[str, ...] = ()
-            for _, child_names, _ in child_results:
-                names += child_names
-            gate_damage = self.cdpat.damage[name]
-            fingerprint = self._intern(
-                (node.type.value, gate_damage, tuple(r[2] for r in child_results))
-            )
-            cached = self.memo.get(fingerprint)
-            if cached is not None:
-                done[name] = (cached[0], names, fingerprint)
-                continue
-            conjunctive = node.type is NodeType.AND
-            front = child_results[0][0]
-            width = len(child_results[0][1])
-            for child_front, child_names, _ in child_results[1:]:
-                front = self._fold(front, child_front, conjunctive, width)
-                width += len(child_names)
-            if gate_damage != 0.0:
-                fc, fd, fp, fm = front
-                front = _prune3(
-                    [
-                        (fc[i], fd[i] + fp[i] * gate_damage, fp[i], fm[i])
-                        for i in range(len(fc))
-                    ]
-                )
-            self.memo[fingerprint] = (front, len(names))
-            done[name] = (front, names, fingerprint)
-        front, names, _ = done[target]
-        return front, names
+    def _leaf(self, cost: float, damage: float, probability: float) -> _Rows:
+        if cost > self.limit:
+            return ([0.0], [0.0], [0.0], [0])
+        return _prune3(
+            [(0.0, 0.0, 0.0, 0), (cost, probability * damage, probability, 1)]
+        )
 
     def _fold(
         self, left: _Rows, right: _Rows, conjunctive: bool, shift: int
@@ -236,14 +183,26 @@ class _ProbKernel:
                 append((cost, di + rd[j], reach, mi | (rm[j] << shift)))
         return _prune3(buffer)
 
+    def _add_gate_damage(self, front: _Rows, gate_damage: float) -> _Rows:
+        """The gate's damage counts with its reach probability (Equation (10))."""
+        fc, fd, fp, fm = front
+        return _prune3(
+            [(fc[i], fd[i] + fp[i] * gate_damage, fp[i], fm[i]) for i in range(len(fc))]
+        )
 
-def _mask_to_attack(mask: int, names: Tuple[str, ...]) -> FrozenSet[str]:
-    selected = []
-    while mask:
-        low = mask & -mask
-        selected.append(names[low.bit_length() - 1])
-        mask ^= low
-    return frozenset(selected)
+
+def _root_points(cdpat: CostDamageProbAT, budget: float) -> List[ParetoPoint]:
+    """The root rows as (cost, expected damage) points, unminimised."""
+    (costs, damages, probabilities, masks), names = _ProbKernel.run(cdpat, None, budget)
+    return [
+        ParetoPoint(
+            cost=costs[i],
+            damage=damages[i],
+            attack=_mask_to_attack(masks[i], names),
+            reaches_root=probabilities[i] > 0.0,
+        )
+        for i in range(len(costs))
+    ]
 
 
 def node_pareto_front_probabilistic(
@@ -257,21 +216,7 @@ def node_pareto_front_probabilistic(
     :func:`repro.core.bottom_up.node_pareto_front`; the computation follows
     Equations (11)–(13) and Theorem 10 of the paper.
     """
-    tree = cdpat.tree
-    if not tree.is_treelike:
-        raise ValueError(
-            "the probabilistic bottom-up method requires a treelike AT; "
-            "probabilistic DAG-like analysis is an open problem in the paper "
-            "(see repro.core.enumerative for the exhaustive baseline)"
-        )
-    if budget < 0:
-        raise ValueError("the cost budget must be non-negative")
-    target = node if node is not None else tree.root
-    if target not in tree.nodes:
-        raise KeyError(f"no node named {target!r} in this attack tree")
-
-    kernel = _ProbKernel(cdpat, budget + EPSILON)
-    (costs, damages, probabilities, masks), names = kernel.compute(target)
+    (costs, damages, probabilities, masks), names = _ProbKernel.run(cdpat, node, budget)
     items = [
         ProbabilisticAttributedAttack(
             cost=costs[i],
@@ -281,25 +226,19 @@ def node_pareto_front_probabilistic(
         )
         for i in range(len(costs))
     ]
-    # The paper's ε-tolerant min_U is applied once, at the boundary.
+    # The paper's ε-tolerant min_U in the PTrip order, applied once.
     return pareto_minimal_triples(items, key=lambda item: item.triple)
 
 
 def pareto_front_treelike_probabilistic(
     cdpat: CostDamageProbAT, budget: float = math.inf
 ) -> ParetoFront:
-    """Solve CEDPF for a treelike cdp-AT bottom-up (Theorem 9)."""
-    root_front = node_pareto_front_probabilistic(cdpat, cdpat.tree.root, budget=budget)
-    points = [
-        ParetoPoint(
-            cost=item.cost,
-            damage=item.expected_damage,
-            attack=item.attack,
-            reaches_root=item.reach_probability > 0.0,
-        )
-        for item in root_front
-    ]
-    return ParetoFront(points)
+    """Solve CEDPF for a treelike cdp-AT bottom-up (Theorem 9).
+
+    The root rows are projected onto ``(cost, expected damage)`` and
+    minimised; the reach probabilities only matter inside the recursion.
+    """
+    return ParetoFront(_root_points(cdpat, budget))
 
 
 def max_expected_damage_given_cost_treelike(
@@ -312,12 +251,9 @@ def max_expected_damage_given_cost_treelike(
     """
     if budget < 0:
         return 0.0, None
-    root_front = node_pareto_front_probabilistic(cdpat, cdpat.tree.root, budget=budget)
-    best = max(
-        root_front,
-        key=lambda item: (item.expected_damage, -item.cost, -len(item.attack)),
-    )
-    return best.expected_damage, best.attack
+    points = pareto_minimal_pairs(_root_points(cdpat, budget), key=lambda p: p.value)
+    best = max(points, key=lambda p: (p.damage, -p.cost, -len(p.attack)))
+    return best.damage, best.attack
 
 
 def min_cost_given_expected_damage_treelike(

@@ -8,7 +8,6 @@ from .poset import (
     dominates_triple,
     is_antichain_pairs,
     merge_pair_sets,
-    min_with_budget,
     pareto_minimal_pairs,
     pareto_minimal_triples,
     strictly_dominates_pair,
@@ -24,7 +23,6 @@ __all__ = [
     "dominates_triple",
     "is_antichain_pairs",
     "merge_pair_sets",
-    "min_with_budget",
     "pareto_minimal_pairs",
     "pareto_minimal_triples",
     "strictly_dominates_pair",

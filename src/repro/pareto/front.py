@@ -116,7 +116,9 @@ class ParetoFront:
         return self.values_equal(other)
 
     def __hash__(self) -> int:
-        return hash(tuple((round(p.cost, 9), round(p.damage, 9)) for p in self._points))
+        # Equality is tolerant (``values_equal``), so the point count is the
+        # only part of a front that equal fronts are sure to share.
+        return hash(len(self._points))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"({p.cost:g}, {p.damage:g})" for p in self._points)

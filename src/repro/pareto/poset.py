@@ -12,10 +12,10 @@ The paper works in three ordered domains:
   ``PTrip = R≥0 × R≥0 × [0, 1]`` with the same componentwise order
   (Section IX).
 
-This module provides the orders and a generic ``pareto_minimal`` filter used
-by every solver.  ``pareto_minimal`` corresponds to the paper's
-``min_⪯ X = {x ∈ X | ∀x'. x' ⊀ x}``; :func:`min_with_budget` additionally
-applies the cost-budget filter ``min_U``.
+This module provides the orders and the ε-tolerant Pareto filters, the
+paper's ``min_⪯ X = {x ∈ X | ∀x'. x' ⊀ x}``.  The cost-budget part of
+``min_U`` is applied by the solvers themselves, which prune over-budget
+candidates as they combine them.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "strictly_dominates_triple",
     "pareto_minimal_pairs",
     "pareto_minimal_triples",
-    "min_with_budget",
     "is_antichain_pairs",
     "merge_pair_sets",
 ]
@@ -185,10 +184,14 @@ def pareto_minimal_triples(
 
     As with :func:`pareto_minimal_pairs`, an item is dropped exactly when
     some *input* item strictly ε-dominates it (the paper's ``min``), and a
-    single representative is kept among ε-equal survivors.  Dominators can
-    only have cost ≤ the candidate's cost + ε, so sorting by cost bounds the
-    scan; this is ``O(k·w)`` where ``w`` is the size of that cost window
-    (``w ≪ k`` in practice).
+    single representative is kept among ε-equal survivors.
+
+    Every candidate is checked against every row sorted before the end of
+    its ε-cost window, so the cost is quadratic in the number of cheaper
+    rows.  It serves only the node-level fronts
+    (:func:`repro.core.bottom_up.node_pareto_front` and its probabilistic
+    twin, the paper's ``C_U(v)``); the answers (fronts, DgC, CgD) drop the
+    third component and use the sort-and-sweep :func:`pareto_minimal_pairs`.
     """
     indexed = [(key(item), item) for item in items]
     # Sort by cost ascending, then damage descending, then activation
@@ -220,27 +223,6 @@ def pareto_minimal_triples(
         kept_values.append(value)
         result.append(item)
     return result
-
-
-def min_with_budget(
-    items: Iterable[T],
-    key: Callable[[T], Triple],
-    budget: float = math.inf,
-) -> List[T]:
-    """The paper's ``min_U``: drop items over the cost budget, then Pareto-filter.
-
-    Parameters
-    ----------
-    items:
-        Candidate items (attacks with attribute triples).
-    key:
-        Maps an item to its ``(cost, damage, activation)`` triple.
-    budget:
-        The cost budget ``U``; ``math.inf`` disables the filter (the CDPF
-        case).
-    """
-    affordable = [item for item in items if key(item)[0] <= budget + EPSILON]
-    return pareto_minimal_triples(affordable, key)
 
 
 def is_antichain_pairs(values: Sequence[CostDamage]) -> bool:

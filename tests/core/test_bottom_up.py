@@ -150,16 +150,6 @@ class TestErrorsAndEdgeCases:
         assert front.values()[:4] == [(0, 0), (1, 1), (2, 2), (3, 3)]
 
 
-class TestAblationTrackReachability:
-    def test_naive_two_dimensional_propagation_underestimates(self):
-        """Without the third dimension the bottom-up pass loses the optimal
-        attack {pb, fd} (Example 4's warning)."""
-        model = factory()
-        naive = pareto_front_treelike(model, track_reachability=False)
-        correct = pareto_front_treelike(model)
-        assert naive.max_damage_given_cost(5) < correct.max_damage_given_cost(5)
-
-
 class TestAgreementWithEnumeration:
     @pytest.mark.parametrize("seed", range(10))
     def test_front_matches_enumeration_on_random_trees(self, seed):

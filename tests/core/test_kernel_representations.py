@@ -17,6 +17,10 @@ from repro.core.bottom_up import (
     node_pareto_front,
     pareto_front_treelike,
 )
+from repro.core.bottom_up_prob import (
+    _ProbKernel,
+    max_expected_damage_given_cost_treelike,
+)
 from repro.core.enumerative import (
     enumerate_max_damage_given_cost,
     enumerate_pareto_front,
@@ -26,14 +30,28 @@ from repro.core.semantics import evaluate_attack
 from ..conftest import make_random_tree
 
 def _twin_subtree_model():
-    """An OR root over two decoration-identical AND subtrees."""
+    """An OR root over two decoration-identical AND subtrees (a cdp-AT;
+    ``.deterministic()`` gives the cd-AT)."""
     builder = AttackTreeBuilder()
     for suffix in ("1", "2"):
-        builder.bas(f"a{suffix}", cost=1.0, damage=2.0)
-        builder.bas(f"b{suffix}", cost=3.0, damage=4.0)
+        builder.bas(f"a{suffix}", cost=1.0, damage=2.0, probability=0.5)
+        builder.bas(f"b{suffix}", cost=3.0, damage=4.0, probability=0.8)
         builder.and_gate(f"g{suffix}", [f"a{suffix}", f"b{suffix}"], damage=5.0)
     builder.or_gate("root", ["g1", "g2"], damage=0.0)
-    return builder.build_cd(root="root")
+    return builder.build_cdp(root="root")
+
+
+def _epsilon_tie_model():
+    """OR root over ``a`` and ``g = AND(b, c)``: the attacks {a} and {b, c}
+    both deal damage 1 at ε-equal costs 0.1 + 0.2 and 0.15 + 0.15 = 0.3,
+    so the cheaper of the two needs more BASs."""
+    builder = AttackTreeBuilder()
+    builder.bas("a", cost=0.1 + 0.2)
+    builder.bas("b", cost=0.15)
+    builder.bas("c", cost=0.15)
+    builder.and_gate("g", ["b", "c"])
+    builder.or_gate("root", ["a", "g"], damage=1.0)
+    return builder.build_cdp(root="root")
 
 
 class TestBitsetWitnesses:
@@ -47,7 +65,7 @@ class TestBitsetWitnesses:
             assert reached is item.reached
 
     def test_witnesses_are_frozensets_of_bas_names(self):
-        model = _twin_subtree_model()
+        model = _twin_subtree_model().deterministic()
         universe = model.tree.basic_attack_steps
         for item in node_pareto_front(model):
             assert isinstance(item.attack, frozenset)
@@ -55,16 +73,30 @@ class TestBitsetWitnesses:
 
 
 class TestStructuralMemoization:
-    def test_twin_subtrees_fold_once(self):
+    @pytest.mark.parametrize("setting", ["deterministic", "probabilistic"])
+    def test_twin_subtrees_fold_once(self, setting):
         model = _twin_subtree_model()
-        kernel = _TripleKernel(model, limit=float("inf"))
+        if setting == "deterministic":
+            kernel = _TripleKernel(model.deterministic(), limit=float("inf"))
+        else:
+            kernel = _ProbKernel(model, limit=float("inf"))
+        folds = []
+        fold = kernel._fold
+
+        def counting_fold(*args):
+            folds.append(args)
+            return fold(*args)
+
+        kernel._fold = counting_fold
         kernel.compute(model.tree.root)
         # 7 nodes, but only 4 distinct structures: the two BAS decorations,
-        # the AND subtree and the OR root.
+        # the AND subtree and the OR root.  The second AND subtree is a memo
+        # hit, so only the first AND and the root fold a child in.
         assert len(kernel.memo) == 4
+        assert len(folds) == 2
 
     def test_memo_hits_do_not_change_results(self):
-        model = _twin_subtree_model()
+        model = _twin_subtree_model().deterministic()
         assert pareto_front_treelike(model).values() == \
             enumerate_pareto_front(model).values()
 
@@ -73,6 +105,30 @@ class TestStructuralMemoization:
         model = make_random_tree(seed, max_bas=5, treelike=True).deterministic()
         assert pareto_front_treelike(model).values() == \
             enumerate_pareto_front(model).values()
+
+
+class TestWitnessTieBreak:
+    """DgC and EDgC return the most damaging point of the root's 2-D front,
+    and the least costly attack among equal damages.  Among ε-equal attacks
+    the cheapest represents the point, even when it needs more BASs."""
+
+    @pytest.mark.parametrize("budget,expected", [
+        (0.2, (0.0, frozenset())),
+        (0.3, (1.0, frozenset({"b", "c"}))),
+        (10.0, (1.0, frozenset({"b", "c"}))),
+    ])
+    def test_dgc(self, budget, expected):
+        model = _epsilon_tie_model().deterministic()
+        assert max_damage_given_cost_treelike(model, budget) == expected
+
+    @pytest.mark.parametrize("budget,expected", [
+        (0.2, (0.0, frozenset())),
+        (0.3, (1.0, frozenset({"b", "c"}))),
+        (10.0, (1.0, frozenset({"b", "c"}))),
+    ])
+    def test_edgc(self, budget, expected):
+        model = _epsilon_tie_model()
+        assert max_expected_damage_given_cost_treelike(model, budget) == expected
 
 
 class TestFoldAgainstEnumeration:

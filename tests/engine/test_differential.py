@@ -27,15 +27,20 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
+from repro.attacktree import CostDamageProbAT  # noqa: E402
 from repro.core import enumerative  # noqa: E402
 from repro.core.problems import Problem  # noqa: E402
+from repro.core.semantics import attack_cost, attack_damage  # noqa: E402
 from repro.engine import (  # noqa: E402
     AnalysisRequest,
     SqliteStore,
     model_fingerprint,
     run_request,
 )
+from repro.probability.actualization import expected_damage  # noqa: E402
 from repro.workloads import ScenarioSpec, expand  # noqa: E402
+
+from ..conftest import make_random_tree  # noqa: E402
 
 #: (family, shape) cells and the size range keeping enumeration tractable.
 _DETERMINISTIC_CELLS = [
@@ -206,6 +211,84 @@ class TestProbabilisticBackendsAgree:
             for backend in backends:
                 got = _run(model, backend, Problem.CGED, threshold=threshold)
                 _assert_values_equal(expected, got, f"cged({threshold}) via {backend}")
+
+
+#: Decorations off any decimal grid: 0.1 + 0.2 and 0.3 differ by an ulp,
+#: 1/3 and 7.77 have no exact binary form, so sums of different attacks
+#: land within ε of each other and exercise every tolerant comparison.
+_OFF_GRID_VALUES = [0.0, 1e-3, 0.1, 0.2, 0.3, 1 / 3, 7.77]
+_OFF_GRID_PROBABILITIES = [0.1, 0.3, 1 / 3, 0.7, 0.99, 1.0]
+
+
+@st.composite
+def _off_grid_trees(draw):
+    """A treelike cdp-AT with at most 8 BASs and off-grid decorations."""
+    tree = make_random_tree(draw(st.integers(0, 10_000)), max_bas=8).tree
+    values = st.sampled_from(_OFF_GRID_VALUES)
+    return CostDamageProbAT(
+        tree,
+        {bas: draw(values) for bas in tree.basic_attack_steps},
+        {node: draw(values) for node in tree.node_names},
+        {bas: draw(st.sampled_from(_OFF_GRID_PROBABILITIES))
+         for bas in tree.basic_attack_steps},
+    )
+
+
+class TestOffGridDecorations:
+    """``bottom-up`` equals ``enumerative`` on all six problems to 1e-9 when
+    costs, damages and probabilities are off the decimal grid, and every
+    witness realises the cost and (expected) damage reported for it."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(model=_off_grid_trees())
+    def test_bottom_up_matches_enumerative(self, model):
+        for setting_model, damage_of, front_problem, value_problem, bound_problem in (
+            (model.deterministic(), attack_damage, Problem.CDPF, Problem.DGC, Problem.CGD),
+            (model, expected_damage, Problem.CEDPF, Problem.EDGC, Problem.CGED),
+        ):
+            self._check(setting_model, damage_of, front_problem, value_problem,
+                        bound_problem)
+
+    @staticmethod
+    def _check(model, damage_of, front_problem, value_problem, bound_problem):
+        def solve(backend, problem, **params):
+            return run_request(
+                model, AnalysisRequest(problem, backend=backend, **params)
+            )
+
+        def realised(attack):
+            return attack_cost(model, attack), damage_of(model, attack)
+
+        reference = solve("enumerative", front_problem)
+        front = solve("bottom-up", front_problem)
+        _assert_fronts_equal(reference, front, front_problem.value)
+        for point in front.front:
+            cost, damage = realised(point.attack)
+            assert cost == pytest.approx(point.cost, abs=1e-9)
+            assert damage == pytest.approx(point.damage, abs=1e-9)
+
+        budgets, thresholds = _scalar_parameters(_front_values(reference))
+        for budget in budgets:
+            context = f"{value_problem.value}({budget})"
+            got = solve("bottom-up", value_problem, budget=budget)
+            _assert_values_equal(
+                solve("enumerative", value_problem, budget=budget), got, context
+            )
+            cost, damage = realised(got.witness)
+            assert cost <= budget + 1e-9, context
+            assert damage == pytest.approx(got.value, abs=1e-9), context
+        for threshold in thresholds:
+            context = f"{bound_problem.value}({threshold})"
+            got = solve("bottom-up", bound_problem, threshold=threshold)
+            _assert_values_equal(
+                solve("enumerative", bound_problem, threshold=threshold), got, context
+            )
+            if got.value is None:
+                continue
+            cost, damage = realised(got.witness)
+            assert cost == pytest.approx(got.value, abs=1e-9), context
+            assert damage >= threshold - 1e-9, context
 
 
 @pytest.fixture(scope="module")

@@ -97,6 +97,13 @@ class TestSetOperations:
         assert hash(example_front()) == hash(example_front())
         assert example_front() != ParetoFront.from_values([(0, 0)])
 
+    def test_tolerantly_equal_fronts_hash_equal(self):
+        left = ParetoFront.from_values([(0, 0), (1, 1.0)])
+        right = ParetoFront.from_values([(0, 0), (1, 1.0000001)])
+        assert left == right
+        assert hash(left) == hash(right)
+        assert len({left, right}) == 1
+
     def test_values_equal_with_tolerance(self):
         left = ParetoFront.from_values([(1, 200.0000001)])
         right = ParetoFront.from_values([(1, 200)])

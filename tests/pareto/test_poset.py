@@ -8,7 +8,6 @@ from repro.pareto.poset import (
     dominates_triple,
     is_antichain_pairs,
     merge_pair_sets,
-    min_with_budget,
     pareto_minimal_pairs,
     pareto_minimal_triples,
     strictly_dominates_pair,
@@ -164,18 +163,6 @@ class TestParetoMinimalTriples:
             for b in front:
                 if a != b:
                     assert not strictly_dominates_triple(a, b)
-
-
-class TestMinWithBudget:
-    def test_budget_filter(self):
-        values = [(0, 0, 0), (2, 10, 1), (5, 110, 1)]
-        front = min_with_budget(values, key=lambda v: v, budget=3)
-        assert sorted(front) == [(0, 0, 0), (2, 10, 1)]
-
-    def test_infinite_budget_keeps_all_optimal(self):
-        values = [(0, 0, 0), (2, 10, 1), (5, 110, 1)]
-        front = min_with_budget(values, key=lambda v: v)
-        assert sorted(front) == values
 
 
 class TestHelpers:
