@@ -9,11 +9,16 @@ example ``"X-Api-Key: key"``) authenticates it.  A deeply nested body
 must be a 400 ``bad-request`` envelope (not a dropped connection), a
 ``Content-Length`` above ``MAX_BODY_BYTES`` a 413 ``payload-too-large``
 with ``Connection: close``, and the server must still answer ``/ping``.
+Finally, 20 sequential ``GET /ping`` on one kept-alive connection must
+have a median round trip under 20 ms: a server that leaves Nagle's
+algorithm on stalls each reply ~40 ms on the client's delayed ACK.
 """
 
 import http.client
 import json
+import statistics
 import sys
+import time
 from urllib.parse import urlsplit
 
 from repro.net.edge import MAX_BODY_BYTES
@@ -34,6 +39,24 @@ def probe(target, auth, method, path, body=b"", length=None):
         return response.status, response.headers, json.loads(response.read())
     finally:
         connection.close()
+
+
+def keepalive_median_ms(target, auth, requests=20):
+    """Median round trip of ``requests`` sequential pings on one socket."""
+    connection = http.client.HTTPConnection(target.hostname, target.port,
+                                            timeout=60)
+    samples = []
+    try:
+        for _ in range(requests):
+            started = time.perf_counter()
+            connection.request("GET", "/ping", headers=auth)
+            response = connection.getresponse()
+            response.read()
+            samples.append((time.perf_counter() - started) * 1000.0)
+            assert response.status == 200, response.status
+    finally:
+        connection.close()
+    return statistics.median(samples)
 
 
 def main(argv):
@@ -58,8 +81,12 @@ def main(argv):
 
     status, _, doc = probe(target, auth, "GET", "/ping")
     assert status == 200 and doc["ok"], (status, doc)
+
+    median_ms = keepalive_median_ms(target, auth)
+    assert median_ms < 20.0, f"keep-alive /ping median {median_ms:.1f} ms"
     print(f"edge probe {argv[0]}{route}: nested body 400, "
-          "oversized body 413, /ping still 200")
+          "oversized body 413, /ping still 200, keep-alive /ping median "
+          f"{median_ms:.1f} ms")
 
 
 if __name__ == "__main__":

@@ -104,10 +104,11 @@ _EMPTY_FRONT: _Front = ([], [], [])
 def _staircase(buffer: List[Tuple[float, float, int]]) -> _Front:
     """Exact 2-D Pareto staircase of ``(cost, damage, mask)`` candidates.
 
-    Sorts by (cost asc, damage desc) — stable, so ties keep generation
-    order — and keeps a candidate iff its damage strictly exceeds every
-    cheaper-or-equal one.  The result has strictly increasing costs *and*
-    damages.
+    Sorts by (cost asc, damage desc) and keeps a candidate iff its damage
+    strictly exceeds every cheaper-or-equal one.  The result has strictly
+    increasing costs *and* damages.  Of attacks with exactly equal (cost,
+    damage) — adjacent after the sort — the one with the fewest BASs is
+    the witness (the DgC tie-break), whatever the generation order.
     """
     buffer.sort(key=lambda entry: (entry[0], -entry[1]))
     costs: List[float] = []
@@ -120,7 +121,14 @@ def _staircase(buffer: List[Tuple[float, float, int]]) -> _Front:
             damages.append(damage)
             masks.append(mask)
             best = damage
+        elif damage == best and cost == costs[-1] and _fewer_bas(mask, masks[-1]):
+            masks[-1] = mask
     return costs, damages, masks
+
+
+def _fewer_bas(mask: int, other: int) -> bool:
+    """Whether attack ``mask`` has fewer BASs than attack ``other``."""
+    return bin(mask).count("1") < bin(other).count("1")
 
 
 def _combine(products: List[Tuple[_Front, _Front, int]], limit: float) -> _Front:

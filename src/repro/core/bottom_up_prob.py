@@ -56,7 +56,7 @@ from typing import FrozenSet, List, Optional, Tuple
 from ..attacktree.attributes import CostDamageProbAT
 from ..pareto.front import ParetoFront, ParetoPoint
 from ..pareto.poset import pareto_minimal_pairs, pareto_minimal_triples
-from .bottom_up import _Kernel, _mask_to_attack
+from .bottom_up import _Kernel, _fewer_bas, _mask_to_attack
 
 __all__ = [
     "ProbabilisticAttributedAttack",
@@ -114,7 +114,8 @@ def _prune3(buffer: List[Tuple[float, float, float, int]]) -> _Rows:
     The kept rows' undominated (damage, probability) pairs form a skyline —
     damages strictly decreasing, probabilities strictly increasing — queried
     and maintained by binary search.  Equal-valued duplicates are dropped
-    (the front is a set of attribute values; the first witness is kept).
+    (the front is a set of attribute values); they sort next to each other,
+    and the one with the fewest BASs is the witness (the EDgC tie-break).
     """
     buffer.sort(key=lambda row: (row[0], -row[1], -row[2]))
     costs: List[float] = []
@@ -126,7 +127,14 @@ def _prune3(buffer: List[Tuple[float, float, float, int]]) -> _Rows:
     for cost, damage, probability, mask in buffer:
         hi = bisect_right(sky_keys, -damage)
         if hi > 0 and sky_probs[hi - 1] >= probability:
-            continue  # weakly dominated by a kept row (or a duplicate)
+            # Weakly dominated by a kept row, or a duplicate of the last.
+            if (
+                cost == costs[-1] and damage == damages[-1]
+                and probability == probabilities[-1]
+                and _fewer_bas(mask, masks[-1])
+            ):
+                masks[-1] = mask
+            continue
         lo = bisect_left(sky_keys, -damage)
         while lo < len(sky_keys) and sky_probs[lo] <= probability:
             del sky_keys[lo]

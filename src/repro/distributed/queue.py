@@ -242,8 +242,18 @@ class WorkQueue(Protocol):
         """True when no task is pending or running (all are terminal)."""
         ...
 
-    def tasks(self, state: Optional[TaskState] = None) -> List[Task]:
-        """All tasks (optionally one state's), in submission order."""
+    def tasks(
+        self,
+        state: Optional[TaskState] = None,
+        task_ids: Optional[Sequence[str]] = None,
+    ) -> List[Task]:
+        """Tasks in submission order: all of them, or only one state's,
+        and/or only those among ``task_ids`` (unknown ids are skipped).
+
+        Every row carries its payload and result, so a caller that
+        tracks a few tasks names them: the lookup is then by primary
+        key, and its cost does not grow with the queue's history.
+        """
         ...
 
     def get_meta(self, key: str) -> Optional[str]:
@@ -835,13 +845,26 @@ class SqliteQueue:
         counts = self.counts()
         return counts["pending"] == 0 and counts["running"] == 0
 
-    def tasks(self, state: Optional[TaskState] = None) -> List[Task]:
-        if state is None:
-            rows = self._query(_TASK_SELECT + " ORDER BY seq")
-        else:
-            rows = self._query(
-                _TASK_SELECT + " WHERE state = ? ORDER BY seq", (state.value,)
-            )
+    def tasks(
+        self,
+        state: Optional[TaskState] = None,
+        task_ids: Optional[Sequence[str]] = None,
+    ) -> List[Task]:
+        clauses: List[str] = []
+        parameters: List[Any] = []
+        if state is not None:
+            clauses.append("state = ?")
+            parameters.append(state.value)
+        if task_ids is not None:
+            ids = list(dict.fromkeys(task_ids))
+            if not ids:
+                return []
+            clauses.append(f"task_id IN ({', '.join('?' for _ in ids)})")
+            parameters.extend(ids)
+        where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
+        rows = self._query(
+            _TASK_SELECT + where + " ORDER BY seq", tuple(parameters)
+        )
         return [_task_from_row(row) for row in rows]
 
     def get_meta(self, key: str) -> Optional[str]:

@@ -57,6 +57,7 @@ from ..obs.trace import span as trace_span
 from .queue import QueueError, Task, TaskState, WorkQueue
 
 __all__ = [
+    "PUBLISH_INTERVAL_SECONDS",
     "WORKER_METRICS_META_PREFIX",
     "Worker",
     "WorkerReport",
@@ -65,6 +66,14 @@ __all__ = [
     "execute_task_payload",
     "signal_shutdown",
 ]
+
+#: Shortest gap, in seconds, between two metrics publishes from the task
+#: loop.  Publishing is a full registry snapshot written over the queue
+#: (one broker round trip); after every task it would cost as much as a
+#: fast solve.  A scrape sees numbers at most this old, and the loop's
+#: exit always publishes.
+PUBLISH_INTERVAL_SECONDS = 1.0
+
 
 class WorkerShutdown(BaseException):
     """A shutdown signal arrived; unwind the worker loop.
@@ -268,6 +277,8 @@ class Worker:
         self.executor = executor
         self.inject_delay_seconds = inject_delay_seconds
         self._stop_event = threading.Event()
+        self._published_at: Optional[float] = None
+        self._unpublished = False  # tasks finished since the last publish
 
     def stop(self) -> None:
         """Ask a running loop to return after its current task."""
@@ -330,7 +341,7 @@ class Worker:
             report.failed += 1
             report.failures.append(task.task_id)
             obs_families.worker_tasks_total().inc(outcome="failed")
-            self.publish_metrics()
+            self._publish_if_due()
             return
         keeper.stop()
         obs_families.worker_task_seconds().observe(
@@ -346,7 +357,7 @@ class Worker:
             report.failed += 1
             report.failures.append(task.task_id)
             obs_families.worker_tasks_total().inc(outcome="lost-lease")
-        self.publish_metrics()
+        self._publish_if_due()
 
     def run(self) -> WorkerReport:
         """Claim and execute until drained/stopped/signalled; returns the
@@ -368,6 +379,10 @@ class Worker:
                 if current is None:
                     if self.exit_when_drained and self.queue.drained():
                         break
+                    if self._unpublished:
+                        # Idle now: the last tasks' numbers must not wait
+                        # for the next task to become visible.
+                        self.publish_metrics()
                     if self._stop_event.wait(self.poll_seconds):
                         break
                     continue
@@ -406,14 +421,30 @@ class Worker:
         self.publish_metrics()
         return report
 
+    def _publish_if_due(self) -> None:
+        """After a task: publish on the first one, then at most once per
+        :data:`PUBLISH_INTERVAL_SECONDS`."""
+        if (
+            self._published_at is None
+            or time.monotonic() - self._published_at >= PUBLISH_INTERVAL_SECONDS
+        ):
+            self.publish_metrics()
+        else:
+            self._unpublished = True
+
     def publish_metrics(self) -> None:
         """Publish this process's metrics snapshot into queue metadata.
 
-        Written under ``worker-metrics:<worker_id>`` after every task and
-        on loop exit; the broker/service merge these at scrape time so a
-        single ``GET /metrics`` covers the whole fleet.  Best-effort —
-        telemetry must never fail the work it observes.
+        Written under ``worker-metrics:<worker_id>`` after the first task,
+        then after a task only once :data:`PUBLISH_INTERVAL_SECONDS` have
+        passed since the last publish, when the loop goes idle with
+        unpublished tasks, and always on loop exit; the
+        broker/service merge these at scrape time so a single ``GET
+        /metrics`` covers the whole fleet.  Best-effort — telemetry must
+        never fail the work it observes.
         """
+        self._published_at = time.monotonic()
+        self._unpublished = False
         try:
             self.queue.set_meta(
                 WORKER_METRICS_META_PREFIX + self.worker_id,

@@ -21,9 +21,12 @@ that requirement with a deliberately small, stdlib-only HTTP layer:
     for an undeclarable length or undecodable (or too deeply nested)
     JSON, 413 plus ``Connection: close`` for a body over
     ``MAX_BODY_BYTES``, 503 plus ``Connection: close`` once the server
-    is closing, 500 for an unexpected handler failure.  Every reply
-    first drains any declared body the handler left unread, so a
-    kept-alive socket never desyncs.
+    is closing, 408 plus ``Connection: close`` for a body that stalls
+    past ``SOCKET_TIMEOUT_SECONDS``, 500 for an unexpected handler
+    failure.  Every reply first drains any declared body the handler
+    left unread, so a kept-alive socket never desyncs.  Accepted
+    sockets run with ``TCP_NODELAY``, and idle ones close after
+    ``SOCKET_TIMEOUT_SECONDS``.
     :class:`~repro.net.edge.JsonServer` owns the bind and the lifecycle.
 ``client``
     :class:`HttpQueue` / :class:`HttpStore` — drop-in ``WorkQueue`` /

@@ -13,7 +13,8 @@ Transport behaviour, shared by both clients:
 * **Connection reuse** — one persistent ``http.client.HTTPConnection``
   per calling thread (the worker's main loop and its lease-keeper thread
   must not serialize on a socket), re-established transparently when the
-  server closes it.
+  server closes it (as it does with a socket left idle past
+  :data:`repro.net.edge.SOCKET_TIMEOUT_SECONDS`).
 * **Retry with backoff** — connection-level failures (refused, reset,
   timed out) are retried with exponential backoff, so a fleet rides out
   a broker restart instead of dead-lettering its tasks.  HTTP *error
@@ -353,9 +354,14 @@ class HttpQueue:
     def drained(self) -> bool:
         return self._call("drained")["drained"]
 
-    def tasks(self, state: Optional[TaskState] = None) -> List[Task]:
+    def tasks(
+        self,
+        state: Optional[TaskState] = None,
+        task_ids: Optional[Sequence[str]] = None,
+    ) -> List[Task]:
         value = self._call("tasks", {
             "state": None if state is None else state.value,
+            "task_ids": None if task_ids is None else list(task_ids),
         })["tasks"]
         return [task_from_wire(row) for row in value]
 

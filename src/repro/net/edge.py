@@ -15,6 +15,8 @@ a fix lands once:
     ``Content-Length`` and 413 for one above :data:`MAX_BODY_BYTES`; an
     unexpected handler failure is a 500 envelope, never a dropped
     connection.  Every error is ``{"ok": false, "error", "kind", ...}``.
+    Accepted sockets run with ``TCP_NODELAY`` and a
+    :data:`SOCKET_TIMEOUT_SECONDS` timeout (see below).
 :class:`JsonServer`
     Binds the :class:`ThreadingHTTPServer` and owns ``url``, ``closing``,
     ``serve_forever``, ``start`` and an idempotent ``close`` that calls
@@ -24,6 +26,17 @@ Drain rule: every reply goes through one byte-writer, which first reads
 and discards any declared request body the handler never read.  Leftover
 body bytes on a kept-alive socket would otherwise be parsed as the next
 request line; a body that cannot be drained retires the connection.
+
+Sockets: a reply is written as a header block and then a body, two small
+sends.  With Nagle's algorithm on, the body waits for the peer to ACK the
+headers, and a kept-alive client delays that ACK by ~40 ms (RFC 896 and
+RFC 1122 interacting), so every broker round trip would cost ~40 ms of
+idle.  The handler therefore sets ``TCP_NODELAY`` on every accepted
+socket.  Every socket read or write also times out after
+:data:`SOCKET_TIMEOUT_SECONDS` (a bound against slowloris clients): a
+request body that stalls gets a 408 with ``Connection: close``, and an
+idle kept-alive socket is closed quietly — the clients in
+:mod:`repro.net.client` reconnect on their next call.
 """
 
 from __future__ import annotations
@@ -39,13 +52,22 @@ from ..obs.trace import activate_context
 from ..obs.trace import span as trace_span
 from .accesslog import AccessLog, REQUEST_ID_HEADER, request_trace_seed
 
-__all__ = ["MAX_BODY_BYTES", "JsonHandler", "JsonServer"]
+__all__ = [
+    "MAX_BODY_BYTES", "SOCKET_TIMEOUT_SECONDS", "JsonHandler", "JsonServer",
+]
 
 #: Largest accepted request body, in bytes.  Task payloads and job
 #: batches embed whole serialized models, so this is generous — but a
 #: broken or hostile client must not make a server buffer arbitrary
 #: amounts of memory.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Seconds any one read or write on an accepted socket may block.  It
+#: bounds a stalled request body and an idle kept-alive connection; it
+#: does not bound a handler's own work (a slow solve, a stream's poll
+#: loop), which never blocks on the socket.  Longer than the workers'
+#: lease-renewal interval, so their heartbeat connections stay open.
+SOCKET_TIMEOUT_SECONDS = 30.0
 
 _Server = TypeVar("_Server", bound="JsonServer")
 
@@ -60,6 +82,8 @@ class JsonHandler(BaseHTTPRequestHandler):
     """
 
     protocol_version = "HTTP/1.1"  # keep-alive, so clients reuse connections
+    disable_nagle_algorithm = True  # TCP_NODELAY: no ~40 ms reply stalls
+    timeout = SOCKET_TIMEOUT_SECONDS
 
     _request_id = ""
     _status = 0
@@ -185,8 +209,18 @@ class JsonHandler(BaseHTTPRequestHandler):
     # request body
     # ------------------------------------------------------------------ #
     def _read_body(self) -> Optional[Dict[str, Any]]:
-        """The request's JSON object, or ``None`` after replying 400."""
-        raw = self.rfile.read(self._unread) if self._unread else b""
+        """The request's JSON object, or ``None`` after replying 400 (or
+        408 when the body stalls past :data:`SOCKET_TIMEOUT_SECONDS`)."""
+        try:
+            raw = self.rfile.read(self._unread) if self._unread else b""
+        except TimeoutError:
+            # Part of the body may be consumed: the socket cannot be
+            # resynced, so the reply retires it (-1: nothing to drain).
+            self._unread = -1
+            self._reply_error(
+                408, "request body not received in time", "timeout"
+            )
+            return None
         self._unread = 0
         try:
             args = json.loads(raw.decode("utf-8")) if raw else {}
@@ -213,7 +247,10 @@ class JsonHandler(BaseHTTPRequestHandler):
         if self._unread < 0 or self._unread > MAX_BODY_BYTES:
             return False
         while self._unread > 0:
-            chunk = self.rfile.read(min(self._unread, 1 << 20))
+            try:
+                chunk = self.rfile.read(min(self._unread, 1 << 20))
+            except TimeoutError:
+                return False
             if not chunk:
                 return False
             self._unread -= len(chunk)

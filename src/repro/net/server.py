@@ -112,7 +112,15 @@ def _queue_operation(
         return {"drained": queue.drained()}
     if op == "tasks":
         state = args.get("state")
-        rows = queue.tasks(None if state is None else TaskState(state))
+        task_ids = args.get("task_ids")
+        if task_ids is not None and not (
+            isinstance(task_ids, list)
+            and all(isinstance(task_id, str) for task_id in task_ids)
+        ):
+            raise TypeError("task_ids must be a list of task id strings")
+        rows = queue.tasks(
+            None if state is None else TaskState(state), task_ids=task_ids
+        )
         return {"tasks": [task_to_wire(task) for task in rows]}
     if op == "get_meta":
         return {"value": queue.get_meta(args["key"])}

@@ -14,6 +14,9 @@ process:
     :class:`~repro.engine.store.ResultStore` protocol method each.  The
     request body is a JSON object of the method's arguments; the response
     is ``{"ok": true, "value": {...}}`` with the method's result.
+    ``tasks`` takes an optional ``state`` and an optional ``task_ids``
+    list; with ``task_ids`` only those tasks come back (unknown ids are
+    skipped), still in submission order.
 ``POST /queues/<name>/<op>``
     The same queue operations against one *named* queue of an
     ``atcd serve --root`` broker (clients address it as

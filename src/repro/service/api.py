@@ -156,14 +156,11 @@ class _ServiceHandler(JsonHandler):
             if len(parts) == 4 and parts[:2] == ["v1", "jobs"]:
                 job_id, verb = parts[2], parts[3]
                 if verb == "results":
-                    status = jobs.status(tenant.name, job_id)
-                    rows = jobs.results(tenant.name, job_id)
-                    if status is None or rows is None:
+                    document = jobs.results(tenant.name, job_id)
+                    if document is None:
                         self._reply_job_not_found(job_id)
                         return
-                    self._reply(200, {
-                        "ok": True, "job": status, "results": rows,
-                    })
+                    self._reply(200, {"ok": True, **document})
                     return
                 if verb == "stream":
                     self._stream_job(tenant, job_id)
@@ -289,7 +286,10 @@ class _ServiceHandler(JsonHandler):
         """
         service = self.owner
         jobs = service.jobs
-        if jobs.status(tenant.name, job_id) is None:
+        # One read per poll: the status and the rows come from the same
+        # descriptor and task lookup (the first poll doubles as the 404).
+        document = jobs.results(tenant.name, job_id)
+        if document is None:
             self._reply_job_not_found(job_id)
             return
         self._start_reply(
@@ -306,12 +306,11 @@ class _ServiceHandler(JsonHandler):
         deadline = time.monotonic() + service.stream_timeout_seconds
         try:
             while True:
-                status = jobs.status(tenant.name, job_id)
-                rows = jobs.results(tenant.name, job_id)
-                if status is None or rows is None:
+                if document is None:
                     emit({"event": "error", "error": "job disappeared"})
                     return
-                for row in rows:
+                status = document["job"]
+                for row in document["results"]:
                     if row["index"] in emitted or row["result"] is None:
                         continue
                     emitted.add(row["index"])
@@ -333,6 +332,7 @@ class _ServiceHandler(JsonHandler):
                           "error": "service is shutting down"})
                     return
                 time.sleep(service.poll_seconds)
+                document = jobs.results(tenant.name, job_id)
         except (OSError, ValueError):
             # The client went away mid-stream; nothing to clean up — job
             # progress lives in the queue, not in this connection.

@@ -42,7 +42,7 @@ import json
 import threading
 import time
 import uuid
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from ..distributed.queue import Task, TaskState, WorkQueue
 from ..obs import families as obs_families
@@ -279,7 +279,7 @@ class JobManager:
             index = json.loads(raw) if raw is not None else []
             index.append(job_id)
             self.queue.set_meta(tenant_index_key(tenant), json.dumps(index))
-        return self.status(tenant, job_id)
+        return self._status_document(descriptor, self._job_tasks(descriptor))
 
     # ------------------------------------------------------------------ #
     # tracking
@@ -290,9 +290,12 @@ class JobManager:
 
     def _job_tasks(self, descriptor: Dict[str, Any]) -> List[Task]:
         wanted = set(descriptor["task_ids"])
+        # Looked up by id, so a poll costs the job's rows, not the queue's
+        # history.  The id filter stays on this side too: a broker that
+        # predates ``task_ids`` ignores it and answers with every task.
         by_id = {
             task.task_id: task
-            for task in self.queue.tasks()
+            for task in self.queue.tasks(task_ids=descriptor["task_ids"])
             if task.task_id in wanted
         }
         # Preserve submission (request-index) order.
@@ -335,13 +338,21 @@ class JobManager:
                 statuses.append(status)
         return statuses
 
-    def results(self, tenant: str, job_id: str) -> Optional[List[Dict[str, Any]]]:
-        """Per-request rows, in submission order: index, state, result/error."""
+    def results(self, tenant: str, job_id: str) -> Optional[Dict[str, Any]]:
+        """``{"job": <status>, "results": <rows>}``, or ``None`` for a job
+        this tenant does not own.
+
+        The rows are per request, in submission order: index, task id,
+        state, result/error.  Status and rows come from one read of the
+        descriptor and one of the job's tasks, so they agree with each
+        other — the stream endpoint polls this once per tick.
+        """
         descriptor = self._descriptor(tenant, job_id)
         if descriptor is None:
             return None
+        tasks = self._job_tasks(descriptor)
         rows = []
-        for index, task in enumerate(self._job_tasks(descriptor)):
+        for index, task in enumerate(tasks):
             rows.append({
                 "index": index,
                 "task_id": task.task_id,
@@ -349,27 +360,36 @@ class JobManager:
                 "result": task.result,
                 "error": task.error,
             })
-        return rows
+        return {"job": self._status_document(descriptor, tasks), "results": rows}
 
     def in_flight(self, tenant: str) -> int:
         """The tenant's pending+running request count, across all its jobs.
 
         Read from the durable queue state, so the quota this feeds holds
-        across service restarts.
+        across service restarts.  Only the live rows are read: each
+        pending or running task names its job in its payload's ``job``
+        stanza, and a task counts when that job's descriptor (under this
+        tenant's key) lists it and is not cancelled.  The tenant's
+        finished jobs are never touched.
         """
-        raw = self.queue.get_meta(tenant_index_key(tenant))
-        if raw is None:
-            return 0
-        wanted = set()
-        for job_id in json.loads(raw):
+        live: Dict[str, str] = {}  # task id -> the job id its payload names
+        for state in (TaskState.PENDING, TaskState.RUNNING):
+            for task in self.queue.tasks(state):
+                payload = task.payload if isinstance(task.payload, dict) else {}
+                job = payload.get("job")
+                if (
+                    isinstance(job, dict) and job.get("tenant") == tenant
+                    and isinstance(job.get("id"), str)
+                ):
+                    live[task.task_id] = job["id"]
+        owned: Dict[str, Set[str]] = {}
+        for job_id in dict.fromkeys(live.values()):
             descriptor = self._descriptor(tenant, job_id)
             if descriptor is not None and not descriptor.get("cancelled"):
-                wanted.update(descriptor["task_ids"])
+                owned[job_id] = set(descriptor["task_ids"])
         return sum(
-            1
-            for task in self.queue.tasks()
-            if task.task_id in wanted
-            and task.state in (TaskState.PENDING, TaskState.RUNNING)
+            1 for task_id, job_id in live.items()
+            if task_id in owned.get(job_id, ())
         )
 
     # ------------------------------------------------------------------ #

@@ -100,6 +100,44 @@ class TwoHandles:
             handle.close()
 
 
+class CountingQueue:
+    """A work queue that records its ``tasks`` and ``get_meta`` calls.
+
+    Everything is forwarded to ``inner``.  ``calls`` holds ``("tasks",
+    state, task_ids)`` and ``("get_meta", key)`` tuples, so a test can
+    show which reads a caller makes.  With ``ignore_task_ids`` the
+    ``task_ids`` filter is dropped before forwarding, the way a broker
+    that predates it answers.
+    """
+
+    def __init__(self, inner, ignore_task_ids: bool = False) -> None:
+        self.inner = inner
+        self.ignore_task_ids = ignore_task_ids
+        self.calls: List[tuple] = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def tasks(self, state=None, task_ids=None):
+        self.calls.append(
+            ("tasks", state, None if task_ids is None else tuple(task_ids))
+        )
+        if self.ignore_task_ids:
+            return self.inner.tasks(state)
+        return self.inner.tasks(state, task_ids=task_ids)
+
+    def get_meta(self, key):
+        self.calls.append(("get_meta", key))
+        return self.inner.get_meta(key)
+
+    def unfiltered_scans(self) -> List[tuple]:
+        """The ``tasks()`` calls that named neither a state nor ids."""
+        return [
+            call for call in self.calls
+            if call[0] == "tasks" and call[1] is None and call[2] is None
+        ]
+
+
 # --------------------------------------------------------------------------- #
 # random model generation (plain `random`, used by seeded deterministic tests)
 # --------------------------------------------------------------------------- #

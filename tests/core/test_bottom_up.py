@@ -101,6 +101,37 @@ class TestDgCTieBreak:
         model = self._tied_model()
         assert max_damage_given_cost_treelike(model, 1) == (10.0, frozenset({"a"}))
 
+    @staticmethod
+    def _exact_tie_model(children):
+        """OR root over {a} and AND g over {b, c}: both attacks cost 0.5
+        and deal the root's damage 1 — an exact (cost, damage) tie."""
+        from repro.attacktree.builder import AttackTreeBuilder
+
+        builder = AttackTreeBuilder()
+        builder.bas("a", cost=0.5, damage=0.0, probability=1.0)
+        builder.bas("b", cost=0.25, damage=0.0, probability=1.0)
+        builder.bas("c", cost=0.25, damage=0.0, probability=1.0)
+        builder.and_gate("g", ["b", "c"], damage=0.0)
+        builder.or_gate("root", children, damage=1.0)
+        return builder.build_cdp(root="root")
+
+    @pytest.mark.parametrize("children", [["a", "g"], ["g", "a"]])
+    def test_exact_tie_keeps_the_fewest_bas_witness(self, children):
+        """An exact (cost, damage) tie breaks towards the fewest BASs in
+        both settings, whatever order the children are declared in."""
+        from repro.attacktree.transform import strip_probabilities
+        from repro.core.bottom_up_prob import (
+            max_expected_damage_given_cost_treelike,
+        )
+
+        model = self._exact_tie_model(children)
+        assert max_damage_given_cost_treelike(
+            strip_probabilities(model), 1.0
+        ) == (1.0, frozenset({"a"}))
+        assert max_expected_damage_given_cost_treelike(model, 1.0) == (
+            1.0, frozenset({"a"})
+        )
+
 
 class TestBudgetPruning:
     def test_budget_zero(self):

@@ -195,6 +195,42 @@ class TestCancel:
         assert any_queue.counts()["cancelled"] == 1
 
 
+class TestTasksById:
+    """``tasks(task_ids=...)``: a job's rows by primary key, in seq order."""
+
+    def test_only_the_named_tasks_in_submission_order(self, any_queue):
+        ids = any_queue.submit(payloads(5))
+        picked = any_queue.tasks(task_ids=[ids[3], ids[0], ids[2]])
+        assert [task.task_id for task in picked] == [ids[0], ids[2], ids[3]]
+        assert [task.payload["index"] for task in picked] == [0, 2, 3]
+
+    def test_unknown_and_repeated_ids_are_skipped(self, any_queue):
+        ids = any_queue.submit(payloads(2))
+        picked = any_queue.tasks(
+            task_ids=["task-999999", ids[1], "nonsense", ids[1]]
+        )
+        assert [task.task_id for task in picked] == [ids[1]]
+        assert any_queue.tasks(task_ids=[]) == []
+
+    def test_combines_with_a_state_filter(self, any_queue):
+        ids = any_queue.submit(payloads(4))
+        claimed = any_queue.claim("w", lease_seconds=30)
+        any_queue.complete(claimed.task_id, "w", {"ok": True})
+        pending = any_queue.tasks(TaskState.PENDING, task_ids=ids[:3])
+        assert [task.task_id for task in pending] == ids[1:3]
+        (done,) = any_queue.tasks(TaskState.DONE, task_ids=ids)
+        assert done.task_id == ids[0] and done.result == {"ok": True}
+        assert any_queue.tasks(TaskState.DEAD, task_ids=ids) == []
+
+    def test_a_thousand_ids_in_one_call(self, any_queue):
+        """1000 is the service's default largest batch (one job)."""
+        noise = any_queue.submit(payloads(10))
+        ids = any_queue.submit(payloads(1000))
+        picked = any_queue.tasks(task_ids=list(reversed(ids)))
+        assert [task.task_id for task in picked] == ids
+        assert not {task.task_id for task in picked} & set(noise)
+
+
 class TestLeases:
     def test_expired_lease_returns_task_to_pending(self, any_queue):
         any_queue.submit(payloads(1))

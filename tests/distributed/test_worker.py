@@ -15,6 +15,8 @@ from repro.distributed import (
     Worker,
     execute_task_payload,
 )
+from repro.distributed import worker as worker_module
+from repro.distributed.worker import WORKER_METRICS_META_PREFIX
 from repro.bench.harness import case_payload, expand_specs
 from repro.workloads import ScenarioSpec
 
@@ -322,3 +324,64 @@ class TestGracefulShutdown:
             os.kill(os.getpid(), signal_module.SIGTERM)
             time.sleep(0.01)
         assert worker._stop_event.is_set()
+
+
+class TestMetricsPublish:
+    """The metrics snapshot is one queue write: published on the first
+    task, then at most once per interval, when going idle, and on exit."""
+
+    @staticmethod
+    def counting_worker(queue, **options):
+        """A worker whose publishes record the queue's done count."""
+        worker = Worker(
+            queue, worker_id="w", poll_seconds=0.01,
+            executor=lambda payload: {"ok": True}, **options,
+        )
+        published = []
+        publish = worker.publish_metrics
+
+        def counting_publish():
+            published.append(queue.counts()["done"])
+            publish()
+
+        worker.publish_metrics = counting_publish
+        return worker, published
+
+    def test_first_task_then_throttled_then_exit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(worker_module, "PUBLISH_INTERVAL_SECONDS", 3600.0)
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
+        queue.submit([{"kind": "t", "i": i} for i in range(5)])
+        worker, published = self.counting_worker(queue)
+        assert worker.run().completed == 5
+        assert published == [1, 5]
+        assert queue.get_meta(WORKER_METRICS_META_PREFIX + "w")
+
+    def test_an_elapsed_interval_publishes_again(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(worker_module, "PUBLISH_INTERVAL_SECONDS", 0.0)
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
+        queue.submit([{"kind": "t", "i": i} for i in range(3)])
+        worker, published = self.counting_worker(queue)
+        worker.run()
+        assert published == [1, 2, 3, 3]
+
+    def test_going_idle_publishes_the_unpublished_tasks(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(worker_module, "PUBLISH_INTERVAL_SECONDS", 3600.0)
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
+        queue.submit([{"kind": "t", "i": i} for i in range(3)])
+        worker, published = self.counting_worker(
+            queue, exit_when_drained=False
+        )
+        thread = threading.Thread(target=worker.run)
+        thread.start()
+        try:
+            deadline = time.monotonic() + 30
+            while len(published) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.1)  # several idle polls: no further publish
+            assert published == [1, 3]
+        finally:
+            worker.stop()
+            thread.join(timeout=10)
+        assert published == [1, 3, 3]

@@ -11,6 +11,7 @@ mid-run, malformed and unauthorized requests, and protocol conformance.
 import http.client
 import json
 import threading
+import time
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.engine import AnalysisRequest, model_fingerprint, run_request
 from repro.engine.store import ResultStore, StoreError, open_store
 from repro.distributed.queue import open_queue
 from repro.net import BrokerServer, HttpQueue, HttpStore, WIRE_VERSION
+from repro.net.edge import JsonHandler
 
 
 @pytest.fixture
@@ -159,6 +161,15 @@ class TestMalformedRequests:
     def test_missing_arguments_are_a_400(self, broker):
         status, document = raw_request(
             broker, "POST", "/queue/claim", body=b"{}",
+        )
+        assert status == 400
+        assert document["kind"] == "bad-request"
+
+    @pytest.mark.parametrize("task_ids", ['"t1"', '[1, 2]', '{"a": 1}'])
+    def test_task_ids_must_be_a_list_of_strings(self, broker, task_ids):
+        status, document = raw_request(
+            broker, "POST", "/queue/tasks",
+            body=f'{{"task_ids": {task_ids}}}'.encode(),
         )
         assert status == 400
         assert document["kind"] == "bad-request"
@@ -385,6 +396,30 @@ class TestKeepAliveHygiene:
                 with pytest.raises(QueueError, match="unauthorized"):
                     queue.submit([{"kind": "x"}])
             queue.close()
+
+
+    def test_clients_reconnect_after_an_idle_close(self, paths, monkeypatch):
+        """The server retires a kept-alive socket left idle past its
+        socket timeout; the clients' next calls go out again on a fresh
+        connection, and nothing is lost or duplicated."""
+        monkeypatch.setattr(JsonHandler, "timeout", 0.2)
+        queue_path, store_path = paths
+        with BrokerServer(
+            queue_path=queue_path, store_path=store_path
+        ) as server:
+            server.start()
+            queue = HttpQueue(server.url, retries=1, backoff_seconds=0.01)
+            store = HttpStore(server.url, retries=1, backoff_seconds=0.01)
+            try:
+                assert queue.counts()["pending"] == 0
+                assert len(store) == 0
+                time.sleep(0.6)  # both sockets are closed by the server
+                assert len(queue.submit([{"kind": "x"}])) == 1
+                assert queue.counts()["pending"] == 1
+                assert len(store) == 0
+            finally:
+                queue.close()
+                store.close()
 
 
 class TestLostResponseReplays:

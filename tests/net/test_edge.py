@@ -2,16 +2,19 @@
 
 Every test takes the ``edge`` fixture and so runs against both the
 broker and the analysis service: body limits and draining, the error
-envelope, 503 while closing and 500 on an unexpected handler failure are
-one implementation and must behave identically on both servers.
+envelope, 503 while closing, 500 on an unexpected handler failure and
+the socket options (``TCP_NODELAY``, the read timeout) are one
+implementation and must behave identically on both servers.
 """
 
 import json
+import socket
+import time
 
 import pytest
 
 from repro.net import REQUEST_ID_HEADER
-from repro.net.edge import MAX_BODY_BYTES
+from repro.net.edge import MAX_BODY_BYTES, JsonHandler
 
 from .conftest import exchange
 
@@ -147,3 +150,66 @@ class TestInternalErrors:
         assert_envelope(status, headers, doc, 500, "internal")
         assert doc["error"] == f"internal {edge.kind} error: boom"
         assert_still_serving(edge, connection)
+
+
+#: A socket timeout short enough for a test to outwait.
+SHORT_TIMEOUT = 0.3
+
+
+class TestSockets:
+    def test_accepted_sockets_run_with_tcp_nodelay(self, edge, monkeypatch):
+        """Without TCP_NODELAY each kept-alive reply's body waits ~40 ms
+        for the client's delayed ACK of its headers."""
+        seen = []
+        setup = JsonHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            seen.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ))
+
+        monkeypatch.setattr(JsonHandler, "setup", recording_setup)
+        assert_still_serving(edge)
+        assert seen and all(seen)
+
+    def test_stalled_body_is_a_408_that_closes(self, edge, monkeypatch):
+        monkeypatch.setattr(JsonHandler, "timeout", SHORT_TIMEOUT)
+        method, path = edge.body_route
+        connection = edge.connect()
+        try:
+            connection.putrequest(method, path)
+            for name, value in edge.auth.items():
+                connection.putheader(name, value)
+            connection.putheader("Content-Length", "100")
+            connection.endheaders(b'{"partial": ')  # and then nothing
+            response = connection.getresponse()
+            status, headers = response.status, response.headers
+            doc = json.loads(response.read())
+        finally:
+            connection.close()
+        assert_envelope(status, headers, doc, 408, "timeout")
+        assert headers["Connection"] == "close"
+        assert_still_serving(edge)
+
+    def test_idle_kept_alive_socket_is_closed_quietly(self, edge, monkeypatch):
+        monkeypatch.setattr(JsonHandler, "timeout", SHORT_TIMEOUT)
+        with socket.create_connection(
+            (edge.server.host, edge.server.port), timeout=10
+        ) as raw:
+            headers = "".join(
+                f"{name}: {value}\r\n" for name, value in edge.auth.items()
+            )
+            raw.sendall(
+                f"GET /ping HTTP/1.1\r\nHost: x\r\n{headers}\r\n".encode()
+            )
+            reply = b""
+            while not reply.endswith(b"}"):  # the end of the JSON body
+                chunk = raw.recv(65536)
+                assert chunk, reply
+                reply += chunk
+            assert reply.startswith(b"HTTP/1.1 200")
+            started = time.monotonic()
+            assert raw.recv(65536) == b""  # closed, with nothing sent
+            assert time.monotonic() - started < 5
+        assert_still_serving(edge)

@@ -32,6 +32,8 @@ from repro.service import (
 )
 from repro.workloads import ScenarioSpec, expand
 
+from ..conftest import CountingQueue
+
 MODEL = serialization.to_dict(factory())
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -259,6 +261,35 @@ class TestJobLifecycle:
         assert lines[-1]["state"] == "done"
         results = [line for line in lines if line["event"] == "result"]
         assert sorted(line["index"] for line in results) == [0, 1]
+
+    def test_each_stream_poll_reads_the_job_once(self, tmp_path):
+        """A poll reads the descriptor and the job's tasks once each (by
+        id), not once for the status and again for the rows."""
+        queue = CountingQueue(SqliteQueue(str(tmp_path / "api.queue")))
+        registry = TenantRegistry([Tenant(name="acme", key=ACME_KEY)])
+        with ServiceServer(
+            queue, registry, poll_seconds=0.01, stream_timeout_seconds=0.2,
+        ) as service:
+            service.start()
+            _, _, doc = submit(service)
+            job_id = doc["job"]["job_id"]
+            queue.calls.clear()
+            request = urllib.request.Request(
+                f"{service.url}/v1/jobs/{job_id}/stream",
+            )
+            request.add_header(API_KEY_HEADER, ACME_KEY)
+            with urllib.request.urlopen(request, timeout=30) as response:
+                lines = response.read().decode("utf-8").splitlines()
+        assert json.loads(lines[-1])["event"] == "timeout"  # nothing ran
+        descriptor_reads = [
+            call for call in queue.calls
+            if call == ("get_meta", f"job:acme:{job_id}")
+        ]
+        task_reads = [call for call in queue.calls if call[0] == "tasks"]
+        assert len(descriptor_reads) >= 2  # several polls were made
+        assert len(task_reads) == len(descriptor_reads)
+        assert all(call[2] is not None for call in task_reads)
+        assert len(queue.calls) == 2 * len(task_reads)
 
     def test_stream_of_unknown_job_is_404(self, server):
         status, _, doc = call(server, "/v1/jobs/nope/stream")

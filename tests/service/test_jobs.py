@@ -6,6 +6,9 @@ from repro.attacktree import serialization
 from repro.attacktree.catalog import factory
 from repro.distributed import SqliteQueue, TaskState, Worker
 from repro.service import JobManager, JobValidationError, validate_batch
+from repro.service.jobs import job_meta_key
+
+from ..conftest import CountingQueue
 
 MODEL = serialization.to_dict(factory())
 
@@ -87,7 +90,7 @@ class TestStateMachine:
         final = jobs.status("acme", status["job_id"])
         assert final["state"] == "done"
         assert final["completed"] == 2
-        rows = jobs.results("acme", status["job_id"])
+        rows = jobs.results("acme", status["job_id"])["results"]
         assert [row["index"] for row in rows] == [0, 1]
         assert all(row["result"] is not None for row in rows)
         # Results carry the engine's document shape (the worker computed).
@@ -103,7 +106,7 @@ class TestStateMachine:
             queue.fail(task.task_id, "w", "boom")
         final = jobs.status("acme", status["job_id"])
         assert final["state"] == "failed"
-        rows = jobs.results("acme", status["job_id"])
+        rows = jobs.results("acme", status["job_id"])["results"]
         assert rows[0]["state"] == "done"
         assert rows[1]["state"] == "dead" and rows[1]["error"] == "boom"
 
@@ -122,7 +125,7 @@ class TestStateMachine:
         jobs.cancel("acme", status["job_id"])
         # The worker's lease is honored; its result is kept.
         assert queue.complete(running.task_id, "w", {"ok": True})
-        rows = jobs.results("acme", status["job_id"])
+        rows = jobs.results("acme", status["job_id"])["results"]
         assert rows[0]["state"] == "done"
         assert rows[1]["state"] == "cancelled"
         assert jobs.status("acme", status["job_id"])["state"] == "cancelled"
@@ -176,3 +179,64 @@ class TestTenancy:
             jobs.submit("acme", MODEL, [{"problem": "nonsense"}])
         assert queue.counts()["pending"] == 0
         assert jobs.list_jobs("acme") == []
+
+
+class TestQueueReads:
+    """The job layer reads a job's rows by id and only the live rows for
+    quotas: no call scans the whole queue."""
+
+    def test_reads_never_scan_the_whole_queue(self, queue):
+        counted = CountingQueue(queue)
+        jobs = JobManager(counted)
+        first = jobs.submit("acme", MODEL, good_requests())
+        jobs.submit("acme", MODEL, good_requests())
+        jobs.submit("globex", MODEL, good_requests())
+        Worker(queue, worker_id="w", poll_seconds=0.01, max_tasks=3).run()
+        counted.calls.clear()
+        job_id = first["job_id"]
+        assert jobs.status("acme", job_id)["state"] == "done"
+        assert len(jobs.results("acme", job_id)["results"]) == 2
+        assert jobs.in_flight("acme") == 1
+        assert jobs.in_flight("globex") == 2
+        assert counted.calls and not counted.unfiltered_scans()
+
+    def test_results_read_the_descriptor_and_the_tasks_once(self, queue):
+        counted = CountingQueue(queue)
+        jobs = JobManager(counted)
+        job_id = jobs.submit("acme", MODEL, good_requests())["job_id"]
+        counted.calls.clear()
+        document = jobs.results("acme", job_id)
+        assert document["job"]["job_id"] == job_id
+        assert counted.calls == [
+            ("get_meta", job_meta_key("acme", job_id)),
+            ("tasks", None,
+             tuple(row["task_id"] for row in document["results"])),
+        ]
+
+    def test_in_flight_skips_finished_jobs(self, queue):
+        counted = CountingQueue(queue)
+        jobs = JobManager(counted)
+        done = jobs.submit("acme", MODEL, good_requests())["job_id"]
+        Worker(queue, worker_id="w", poll_seconds=0.01).run()
+        live = jobs.submit("acme", MODEL, good_requests())["job_id"]
+        counted.calls.clear()
+        assert jobs.in_flight("acme") == 2
+        read = [call[1] for call in counted.calls if call[0] == "get_meta"]
+        assert read == [job_meta_key("acme", live)]
+        assert job_meta_key("acme", done) not in read
+
+    def test_a_queue_that_ignores_task_ids_still_gives_each_job_its_own(
+        self, queue
+    ):
+        jobs = JobManager(CountingQueue(queue, ignore_task_ids=True))
+        first = jobs.submit("acme", MODEL, good_requests())
+        second = jobs.submit("acme", MODEL, [{"problem": "cdpf"}])
+        jobs.submit("globex", MODEL, good_requests())
+        queue.claim("w", lease_seconds=30)  # the first job's first task
+        status = jobs.status("acme", first["job_id"])
+        assert status["task_counts"]["running"] == 1
+        assert status["task_counts"]["pending"] == 1
+        rows = jobs.results("acme", second["job_id"])["results"]
+        assert [row["index"] for row in rows] == [0]
+        assert jobs.results("acme", second["job_id"])["job"]["count"] == 1
+        assert jobs.in_flight("acme") == 3
