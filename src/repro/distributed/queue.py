@@ -248,7 +248,8 @@ class WorkQueue(Protocol):
         task_ids: Optional[Sequence[str]] = None,
     ) -> List[Task]:
         """Tasks in submission order: all of them, or only one state's,
-        and/or only those among ``task_ids`` (unknown ids are skipped).
+        and/or only those among ``task_ids`` (any number of them; unknown
+        ids are skipped).
 
         Every row carries its payload and result, so a caller that
         tracks a few tasks names them: the lookup is then by primary
@@ -550,6 +551,32 @@ class SqliteQueue:
                 f"work queue {self.path!r} failed: {error}"
             ) from error
 
+    def _query_ids(
+        self, sql: str, parameters: tuple, ids: Sequence[str]
+    ) -> List[tuple]:
+        """The rows of ``sql`` — ending in ``task_id IN ({})`` — over
+        ``ids``, bound :data:`_IDS_PER_STATEMENT` at a time and all read
+        from one snapshot, unordered."""
+        if self._closed:
+            raise QueueError(f"work queue {self.path!r} is closed")
+        try:
+            with self._lock:
+                self._connection.execute("BEGIN")
+                try:
+                    return [
+                        row for chunk in _id_chunks(ids)
+                        for row in self._connection.execute(
+                            sql.format(_placeholders(chunk)),
+                            (*parameters, *chunk),
+                        ).fetchall()
+                    ]
+                finally:
+                    self._connection.execute("ROLLBACK")
+        except sqlite3.Error as error:
+            raise QueueError(
+                f"work queue {self.path!r} failed: {error}"
+            ) from error
+
     # ------------------------------------------------------------------ #
     # WorkQueue interface
     # ------------------------------------------------------------------ #
@@ -734,22 +761,22 @@ class SqliteQueue:
         ids = list(dict.fromkeys(task_ids))
         if not ids:
             return []
-        placeholders = ", ".join("?" for _ in ids)
         with self._transaction() as connection:
-            cancelled = [
-                row[0] for row in connection.execute(
-                    "SELECT task_id FROM tasks WHERE state = ?"
-                    f" AND task_id IN ({placeholders}) ORDER BY seq",
-                    (TaskState.PENDING.value, *ids),
+            rows = [
+                row for chunk in _id_chunks(ids)
+                for row in connection.execute(
+                    "SELECT seq, task_id FROM tasks WHERE state = ?"
+                    f" AND task_id IN ({_placeholders(chunk)})",
+                    (TaskState.PENDING.value, *chunk),
                 ).fetchall()
             ]
-            if cancelled:
+            cancelled = [task_id for _, task_id in sorted(rows)]
+            for chunk in _id_chunks(cancelled):
                 connection.execute(
                     "UPDATE tasks SET state = ?, error = 'cancelled',"
-                    " updated_unix = ? WHERE state = ?"
-                    f" AND task_id IN ({placeholders})",
-                    (TaskState.CANCELLED.value, now,
-                     TaskState.PENDING.value, *ids),
+                    " updated_unix = ?"
+                    f" WHERE task_id IN ({_placeholders(chunk)})",
+                    (TaskState.CANCELLED.value, now, *chunk),
                 )
         _record_op("cancel", len(cancelled))
         return cancelled
@@ -850,21 +877,20 @@ class SqliteQueue:
         state: Optional[TaskState] = None,
         task_ids: Optional[Sequence[str]] = None,
     ) -> List[Task]:
-        clauses: List[str] = []
-        parameters: List[Any] = []
-        if state is not None:
-            clauses.append("state = ?")
-            parameters.append(state.value)
-        if task_ids is not None:
-            ids = list(dict.fromkeys(task_ids))
-            if not ids:
-                return []
-            clauses.append(f"task_id IN ({', '.join('?' for _ in ids)})")
-            parameters.extend(ids)
-        where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
-        rows = self._query(
-            _TASK_SELECT + where + " ORDER BY seq", tuple(parameters)
-        )
+        where = " WHERE state = ?" if state is not None else ""
+        parameters = (state.value,) if state is not None else ()
+        if task_ids is None:
+            rows = self._query(
+                _TASK_SELECT + where + " ORDER BY seq", parameters
+            )
+        else:
+            where += " AND" if where else " WHERE"
+            rows = self._query_ids(
+                _TASK_SELECT + where + " task_id IN ({})",
+                parameters,
+                list(dict.fromkeys(task_ids)),
+            )
+            rows.sort(key=lambda row: row[1])  # seq
         return [_task_from_row(row) for row in rows]
 
     def get_meta(self, key: str) -> Optional[str]:
@@ -930,6 +956,23 @@ class SqliteQueue:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+#: Ids bound per ``task_id IN (…)`` statement.  SQLite caps the
+#: parameters of one statement (999 before 3.32, 32766 since), and a
+#: job may hold more tasks than either.
+_IDS_PER_STATEMENT = 500
+
+
+def _id_chunks(ids: Sequence[str]) -> List[Sequence[str]]:
+    return [
+        ids[start:start + _IDS_PER_STATEMENT]
+        for start in range(0, len(ids), _IDS_PER_STATEMENT)
+    ]
+
+
+def _placeholders(ids: Sequence[str]) -> str:
+    return ", ".join("?" for _ in ids)
 
 
 _TASK_SELECT = (

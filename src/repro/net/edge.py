@@ -42,6 +42,7 @@ idle kept-alive socket is closed quietly — the clients in
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -213,7 +214,7 @@ class JsonHandler(BaseHTTPRequestHandler):
         408 when the body stalls past :data:`SOCKET_TIMEOUT_SECONDS`)."""
         try:
             raw = self.rfile.read(self._unread) if self._unread else b""
-        except TimeoutError:
+        except socket.timeout:  # TimeoutError's alias only from 3.10
             # Part of the body may be consumed: the socket cannot be
             # resynced, so the reply retires it (-1: nothing to drain).
             self._unread = -1
@@ -249,7 +250,7 @@ class JsonHandler(BaseHTTPRequestHandler):
         while self._unread > 0:
             try:
                 chunk = self.rfile.read(min(self._unread, 1 << 20))
-            except TimeoutError:
+            except socket.timeout:
                 return False
             if not chunk:
                 return False

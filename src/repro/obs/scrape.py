@@ -5,9 +5,10 @@ happen on workers, which may be separate processes on separate hosts.
 Workers therefore publish their registry snapshot into queue metadata
 (under :data:`WORKER_METRICS_META_PREFIX` + worker id) after their first
 task, then at most once a second, when they go idle and when they exit;
-the serving process merges those snapshots into its own at scrape time.  One ``GET /metrics`` then answers for the whole fleet, with no
-push gateway and no extra wire protocol: the queue the fleet already
-shares is the transport.
+the serving process merges those snapshots into its own at scrape time.
+One ``GET /metrics`` then answers for the whole fleet, with no push
+gateway and no extra wire protocol: the queue the fleet already shares
+is the transport.
 
 Gauges describe *current* state, not history, so they are refreshed here
 from the queue/store summaries rather than updated on every operation —

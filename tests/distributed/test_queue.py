@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.distributed.queue as queue_module
 from repro.distributed import (
     QueueError,
     SqliteQueue,
@@ -58,6 +59,22 @@ def any_queue(request, queue_path):
         queue = SqliteQueue(queue_path, grace_seconds=0.0)
     yield queue
     queue.close()
+
+
+@pytest.fixture
+def default_bind_cap(monkeypatch):
+    """Queues opened after this fixture bind at most 32766 parameters per
+    statement — SQLite's built-in default, which some distributions raise
+    (needs ``Connection.setlimit``, Python 3.11+; a no-op before)."""
+    connect = sqlite3.connect
+
+    def capped(*args, **kwargs):
+        connection = connect(*args, **kwargs)
+        if hasattr(connection, "setlimit"):
+            connection.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 32766)
+        return connection
+
+    monkeypatch.setattr(sqlite3, "connect", capped)
 
 
 def payloads(n):
@@ -229,6 +246,37 @@ class TestTasksById:
         picked = any_queue.tasks(task_ids=list(reversed(ids)))
         assert [task.task_id for task in picked] == ids
         assert not {task.task_id for task in picked} & set(noise)
+
+    def test_more_ids_than_sqlite_binds_in_one_statement(
+        self, default_bind_cap, any_queue
+    ):
+        """SQLite caps one statement at 32766 parameters (999 before 3.32):
+        the ids are bound in chunks, merged back into seq order."""
+        ids = any_queue.submit(payloads(6))
+        unknown = [f"task-x{i}" for i in range(40000)]
+        asked = unknown[:20000] + ids[::-1] + unknown[20000:]
+        assert [t.task_id for t in any_queue.tasks(task_ids=asked)] == ids
+        pending = any_queue.tasks(TaskState.PENDING, task_ids=asked)
+        assert [task.task_id for task in pending] == ids
+        assert any_queue.cancel_pending(asked) == ids
+        assert any_queue.counts()["cancelled"] == 6
+
+    def test_chunks_merge_in_seq_order(self, any_queue, monkeypatch):
+        monkeypatch.setattr(queue_module, "_IDS_PER_STATEMENT", 2)
+        ids = any_queue.submit(payloads(7))
+        claimed = any_queue.claim("w", lease_seconds=30)
+        any_queue.complete(claimed.task_id, "w", {"ok": True})
+        shuffled = [ids[5], ids[0], ids[6], ids[2], ids[4], ids[1], ids[3]]
+        picked = any_queue.tasks(task_ids=shuffled)
+        assert [task.task_id for task in picked] == ids
+        pending = any_queue.tasks(TaskState.PENDING, task_ids=shuffled)
+        assert [task.task_id for task in pending] == ids[1:]
+        assert any_queue.cancel_pending(shuffled[:5]) == [
+            ids[2], ids[4], ids[5], ids[6]
+        ]
+        assert [
+            task.task_id for task in any_queue.tasks(TaskState.PENDING)
+        ] == [ids[1], ids[3]]
 
 
 class TestLeases:

@@ -1,7 +1,10 @@
 """Tests for the job layer: validation, the state machine, tenancy keys."""
 
+import sqlite3
+
 import pytest
 
+import repro.distributed.queue as queue_module
 from repro.attacktree import serialization
 from repro.attacktree.catalog import factory
 from repro.distributed import SqliteQueue, TaskState, Worker
@@ -240,3 +243,29 @@ class TestQueueReads:
         assert [row["index"] for row in rows] == [0]
         assert jobs.results("acme", second["job_id"])["job"]["count"] == 1
         assert jobs.in_flight("acme") == 3
+
+    @pytest.mark.skipif(
+        not hasattr(sqlite3.Connection, "setlimit"),
+        reason="Connection.setlimit needs Python 3.11",
+    )
+    def test_a_job_above_the_sqlite_parameter_cap(self, queue, monkeypatch):
+        """A job with more tasks than one SQLite statement may bind (the
+        cap is lowered here so the job stays small) is submitted, read,
+        answered and cancelled like any other."""
+        queue._connection.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 50)
+        monkeypatch.setattr(queue_module, "_IDS_PER_STATEMENT", 20)
+        jobs = JobManager(queue, max_requests=200)
+        requests = [{"problem": "dgc", "budget": 2.0}] * 120
+        job = jobs.submit("acme", MODEL, requests)
+        assert job["count"] == 120
+        assert jobs.status("acme", job["job_id"])["task_counts"]["pending"] \
+            == 120
+        Worker(queue, worker_id="w", poll_seconds=0.01, max_tasks=3).run()
+        rows = jobs.results("acme", job["job_id"])["results"]
+        assert [row["index"] for row in rows] == list(range(120))
+        assert [row["state"] for row in rows[:4]] == [
+            "done", "done", "done", "pending"
+        ]
+        cancelled = jobs.cancel("acme", job["job_id"])
+        assert cancelled["state"] == "cancelled"
+        assert cancelled["task_counts"]["cancelled"] == 117
