@@ -3,34 +3,36 @@
 Reproduces the Section X.B analysis of the paper (Figures 5 and 6c).  The
 attack tree is DAG-like — the "internet connection to the FTP server" step
 is shared by three different exploits — so the bottom-up method does not
-apply and the analysis uses the bi-objective integer linear programming
-translation of Theorem 6.
+apply directly.  The engine answers it with the ``conditioning`` backend
+(bottom-up once per subset of the shared BASs); the paper's bi-objective
+integer linear programming translation (Theorem 6) is the ``bilp`` backend.
 
 Run it with::
 
     python examples/data_server.py
 """
 
-from repro import CostDamageAnalyzer, catalog
+from repro import AnalysisSession, catalog
+from repro.core import analysis
 from repro.experiments.casestudies import PAPER_FIG6C_FRONT
 
 
 def main() -> None:
     model = catalog.data_server()
-    analyzer = CostDamageAnalyzer(model)
+    session = AnalysisSession(model)
 
     print("=" * 72)
     print("Data server on a network behind a firewall (Fig. 5 of the paper)")
     print("=" * 72)
-    print(analyzer.describe())
+    print(analysis.describe(session))
     shared = ", ".join(sorted(model.tree.shared_nodes()))
     print(f"shared nodes (what makes this a DAG): {shared}")
     print()
 
     # ------------------------------------------------------------------ #
-    # Fig. 6c — Pareto front via BILP (Theorem 6)
+    # Fig. 6c — Pareto front
     # ------------------------------------------------------------------ #
-    front = analyzer.pareto_front()
+    front = session.pareto_front().front
     print("Cost-damage Pareto front (Fig. 6c), cost in seconds of attacker time:")
     print(front.table())
     print()
@@ -42,7 +44,7 @@ def main() -> None:
     nonzero = [p for p in front if p.cost > 0]
     nested = all(a.attack <= b.attack for a, b in zip(nonzero, nonzero[1:]))
     print(f"every optimal attack contains the previous one: {nested}")
-    report = analyzer.critical_basic_attack_steps()
+    report = analysis.critical_basic_attack_steps(session)
     critical = ", ".join(
         f"{name} ({model.tree.node(name).label})"
         for name in sorted(report.in_every_optimal_attack)
@@ -60,13 +62,13 @@ def main() -> None:
     print()
 
     # ------------------------------------------------------------------ #
-    # Budget / threshold queries via the single-objective ILPs (Theorem 7)
+    # Budget / threshold queries (DgC and CgD)
     # ------------------------------------------------------------------ #
     for budget in [250, 600, 1000, 1300]:
-        result = analyzer.max_damage(budget)
+        result = session.max_damage(budget)
         print(f"DgC: within {budget:>5} s the attacker can do damage {result.value:g}")
     threshold = 60
-    result = analyzer.min_cost(threshold)
+    result = session.min_cost(threshold)
     print(f"CgD: damage ≥ {threshold} requires at least {result.value:g} s "
           f"(attack {sorted(result.witness)})")
 

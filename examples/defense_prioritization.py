@@ -18,7 +18,7 @@ Run it with::
     python examples/defense_prioritization.py
 """
 
-from repro import AttackTreeBuilder, CostDamageAnalyzer
+from repro import AnalysisSession, AttackTreeBuilder
 from repro.attacktree.attributes import CostDamageAT
 from repro.extensions.robust import IntervalCostDamageAT, robust_pareto_front
 
@@ -82,18 +82,18 @@ def main() -> None:
     # Evaluate one defence: phishing training doubles the phishing cost.
     # ------------------------------------------------------------------ #
     nominal = interval_model.scenario(attacker_favourable=True)
-    analyzer_before = CostDamageAnalyzer(nominal)
+    session_before = AnalysisSession(nominal)
     hardened = CostDamageAT(
         tree,
         cost={**dict(nominal.cost), "phish": nominal.cost["phish"] * 4},
         damage=dict(nominal.damage),
     )
-    analyzer_after = CostDamageAnalyzer(hardened)
+    session_after = AnalysisSession(hardened)
 
     print("Effect of phishing training (phish cost ×4), attacker-favourable view:")
     for budget in [5, 10, 15]:
-        before = analyzer_before.max_damage(budget).value
-        after = analyzer_after.max_damage(budget).value
+        before = session_before.max_damage(budget).value
+        after = session_after.max_damage(budget).value
         print(f"  budget {budget:>3}: worst-case damage {before:5.1f} -> {after:5.1f}")
     print()
     print("The defence only helps for small attacker budgets — beyond the cost")

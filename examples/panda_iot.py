@@ -16,7 +16,8 @@ Run it with::
     python examples/panda_iot.py
 """
 
-from repro import CostDamageAnalyzer, catalog
+from repro import AnalysisSession, catalog
+from repro.core import analysis
 from repro.experiments.casestudies import (
     PAPER_FIG6A_FRONT,
     PAPER_FIG6B_PREFIX,
@@ -25,12 +26,12 @@ from repro.experiments.casestudies import (
 
 def main() -> None:
     model = catalog.panda_iot()
-    analyzer = CostDamageAnalyzer(model)
+    session = AnalysisSession(model)
 
     print("=" * 72)
     print("Giant-panda IoT sensor network (Fig. 4 of the paper)")
     print("=" * 72)
-    print(analyzer.describe())
+    print(analysis.describe(session))
     print()
     print(model.tree.pretty())
     print()
@@ -38,7 +39,7 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # Fig. 6a — deterministic front
     # ------------------------------------------------------------------ #
-    deterministic_front = analyzer.pareto_front()
+    deterministic_front = session.pareto_front().front
     print("Deterministic cost-damage Pareto front (Fig. 6a):")
     print(deterministic_front.table())
     print()
@@ -52,7 +53,7 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # Fig. 6b — probabilistic front
     # ------------------------------------------------------------------ #
-    probabilistic_front = analyzer.expected_pareto_front()
+    probabilistic_front = session.expected_pareto_front().front
     print(f"Cost-expected-damage Pareto front has {len(probabilistic_front)} points "
           f"(the paper reports 31); first five published points: {PAPER_FIG6B_PREFIX}")
     for cost, damage in probabilistic_front.values()[:8]:
@@ -62,8 +63,10 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # Defence priorities (the paper's reading of the fronts)
     # ------------------------------------------------------------------ #
-    deterministic_report = analyzer.critical_basic_attack_steps()
-    probabilistic_report = analyzer.critical_basic_attack_steps(probabilistic=True)
+    deterministic_report = analysis.critical_basic_attack_steps(session)
+    probabilistic_report = analysis.critical_basic_attack_steps(
+        session, probabilistic=True
+    )
 
     def describe(bas_names):
         return ", ".join(
@@ -86,7 +89,7 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     print()
     print("Worst-case damage per attacker budget (Equation (1)):")
-    for point in analyzer.damage_budget_curve([0, 3, 5, 10, 20, 30, 60]):
+    for point in analysis.damage_budget_curve(session, [0, 3, 5, 10, 20, 30, 60]):
         if not point.reachable:
             print(f"  budget {point.budget:5.0f}  ->  no attack affordable")
             continue

@@ -12,9 +12,7 @@ production robot — and walks through the library's main entry points:
 * executing a *batch* of requests in one call;
 * round-tripping requests and results through JSON (the service wire
   format);
-* the probabilistic setting (expected damage);
-* the backwards-compatible ``solve()`` / ``CostDamageAnalyzer`` entry
-  points that older code keeps using.
+* the probabilistic setting (expected damage).
 
 Run it with::
 
@@ -32,9 +30,7 @@ from repro import (
     AnalysisResult,
     AnalysisSession,
     AttackTreeBuilder,
-    CostDamageAnalyzer,
     Problem,
-    solve,
 )
 
 
@@ -70,7 +66,7 @@ def engine_analysis():
     print()
 
     # A batch of single-objective questions in one call; pass
-    # parallel=True to fan a large batch out over a thread pool.
+    # executor="thread" to fan a large batch out over a thread pool.
     batch = session.run_batch(
         [
             AnalysisRequest(Problem.DGC, budget=2),
@@ -124,28 +120,6 @@ def probabilistic_analysis():
     print()
 
 
-def legacy_entry_points():
-    """The pre-engine API keeps working; it forwards to the same registry.
-
-    One deliberate exception: ``damage_budget_curve`` now returns
-    ``BudgetDamagePoint(budget, damage, reachable)`` triples instead of
-    bare pairs, so unreachable budgets are no longer reported as damage 0.
-    """
-    model = build_factory_model()
-
-    print("=" * 72)
-    print("Backwards-compatible entry points")
-    print("=" * 72)
-    result = solve(model, Problem.DGC, budget=2)
-    print(f"solve(..., DGC, budget=2) -> {result.value:g} via {result.method.value}")
-
-    analyzer = CostDamageAnalyzer(model)
-    print(f"CostDamageAnalyzer.min_cost(300) -> {analyzer.min_cost(300).value:g}")
-    curve = analyzer.damage_budget_curve([0, 2, 5])
-    print("damage/budget curve:", [(p.budget, p.damage) for p in curve])
-
-
 if __name__ == "__main__":
     engine_analysis()
     probabilistic_analysis()
-    legacy_entry_points()

@@ -34,17 +34,10 @@ Quickstart
 [200.0, 5.0]
 
 Sessions cache by (model fingerprint, request) and report wall time and the
-resolved backend on every result.
-
-Backwards compatibility: the original entry points keep working —
-``solve(model, problem, method=...)`` forwards to the engine (``method``
-maps onto the backend of the same name), and :class:`CostDamageAnalyzer`
-wraps a session behind its familiar question-oriented methods.  One
-deliberate API break: ``CostDamageAnalyzer.damage_budget_curve`` now
-returns :class:`BudgetDamagePoint` triples instead of ``(budget, damage)``
-pairs, so that "no attack affordable at this budget" is distinguishable
-from "the best affordable attack does zero damage" (previously both were
-reported as ``0.0``).
+resolved backend on every result.  A request names a solver only by its
+backend name (``AnalysisRequest(..., backend="bilp")``); without one the
+registry follows Table I.  :mod:`repro.core.analysis` reads critical BASs,
+the damage/budget curve and a plain-text report off a session's fronts.
 """
 
 from .attacktree import (
@@ -59,14 +52,10 @@ from .attacktree import (
 from .attacktree import catalog
 from .core import (
     BudgetDamagePoint,
-    CostDamageAnalyzer,
-    Method,
     Problem,
-    SolveResult,
     attack_cost,
     attack_damage,
     capability_matrix,
-    solve,
 )
 from .engine import (
     AnalysisRequest,
@@ -83,7 +72,7 @@ from .engine import (
 )
 from .pareto import ParetoFront, ParetoPoint
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AnalysisRequest",
@@ -96,9 +85,7 @@ __all__ = [
     "BudgetDamagePoint",
     "Capability",
     "CostDamageAT",
-    "CostDamageAnalyzer",
     "CostDamageProbAT",
-    "Method",
     "Node",
     "NodeType",
     "ParetoFront",
@@ -106,7 +93,6 @@ __all__ = [
     "Problem",
     "Setting",
     "Shape",
-    "SolveResult",
     "SolverBackend",
     "attack_cost",
     "attack_damage",
@@ -115,6 +101,5 @@ __all__ = [
     "default_registry",
     "model_fingerprint",
     "shared_registry",
-    "solve",
     "__version__",
 ]

@@ -1,10 +1,8 @@
 """Timing primitives shared by the benchmark harness and the experiments.
 
 :class:`TimingSample` (mean/std over repeated runs) and :func:`measure`
-used to live in :mod:`repro.experiments.timing`; they are now here so both
-the paper-reproduction experiments and the workload benchmark harness go
-through one measurement path.  ``repro.experiments.timing`` re-exports them
-for backward compatibility.
+are the one measurement path of both the paper-reproduction experiments
+and the workload benchmark harness.
 """
 
 from __future__ import annotations

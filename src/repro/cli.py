@@ -4,7 +4,7 @@ Installed as the ``atcd`` console script.  Sub-commands:
 
 ``atcd analyze MODEL.json``
     Print the model summary, the Pareto front and the critical-BAS report.
-``atcd pareto MODEL.json [--probabilistic] [--method ...] [--backend ...]``
+``atcd pareto MODEL.json [--probabilistic] [--backend NAME]``
     Print only the Pareto front (CDPF or CEDPF).
 ``atcd dgc MODEL.json --budget U`` / ``atcd cgd MODEL.json --threshold L``
     Solve the single-objective problems.
@@ -62,7 +62,7 @@ Installed as the ``atcd`` console script.  Sub-commands:
 ``atcd catalog NAME [--out FILE]``
     Export one of the built-in case-study models (factory, panda-iot,
     data-server) as JSON, for use as a starting point.
-``atcd experiments [--quick]``
+``atcd experiments``
     Run the paper's case-study experiments and print the comparison against
     the published fronts.
 ``atcd check [PATHS ...] [--rule ID] [--json] [--baseline FILE]``
@@ -90,8 +90,8 @@ from typing import Optional, Sequence
 from .attacktree import catalog, serialization
 from .attacktree.attributes import CostDamageAT, CostDamageProbAT
 from .devtools.staticcheck import DEFAULT_BASELINE_NAME
-from .core.analysis import CostDamageAnalyzer
-from .core.problems import Method, Problem
+from .core import analysis
+from .core.problems import Problem
 from .engine import AnalysisRequest, AnalysisSession, shared_registry
 from .engine.store import open_store
 from .experiments import casestudies
@@ -140,12 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     pareto = subparsers.add_parser("pareto", help="print the Pareto front")
     pareto.add_argument("model", help="path to a JSON attack-tree model")
     pareto.add_argument("--probabilistic", action="store_true")
-    pareto.add_argument("--method", choices=[m.value for m in Method],
-                        default=Method.AUTO.value,
-                        help="legacy algorithm selector (auto follows Table I)")
     pareto.add_argument("--backend", default=None,
                         help="force a registered engine backend by name "
-                             "(overrides --method; see 'atcd backends')")
+                             "(default follows Table I; see 'atcd backends')")
     pareto.add_argument("--plot", action="store_true",
                         help="also render the front as an ASCII plot")
 
@@ -505,11 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     catalog_cmd.add_argument("name", choices=sorted(_CATALOG))
     catalog_cmd.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    experiments = subparsers.add_parser(
+    subparsers.add_parser(
         "experiments", help="run the paper's case-study experiments"
     )
-    experiments.add_argument("--quick", action="store_true",
-                             help="skip nothing here; accepted for symmetry")
 
     check = subparsers.add_parser(
         "check", help="run the project-invariant static analyzer"
@@ -551,28 +546,16 @@ def _load_model(path: str):
     return model
 
 
-def _backend_name(args: argparse.Namespace) -> Optional[str]:
-    """Resolve --backend / --method flags into an engine backend name."""
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        return backend
-    method = Method(getattr(args, "method", Method.AUTO.value))
-    from .core.problems import _METHOD_TO_BACKEND
-
-    return _METHOD_TO_BACKEND.get(method)
-
-
 def _command_analyze(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
-    analyzer = CostDamageAnalyzer(model)
-    print(analyzer.report(probabilistic=args.probabilistic))
+    session = AnalysisSession(_load_model(args.model))
+    print(analysis.report(session, probabilistic=args.probabilistic))
     return 0
 
 
 def _command_pareto(args: argparse.Namespace) -> int:
     session = AnalysisSession(_load_model(args.model))
     problem = Problem.CEDPF if args.probabilistic else Problem.CDPF
-    result = session.run(AnalysisRequest(problem, backend=_backend_name(args)))
+    result = session.run(AnalysisRequest(problem, backend=args.backend))
     print(format_pareto_front(result.front))
     if args.plot:
         from .pareto.plot import ascii_front
@@ -587,7 +570,7 @@ def _command_dgc(args: argparse.Namespace) -> int:
     session = AnalysisSession(_load_model(args.model))
     problem = Problem.EDGC if args.probabilistic else Problem.DGC
     result = session.run(
-        AnalysisRequest(problem, budget=args.budget, backend=_backend_name(args))
+        AnalysisRequest(problem, budget=args.budget, backend=args.backend)
     )
     witness = "{}" if not result.witness else "{" + ", ".join(sorted(result.witness)) + "}"
     label = "expected damage" if args.probabilistic else "damage"
@@ -600,7 +583,7 @@ def _command_cgd(args: argparse.Namespace) -> int:
     session = AnalysisSession(_load_model(args.model))
     problem = Problem.CGED if args.probabilistic else Problem.CGD
     result = session.run(
-        AnalysisRequest(problem, threshold=args.threshold, backend=_backend_name(args))
+        AnalysisRequest(problem, threshold=args.threshold, backend=args.backend)
     )
     if result.value is None:
         print(f"no attack reaches damage {args.threshold:g}")
@@ -644,7 +627,9 @@ def _run_batch_command(args: argparse.Namespace, store) -> int:
             print(f"atcd: {args.requests}[{index}]: {error}", file=sys.stderr)
             return 2
         requests.append(request)
-    results = session.run_batch(requests, parallel=args.parallel)
+    results = session.run_batch(
+        requests, executor="thread" if args.parallel else "sequential"
+    )
     try:
         text = json.dumps([result.to_dict() for result in results], indent=2)
     except TypeError as error:

@@ -18,12 +18,18 @@ Submodules
     shared.
 ``knapsack``
     The NP-completeness and expressivity constructions of Section V.
-``problems`` / ``analysis``
-    Problem taxonomy, uniform dispatch, and the high-level analyzer facade.
+``problems``
+    The six problems of the paper and Table I as resolved by the engine.
+``analysis``
+    Insights read off a session's fronts: critical BASs, the damage/budget
+    curve and a plain-text report.
+
+The problems are asked through :class:`repro.engine.AnalysisSession` (or
+:func:`repro.engine.run_request`), which picks the kernel per Table I.
 """
 
-from .analysis import BudgetDamagePoint, CostDamageAnalyzer, CriticalBasReport
-from .problems import Method, Problem, SolveResult, capability_matrix, solve
+from .analysis import BudgetDamagePoint, CriticalBasReport
+from .problems import Problem, capability_matrix
 from .semantics import (
     Attack,
     all_attacks,
@@ -36,16 +42,12 @@ from .semantics import (
 __all__ = [
     "Attack",
     "BudgetDamagePoint",
-    "CostDamageAnalyzer",
     "CriticalBasReport",
-    "Method",
     "Problem",
-    "SolveResult",
     "all_attacks",
     "attack_cost",
     "attack_damage",
     "capability_matrix",
     "evaluate_attack",
     "normalize_attack",
-    "solve",
 ]

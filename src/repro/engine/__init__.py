@@ -15,8 +15,7 @@ Layers
     The built-in exact backends: bottom-up, conditioning, BILP and
     enumerative.
 ``registry``
-    Registration and data-driven resolution, replacing the old if/elif
-    dispatch of ``repro.core.problems``.
+    Registration and data-driven resolution.
 ``requests``
     :class:`AnalysisRequest` / :class:`AnalysisResult` with JSON round-trip.
 ``session``
@@ -25,8 +24,8 @@ Layers
     The shared persistent result store (:class:`SqliteStore`) that backs
     session caches across processes.
 
-The legacy entry points (``repro.solve``, ``CostDamageAnalyzer``) remain as
-thin shims over this engine.
+:class:`AnalysisSession` and :func:`run_request` are the only ways to ask
+the six problems; a backend is named by its string name.
 """
 
 from .backend import (

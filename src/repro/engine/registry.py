@@ -46,6 +46,7 @@ __all__ = [
     "UnknownBackendError",
     "CapabilityError",
     "BackendRegistry",
+    "cell_label",
     "default_registry",
 ]
 
@@ -201,10 +202,8 @@ class BackendRegistry:
                 if not found:
                     table[(setting.value, shape.value)] = "(uncovered)"
                     continue
-                best = found[0]
-                label = getattr(best, "cell_label", None)
-                table[(setting.value, shape.value)] = (
-                    label(shape, setting) if callable(label) else best.name
+                table[(setting.value, shape.value)] = cell_label(
+                    found[0], shape, setting
                 )
         return table
 
@@ -220,6 +219,13 @@ class BackendRegistry:
                 f"problems={','.join(problems)} shapes={','.join(shapes)}"
             )
         return "\n".join(lines)
+
+
+def cell_label(backend: SolverBackend, shape: Shape, setting: Setting) -> str:
+    """The Table I entry ``backend`` gives for a cell it resolves (its
+    ``cell_label`` when it has one, else its name)."""
+    label = getattr(backend, "cell_label", None)
+    return label(shape, setting) if callable(label) else backend.name
 
 
 def default_registry() -> BackendRegistry:

@@ -80,9 +80,8 @@ def run_request(
     """Execute one request against a model, without any session caching.
 
     This is the engine's stateless core: validate, resolve the backend via
-    the registry, run it, and wrap the output with metadata.  Both
-    :class:`AnalysisSession` and the back-compat ``repro.core.solve`` shim
-    funnel through here.
+    the registry, run it, and wrap the output with metadata.
+    :class:`AnalysisSession` funnels through here too.
     """
     request.validate()
     registry = registry if registry is not None else shared_registry()
@@ -226,7 +225,7 @@ class AnalysisSession:
         # session to cache-off and the store is not touched again.
         self._store_broken = False
         # Computed lazily: the fingerprint only matters once a result is
-        # cached, and facades construct sessions they may never query.
+        # cached, and callers construct sessions they may never query.
         self._fingerprint: Optional[str] = None
         self._cache: Dict[Tuple, AnalysisResult] = {}
         self._lock = threading.Lock()
@@ -334,9 +333,8 @@ class AnalysisSession:
     def run_batch(
         self,
         requests: Sequence[AnalysisRequest],
-        parallel: bool = False,
         max_workers: Optional[int] = None,
-        executor: Optional[str] = None,
+        executor: str = "sequential",
     ) -> List[AnalysisResult]:
         """Execute many requests, preserving input order.
 
@@ -344,25 +342,20 @@ class AnalysisSession:
         ----------
         requests:
             The analyses to run.
-        parallel:
-            Back-compat switch: ``True`` without an explicit ``executor``
-            selects the thread pool (the pre-executor behaviour).
         max_workers:
             Pool size for the parallel executors (default: batch size
             capped at 8).
         executor:
-            ``"sequential"``, ``"thread"`` or ``"process"``; ``None``
-            derives it from ``parallel``.  The thread executor shares the
-            (thread-safe) cache, though two concurrent identical requests
-            may both compute before one wins the cache slot.  The process
-            executor serves cache hits in the parent, computes duplicate
-            misses once, and requires the default backend registry (worker
-            processes resolve backends against their own shared registry,
-            where custom backends would not exist).
+            ``"sequential"`` (the default), ``"thread"`` or ``"process"``.
+            The thread executor shares the (thread-safe) cache, though two
+            concurrent identical requests may both compute before one wins
+            the cache slot.  The process executor serves cache hits in the
+            parent, computes duplicate misses once, and requires the default
+            backend registry (worker processes resolve backends against
+            their own shared registry, where custom backends would not
+            exist).
         """
         requests = list(requests)
-        if executor is None:
-            executor = "thread" if parallel else "sequential"
         if executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {executor!r}; expected one of "

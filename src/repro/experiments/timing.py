@@ -28,7 +28,7 @@ from ..core.problems import Problem
 from ..engine import AnalysisRequest, run_request
 from .report import format_timing_rows
 
-__all__ = ["TimingSample", "Table3Row", "measure", "run_table3", "render_table3"]
+__all__ = ["Table3Row", "run_table3", "render_table3"]
 
 
 @dataclass

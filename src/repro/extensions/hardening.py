@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from ..attacktree.attributes import CostDamageAT, CostDamageProbAT
-from ..core.problems import Method, Problem, solve
+from ..core.problems import Problem
+from ..engine import AnalysisRequest, run_request
 
 __all__ = ["Countermeasure", "HardeningResult", "apply_countermeasures", "optimal_hardening"]
 
@@ -171,7 +172,9 @@ def optimal_hardening(
                 continue
             hardened = apply_countermeasures(model, combo)
             evaluated += 1
-            result = solve(hardened, problem, Method.AUTO, budget=attacker_budget)
+            result = run_request(
+                hardened, AnalysisRequest(problem, budget=attacker_budget)
+            )
             candidate = HardeningResult(
                 chosen=tuple(combo),
                 defence_cost=cost,

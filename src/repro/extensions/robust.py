@@ -26,7 +26,8 @@ from typing import FrozenSet, Mapping, Optional, Tuple, Union
 
 from ..attacktree.attributes import CostDamageAT
 from ..attacktree.tree import AttackTree
-from ..core.problems import Method, Problem, solve
+from ..core.problems import Problem
+from ..engine import AnalysisRequest, run_request
 from ..pareto.front import ParetoFront
 
 __all__ = ["Interval", "IntervalCostDamageAT", "RobustFront", "robust_pareto_front"]
@@ -141,8 +142,8 @@ def robust_pareto_front(model: IntervalCostDamageAT) -> RobustFront:
     """
     pessimistic_model = model.scenario(attacker_favourable=True)
     optimistic_model = model.scenario(attacker_favourable=False)
-    pessimistic = solve(pessimistic_model, Problem.CDPF, Method.AUTO).front
-    optimistic = solve(optimistic_model, Problem.CDPF, Method.AUTO).front
+    pessimistic = run_request(pessimistic_model, AnalysisRequest(Problem.CDPF)).front
+    optimistic = run_request(optimistic_model, AnalysisRequest(Problem.CDPF)).front
 
     pessimistic_attacks = {p.attack for p in pessimistic if p.attack is not None}
     optimistic_attacks = {p.attack for p in optimistic if p.attack is not None}

@@ -17,14 +17,6 @@ class TestTimed:
         assert sample.runs == 4
         assert len(calls) == 4
 
-    def test_experiments_reexport_is_the_same_object(self):
-        # The experiments keep their historical import path; both must be
-        # the bench implementation so there is exactly one timing path.
-        from repro.experiments import timing
-
-        assert timing.TimingSample is TimingSample
-        assert timing.measure is measure
-
     def test_empty_durations_rejected(self):
         with pytest.raises(ValueError):
             TimingSample.from_durations([])

@@ -1,4 +1,5 @@
-"""Tests for the problem taxonomy and the uniform solve() dispatch."""
+"""Tests for the problem taxonomy and for answers the engine resolves by
+Table I or by a named backend."""
 
 import pytest
 
@@ -7,9 +8,12 @@ from repro.attacktree.catalog import (
     example10_or_pair,
     factory,
     factory_probabilistic,
-    panda_iot,
 )
-from repro.core.problems import Method, Problem, SolveResult, capability_matrix, solve
+from repro.attacktree.transform import with_unit_probabilities
+from repro.core.problems import Problem, capability_matrix
+from repro.engine import AnalysisRequest, run_request
+
+FACTORY_FRONT = [(0, 0), (1, 200), (3, 210), (5, 310)]
 
 
 class TestProblemEnum:
@@ -27,85 +31,51 @@ class TestProblemEnum:
 
 class TestDispatchAuto:
     def test_treelike_deterministic_uses_bottom_up(self):
-        result = solve(factory(), Problem.CDPF)
-        assert result.method is Method.BOTTOM_UP
-        assert result.front.values() == [(0, 0), (1, 200), (3, 210), (5, 310)]
+        result = run_request(factory(), AnalysisRequest(Problem.CDPF))
+        assert result.backend == "bottom-up"
+        assert result.front.values() == FACTORY_FRONT
 
     def test_dag_deterministic_uses_conditioning(self):
-        result = solve(data_server(), Problem.CDPF)
-        assert result.method is Method.CONDITIONING
+        result = run_request(data_server(), AnalysisRequest(Problem.CDPF))
+        assert result.backend == "conditioning"
         assert len(result.front) == 6
 
     def test_treelike_probabilistic_uses_bottom_up(self):
-        result = solve(example10_or_pair(), Problem.CEDPF)
-        assert result.method is Method.BOTTOM_UP
+        result = run_request(example10_or_pair(), AnalysisRequest(Problem.CEDPF))
+        assert result.backend == "bottom-up"
 
     def test_dag_probabilistic_falls_back_to_enumeration(self):
-        from repro.attacktree.transform import with_unit_probabilities
-
         model = with_unit_probabilities(data_server())
-        result = solve(model, Problem.EDGC, budget=300)
-        assert result.method is Method.ENUMERATIVE
+        result = run_request(model, AnalysisRequest(Problem.EDGC, budget=300))
+        assert result.backend == "enumerative"
         assert result.value == pytest.approx(24.0)
 
 
 class TestDispatchForced:
     def test_forced_enumerative(self):
-        result = solve(factory(), Problem.CDPF, method=Method.ENUMERATIVE)
-        assert result.method is Method.ENUMERATIVE
-        assert result.front.values() == [(0, 0), (1, 200), (3, 210), (5, 310)]
+        result = run_request(
+            factory(), AnalysisRequest(Problem.CDPF, backend="enumerative")
+        )
+        assert result.backend == "enumerative"
+        assert result.front.values() == FACTORY_FRONT
 
     def test_forced_bilp_on_tree(self):
-        result = solve(factory(), Problem.DGC, method=Method.BILP, budget=2)
+        result = run_request(
+            factory(), AnalysisRequest(Problem.DGC, budget=2, backend="bilp")
+        )
+        assert result.backend == "bilp"
         assert result.value == 200
 
     def test_bilp_rejected_for_probabilistic_problems(self):
-        with pytest.raises(ValueError, match="no BILP"):
-            solve(factory_probabilistic(), Problem.CEDPF, method=Method.BILP)
-        with pytest.raises(ValueError, match="no BILP"):
-            solve(factory_probabilistic(), Problem.EDGC, method=Method.BILP, budget=2)
-        with pytest.raises(ValueError, match="no BILP"):
-            solve(factory_probabilistic(), Problem.CGED, method=Method.BILP, threshold=2)
-
-
-class TestParameterValidation:
-    def test_budget_required(self):
-        with pytest.raises(ValueError, match="budget"):
-            solve(factory(), Problem.DGC)
-
-    def test_threshold_required(self):
-        with pytest.raises(ValueError, match="threshold"):
-            solve(factory(), Problem.CGD)
-
-    def test_probabilistic_problem_requires_cdp(self):
-        with pytest.raises(TypeError, match="cdp-AT"):
-            solve(factory(), Problem.CEDPF)
-
-    def test_front_result_requires_front(self):
-        with pytest.raises(ValueError, match="Pareto front"):
-            SolveResult(problem=Problem.CDPF, method=Method.AUTO, front=None)
-
-
-class TestAllProblemsOnCaseStudies:
-    def test_all_six_problems_on_panda(self):
-        model = panda_iot()
-        cdpf = solve(model, Problem.CDPF)
-        dgc = solve(model, Problem.DGC, budget=7)
-        cgd = solve(model, Problem.CGD, threshold=60)
-        cedpf = solve(model, Problem.CEDPF)
-        edgc = solve(model, Problem.EDGC, budget=7)
-        cged = solve(model, Problem.CGED, threshold=25)
-        assert cdpf.front.max_damage_given_cost(7) == 65
-        assert dgc.value == 65
-        assert cgd.value == 7
-        assert cedpf.front.max_damage_given_cost(3) == pytest.approx(18.0)
-        assert edgc.value == pytest.approx(27.555)
-        assert cged.value == 7
-
-    def test_deterministic_problems_accept_cdp_models(self):
-        """A cdp-AT can be used for deterministic problems (probabilities ignored)."""
-        result = solve(factory_probabilistic(), Problem.CDPF)
-        assert result.front.values() == [(0, 0), (1, 200), (3, 210), (5, 310)]
+        model = factory_probabilistic()
+        requests = [
+            AnalysisRequest(Problem.CEDPF, backend="bilp"),
+            AnalysisRequest(Problem.EDGC, budget=2, backend="bilp"),
+            AnalysisRequest(Problem.CGED, threshold=2, backend="bilp"),
+        ]
+        for request in requests:
+            with pytest.raises(ValueError, match="no BILP"):
+                run_request(model, request)
 
 
 class TestCapabilityMatrix:

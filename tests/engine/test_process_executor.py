@@ -83,9 +83,9 @@ class TestProcessExecutor:
         with pytest.raises(ValueError, match="unknown executor"):
             session.run_batch([AnalysisRequest(Problem.CDPF)], executor="quantum")
 
-    def test_parallel_flag_still_selects_threads(self):
+    def test_thread_executor_runs_the_batch(self):
         session = AnalysisSession(catalog.factory())
-        results = session.run_batch(REQUESTS[:1] + REQUESTS[2:], parallel=True)
+        results = session.run_batch(REQUESTS[:1] + REQUESTS[2:], executor="thread")
         assert len(results) == 3
 
 

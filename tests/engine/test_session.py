@@ -109,7 +109,7 @@ class TestBatch:
             AnalysisRequest(Problem.CGED, threshold=25),
         ]
         expected = [sequential.run(r) for r in requests]
-        actual = parallel.run_batch(requests, parallel=True, max_workers=4)
+        actual = parallel.run_batch(requests, executor="thread", max_workers=4)
         for got, want in zip(actual, expected):
             assert got.backend == want.backend
             assert got.value == pytest.approx(want.value) if want.value is not None \
@@ -121,7 +121,8 @@ class TestBatch:
         session = AnalysisSession(factory())
         budgets = [0, 1, 2, 3, 4, 5]
         results = session.run_batch(
-            [AnalysisRequest(Problem.DGC, budget=b) for b in budgets], parallel=True
+            [AnalysisRequest(Problem.DGC, budget=b) for b in budgets],
+            executor="thread",
         )
         assert [r.request.budget for r in results] == budgets
         assert [r.value for r in results] == [0, 200, 200, 210, 210, 310]
@@ -149,8 +150,8 @@ class TestMetadata:
 
 
 class TestAllProblemsViaRegistryAlone:
-    """Acceptance: all six problems through the session with no
-    Method-enum dispatch anywhere on the path."""
+    """Acceptance: all six problems through the session, each resolved by
+    the registry alone."""
 
     def test_six_problems_on_panda(self):
         session = AnalysisSession(panda_iot())

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.experiments.timing import (
-    TimingSample,
-    measure,
-    render_table3,
-    run_table3,
-)
+from repro.bench import TimingSample, measure
+from repro.experiments.timing import render_table3, run_table3
 
 
 class TestTimingSample:

@@ -52,6 +52,47 @@ class TestCommands:
         assert main(["pareto", panda_json, "--probabilistic"]) == 0
         assert "18" in capsys.readouterr().out
 
+    def test_pareto_names_a_solver_only_by_backend(self, factory_json, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["pareto", factory_json, "--method", "bilp"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --method" in capsys.readouterr().err
+        assert main(["pareto", factory_json, "--backend", "bilp"]) == 0
+        assert "310" in capsys.readouterr().out
+
+    def test_experiments_takes_no_options(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiments", "--quick"])
+        assert exit_info.value.code == 2
+
+    def test_analyze_names_the_backends_it_runs(self, tmp_path, capsys):
+        model = catalog.data_server()
+        path = tmp_path / "ds-prob.json"
+        serialization.save_json(
+            model.with_probabilities(
+                {name: 0.5 for name in model.tree.basic_attack_steps}
+            ),
+            str(path),
+        )
+        assert main(["analyze", str(path), "--probabilistic"]) == 0
+        output = capsys.readouterr().out
+        assert "CDPF runs on 'conditioning'" in output
+        assert "CEDPF runs on 'enumerative'" in output
+
+    def test_batch_parallel_matches_sequential(self, factory_json, tmp_path, capsys):
+        requests = tmp_path / "requests.json"
+        requests.write_text(json.dumps(
+            [{"problem": "cdpf"}] + [{"problem": "dgc", "budget": b} for b in (1, 2, 5)]
+        ))
+        assert main(["batch", factory_json, str(requests)]) == 0
+        sequential = json.loads(capsys.readouterr().out)
+        assert main(["batch", factory_json, str(requests), "--parallel"]) == 0
+        parallel = json.loads(capsys.readouterr().out)
+        assert [r.get("value") for r in parallel] == [None, 200, 200, 310]
+        assert [r.get("front") for r in parallel] == [
+            r.get("front") for r in sequential
+        ]
+
     def test_pareto_with_plot(self, factory_json, capsys):
         assert main(["pareto", factory_json, "--plot"]) == 0
         output = capsys.readouterr().out
