@@ -2,10 +2,11 @@
 
 Reproduces the Section X.B analysis of the paper (Figures 5 and 6c).  The
 attack tree is DAG-like — the "internet connection to the FTP server" step
-is shared by three different exploits — so the bottom-up method does not
-apply directly.  The engine answers it with the ``conditioning`` backend
-(bottom-up once per subset of the shared BASs); the paper's bi-objective
-integer linear programming translation (Theorem 6) is the ``bilp`` backend.
+is shared by three different exploits — so the paper's bottom-up method
+does not apply directly.  The engine answers it with the ``bottom-up``
+backend, which carries the shared step as a label up to its immediate
+dominator (frontier width 1); the paper's bi-objective integer linear
+programming translation (Theorem 6) is the ``bilp`` backend.
 
 Run it with::
 

@@ -9,7 +9,7 @@ This example goes deeper into the probabilistic side of the paper
    worthwhile when success is uncertain;
 2. it demonstrates the paper's open problem — probabilistic analysis of
    DAG-like ATs — on a scaled-down version of the data-server model, using
-   the enumerative baseline and the reach-polynomial extension.
+   the enumerative baseline.
 
 Run it with::
 
@@ -20,7 +20,6 @@ from repro import AttackTreeBuilder, catalog
 from repro.core.bottom_up import pareto_front_treelike
 from repro.core.bottom_up_prob import pareto_front_treelike_probabilistic
 from repro.core.enumerative import enumerate_pareto_front_probabilistic
-from repro.extensions.polynomial import pareto_front_probabilistic_polynomial
 
 
 def redundancy_pays_off() -> None:
@@ -65,11 +64,8 @@ def probabilistic_dag_extension() -> None:
     print("exact cost-expected-damage front (enumerative):")
     print(exact_front.table())
 
-    polynomial_front = pareto_front_probabilistic_polynomial(model)
-    print("the same front via multilinear reach polynomials (extension):")
-    print(polynomial_front.table())
     print()
-    print("Both agree that attempting BOTH exploits on top of the shared")
+    print("The front shows that attempting BOTH exploits on top of the shared")
     print("connection is Pareto-optimal — the probabilistic analogue of the")
     print("redundancy effect, now on a DAG, which the paper leaves open.")
 

@@ -107,6 +107,10 @@ def _scale() -> List[ScenarioSpec]:
                      sizes=(16, 20, 24)),
         ScenarioSpec(family="shared-bas", shape="dag", setting="deterministic",
                      sizes=(20, 30, 40)),
+        # The overlap third stays open up to the root, so w = size // 3:
+        # sizes on both sides of bottom-up's CDPF width cutoff (w = 11).
+        ScenarioSpec(family="wide-fan", shape="dag", setting="deterministic",
+                     sizes=(24, 33, 36, 39)),
         ScenarioSpec(family="random", shape="treelike", setting="deterministic",
                      sizes=(50, 100, 150), cases_per_size=3),
         ScenarioSpec(family="random", shape="dag", setting="deterministic",

@@ -8,14 +8,12 @@ Submodules
     The naive exhaustive baseline used for comparison and as a test oracle.
 ``bottom_up`` / ``bottom_up_prob``
     Bottom-up Pareto propagation for treelike ATs — deterministic
-    (Theorems 3–4) and probabilistic (Theorems 8–9).
+    (Theorems 3–4) and probabilistic (Theorems 8–9); the deterministic
+    kernel also folds DAG-like ATs, carrying each shared node as a label
+    up to its immediate dominator.
 ``bilp``
     The integer-linear-programming translation for DAG-like ATs
-    (Theorems 6–7).
-``conditioning``
-    Exact DAG analysis by unfolding into a tree and running ``bottom_up``
-    once per subset of the shared BASs; faster than BILP when few are
-    shared.
+    (Theorems 6–7); the fallback when too many labels are open at once.
 ``knapsack``
     The NP-completeness and expressivity constructions of Section V.
 ``problems``

@@ -75,7 +75,9 @@ def describe(session: AnalysisSession) -> str:
     """A one-paragraph summary of the model and the backends that answer it.
 
     Names the backend the session resolves for CDPF — and, on a cdp-AT,
-    for CEDPF — with its Table I entry for the model's cell.
+    for CEDPF — with its Table I entry for the model's cell.  On a DAG it
+    states the shared-node count and the frontier width ``w`` of the
+    labelled bottom-up fold, which decide whether that fold or BILP runs.
     """
     model = session.model
     tree = model.tree
@@ -92,7 +94,12 @@ def describe(session: AnalysisSession) -> str:
         label = cell_label(backend, shape, problem_setting(problem))
         methods.append(f"{problem.name} runs on {backend.name!r} [{label}]")
     setting = "probabilistic (cdp-AT)" if probabilistic else "deterministic (cd-AT)"
-    shape_text = "treelike" if tree.is_treelike else "DAG-like"
+    shape_text = "treelike"
+    if not tree.is_treelike:
+        from .bottom_up import label_width  # kernels load on first use
+
+        shared, width = label_width(tree)
+        shape_text = f"DAG-like (shared nodes: {shared}, frontier width w = {width})"
     return (
         f"{setting} attack tree with {len(tree)} nodes "
         f"({len(tree.basic_attack_steps)} BASs), {shape_text}; "

@@ -1,4 +1,4 @@
-"""Bottom-up cost-damage analysis for treelike ATs (deterministic setting).
+"""Bottom-up cost-damage analysis (deterministic setting), DAGs included.
 
 This module implements Section VI of the paper.  The key idea is to perform
 Pareto analysis not on ``(cost, damage)`` pairs but in the extended
@@ -19,6 +19,23 @@ The paper presents the recursion for binary trees "purely to simplify
 notation"; here gates of any arity are folded child by child, which is
 equivalent because the combination operators are associative and preserve
 the DTrip order (Lemma 3), so intermediate pruning remains sound.
+
+DAG-like ATs
+------------
+A shared node would be counted once per parent by this recursion
+(Section VII).  The paper's conclusion proposes formal variables for nodes
+that occur multiple times; here they are *labels*.  Every node with two or
+more parents is a label.  Its parents fold it as a zero-cost pseudo-leaf
+that carries only its reach bit under that label, so every row holds an
+assumption per open label, and rows are pruned within each (label
+assignment, reach bit) class.  All its parents meet at its immediate
+dominator; there its own front is multiplied in once, each row taking the
+shared rows whose reach bit matches the row's label bit, and the label is
+summed out.  Every node's front is thus used exactly once.  A fold step
+costs up to ``2^w`` class pairs, where the frontier width ``w`` is the most
+labels open at once (:func:`label_width`); each gate orders its steps
+greedily to keep ``w`` small.  On a treelike AT ``w = 0`` and every gate
+folds its children in order, exactly as without labels.
 
 Kernel representation
 ---------------------
@@ -53,11 +70,13 @@ from typing import Dict, FrozenSet, Generic, List, Optional, Tuple, TypeVar, Uni
 
 from ..attacktree.attributes import CostDamageAT, CostDamageProbAT
 from ..attacktree.node import NodeType
+from ..attacktree.tree import AttackTree
 from ..pareto.front import ParetoFront, ParetoPoint
 from ..pareto.poset import EPSILON, pareto_minimal_pairs, pareto_minimal_triples
 
 __all__ = [
     "AttributedAttack",
+    "label_width",
     "node_pareto_front",
     "pareto_front_treelike",
     "max_damage_given_cost_treelike",
@@ -180,6 +199,20 @@ def _filter_not_reached(n_front: _Front, r_front: _Front) -> _Front:
     return out_costs, out_damages, out_masks
 
 
+def _popcount(bits: int) -> int:
+    return bin(bits).count("1")
+
+
+def _bits(bits: int) -> List[int]:
+    """The set bits of ``bits``, each as its own power of two."""
+    found = []
+    while bits:
+        low = bits & -bits
+        found.append(low)
+        bits ^= low
+    return found
+
+
 def _mask_to_attack(mask: int, names: Tuple[str, ...]) -> FrozenSet[str]:
     """Materialise a local bitset back to a frozenset of BAS names."""
     selected = []
@@ -190,29 +223,166 @@ def _mask_to_attack(mask: int, names: Tuple[str, ...]) -> FrozenSet[str]:
     return frozenset(selected)
 
 
+def _dominators(tree: AttackTree) -> Dict[str, Optional[str]]:
+    """The immediate dominator of every node (``None`` for the root).
+
+    In a parents-first order each node's dominator is the meeting point, in
+    the dominator tree built so far, of all its parents.
+    """
+    root = tree.root
+    idom: Dict[str, Optional[str]] = {root: None}
+    depth = {root: 0}
+    for name in tree.topological_order(reverse=True):
+        if name == root:
+            continue
+        parents = tree.parents(name)
+        dominator = parents[0]
+        for other in parents[1:]:
+            while dominator != other:
+                if depth[dominator] >= depth[other]:
+                    dominator = idom[dominator]
+                else:
+                    other = idom[other]
+        idom[name] = dominator
+        depth[name] = depth[dominator] + 1
+    return idom
+
+
+# A plan step: ``(0, child)`` folds a child in; ``(bit, shared)`` closes the
+# label ``bit`` by joining the shared node's own front.
+_Step = Tuple[int, str]
+
+
+def _schedule(items: List[Tuple[int, int, str]]) -> Tuple[List[_Step], int, int]:
+    """Order one gate's ``(scope, bit, name)`` items; return the steps, the
+    widest label set any step holds open, and the labels left open.
+
+    Greedy: take the ready item that keeps the fewest labels open, closes
+    first on ties, then child order.  A close is ready once no other pending
+    item still carries its label, nested inside a shared front included, so
+    ready labels close parents-first.  Without labels this is child order.
+    """
+    if not any(scope for scope, _, _ in items):
+        return [(bit, name) for _, bit, name in items], 0, 0
+    # label bit -> pending items whose scope holds it (a close holds its own)
+    carriers: Dict[int, int] = {}
+    for scope, _, _ in items:
+        for label in _bits(scope):
+            carriers[label] = carriers.get(label, 0) + 1
+    pending = list(items)
+    steps: List[_Step] = []
+    width = 0
+    open_labels = 0
+    while pending:
+        ready = [item for item in pending if not item[1] or carriers[item[1]] == 1]
+        item = min(
+            ready,
+            key=lambda entry, held=open_labels: (_popcount(held | entry[0]), not entry[1]),
+        )
+        pending.remove(item)
+        scope, bit, name = item
+        for label in _bits(scope):
+            carriers[label] -= 1
+        width = max(width, _popcount(open_labels | scope))
+        open_labels = (open_labels | scope) & ~bit
+        steps.append((bit, name))
+    return steps, width, open_labels
+
+
+class _Plan:
+    """The fold schedule of one subtree: node order, labels and steps.
+
+    Every node with two or more parents is a *label*, bit ``labels[name]``.
+    A parent folds a label child as a pseudo-leaf carrying only its reach
+    bit; the label's own front joins once, at its immediate dominator,
+    where all its parents meet.  ``width`` is the most labels open at once,
+    ``w``: a fold step costs up to ``2^w`` class pairs.  A treelike subtree
+    has no labels, ``w = 0`` and each gate folds its children in order.
+    """
+
+    def __init__(self, tree: AttackTree, target: str) -> None:
+        self.labels = {
+            name: 1 << index for index, name in enumerate(sorted(tree.shared_nodes()))
+        }
+        order = tree.topological_order()
+        if target != tree.root:
+            within = tree.descendants(target)
+            order = tuple(name for name in order if name in within) + (target,)
+        self.order = order
+        self.width = 0
+        if not self.labels:
+            self.steps = {
+                name: [(0, child) for child in tree.node(name).children] for name in order
+            }
+            return
+        idom = _dominators(tree)
+        closes: Dict[str, List[str]] = {}
+        for name in self.labels:
+            closes.setdefault(idom[name], []).append(name)
+        self.steps = {}
+        scope: Dict[str, int] = {}
+        for name in self.order:
+            items = [
+                (self.labels[child] if child in self.labels else scope[child], 0, child)
+                for child in tree.node(name).children
+            ]
+            items += [
+                (scope[shared] | self.labels[shared], self.labels[shared], shared)
+                for shared in closes.get(name, ())
+            ]
+            self.steps[name], width, scope[name] = _schedule(items)
+            self.width = max(self.width, width)
+
+
+def label_width(tree: AttackTree) -> Tuple[int, int]:
+    """``(shared nodes, w)``: the labels and the frontier width of the
+    labelled bottom-up fold of ``tree``; ``(0, 0)`` on a treelike AT."""
+    plan = _Plan(tree, tree.root)
+    return len(plan.labels), plan.width
+
+
 F = TypeVar("F")
+
+# A labelled front: its open labels as a bitset, and per assignment of them
+# (the set bits are the labels assumed reached) a front of the setting.
+_Labelled = Tuple[int, Dict[int, F]]
+
+
+def _partners(classes: Dict[int, F], common: int) -> Dict[int, List[Tuple[int, F]]]:
+    """Group a front's classes by their assignment of the ``common`` labels."""
+    grouped: Dict[int, List[Tuple[int, F]]] = {}
+    for key, part in classes.items():
+        grouped.setdefault(key & common, []).append((key, part))
+    return grouped
 
 
 class _Kernel(Generic[F]):
     """The bottom-up fold of both settings, over node fronts of type ``F``.
 
-    One instance per solver call.  The driver visits the subtree in
-    iterative post-order (reversed pre-order, so deep chains do not hit the
-    interpreter recursion limit) and memoises each structural fingerprint's
-    front — ``("B", *decoration)`` for a BAS, ``(gate type, gate damage,
-    child fingerprints)`` for a gate — so decoration-identical subtrees
-    (common in generated workloads) are folded once.  Memoised fronts are
-    shared read-only; masks live in the subtree-local bit universe, so a
-    hit is valid for every occurrence regardless of the actual BAS names.
+    One instance per solver call.  The driver visits the nodes children
+    first along a :class:`_Plan` and memoises each structural
+    fingerprint's front — ``("B", *decoration)`` for a BAS, ``(gate type,
+    gate damage, step fingerprints)`` for a gate — so decoration-identical
+    subtrees (common in generated workloads) are folded once.  Memoised
+    fronts are shared read-only; masks live in the subtree-local bit
+    universe, so a hit is valid for every occurrence regardless of the
+    actual BAS names.
+
+    Fronts are labelled (:data:`_Labelled`): rows combine only when their
+    common labels agree, and each label assignment keeps its own front, so
+    pruning stays within a (label assignment, reach) class.  A treelike
+    model has one class, the empty assignment, and folds exactly as
+    without labels.
 
     A setting supplies :meth:`_decoration` and :meth:`_leaf` (a BAS's
     front), :meth:`_fold` (one child into a gate's running combination)
-    and :meth:`_add_gate_damage`.
+    and :meth:`_add_gate_damage`; to fold DAGs it also supplies
+    :meth:`_pseudo_leaf` and :meth:`_close`.
     """
 
-    #: The message refusing a DAG-like tree, whose shared subtrees this
-    #: recursion would double count (Section VII).
-    dag_error: str
+    #: The message refusing a DAG-like tree, or ``None`` when the setting
+    #: folds DAGs with labels.
+    dag_error: Optional[str]
 
     def __init__(
         self, model: Union[CostDamageAT, CostDamageProbAT], limit: float
@@ -220,7 +390,7 @@ class _Kernel(Generic[F]):
         self.model = model
         self.limit = limit
         self.fingerprints: Dict[object, int] = {}
-        self.memo: Dict[int, F] = {}
+        self.memo: Dict[int, _Labelled[F]] = {}
 
     @classmethod
     def run(
@@ -232,7 +402,7 @@ class _Kernel(Generic[F]):
         """Validate the arguments and fold ``node``'s subtree (the root when
         ``None``) under the cost budget."""
         tree = model.tree
-        if not tree.is_treelike:
+        if cls.dag_error is not None and not tree.is_treelike:
             raise ValueError(cls.dag_error)
         if budget < 0:
             raise ValueError("the cost budget must be non-negative")
@@ -246,48 +416,79 @@ class _Kernel(Generic[F]):
 
     def compute(self, target: str) -> Tuple[F, Tuple[str, ...]]:
         """Return the target's front and its subtree's BAS names (mask bit
-        ``i`` is ``names[i]``)."""
+        ``i`` is ``names[i]``).  Every label below a DAG's root closes by
+        the root, so the root's front is its empty-assignment class."""
         tree = self.model.tree
-        order: List[str] = []
-        stack = [target]
-        while stack:
-            name = stack.pop()
-            order.append(name)
-            stack.extend(tree.node(name).children)
+        plan = _Plan(tree, target)
+        labels = plan.labels
         # name -> (front, bas_names, fingerprint id)
-        done: Dict[str, Tuple[F, Tuple[str, ...], int]] = {}
-        for name in reversed(order):
+        done: Dict[str, Tuple[_Labelled[F], Tuple[str, ...], int]] = {}
+        for name in plan.order:
             node = tree.node(name)
             if node.is_bas:
                 decoration = self._decoration(name)
                 fingerprint = self._intern(("B",) + decoration)
                 front = self.memo.get(fingerprint)
                 if front is None:
-                    front = self.memo[fingerprint] = self._leaf(*decoration)
+                    front = self.memo[fingerprint] = (0, {0: self._leaf(*decoration)})
                 done[name] = (front, (name,), fingerprint)
                 continue
-            children = [done[child] for child in node.children]
+            items = []
+            for bit, step in plan.steps[name]:
+                if bit:
+                    front, names, fingerprint = done[step]
+                    items.append((bit, front, names, self._intern(("C", bit, fingerprint))))
+                elif step in labels:
+                    label = labels[step]
+                    pseudo = self._pseudo_leaf(label)
+                    items.append((0, pseudo, (), self._intern(("L", label))))
+                else:
+                    items.append((0,) + done[step])
             names: Tuple[str, ...] = ()
-            for _, child_names, _ in children:
-                names += child_names
+            for _, _, item_names, _ in items:
+                names += item_names
             gate_damage = self.model.damage[name]
             fingerprint = self._intern(
-                (node.type.value, gate_damage, tuple(child[2] for child in children))
+                (node.type.value, gate_damage, tuple(item[3] for item in items))
             )
             front = self.memo.get(fingerprint)
             if front is None:
                 conjunctive = node.type is NodeType.AND
-                front, first_names, _ = children[0]
+                _, front, first_names, _ = items[0]
                 width = len(first_names)
-                for child_front, child_names, _ in children[1:]:
-                    front = self._fold(front, child_front, conjunctive, width)
-                    width += len(child_names)
+                for bit, item_front, item_names, _ in items[1:]:
+                    if bit:
+                        front = self._close(front, bit, item_front, width)
+                    else:
+                        front = self._fold_labelled(front, item_front, conjunctive, width)
+                    width += len(item_names)
                 if gate_damage != 0.0:
-                    front = self._add_gate_damage(front, gate_damage)
+                    scope, classes = front
+                    front = scope, {
+                        key: self._add_gate_damage(part, gate_damage)
+                        for key, part in classes.items()
+                    }
                 self.memo[fingerprint] = front
             done[name] = (front, names, fingerprint)
-        front, names, _ = done[target]
-        return front, names
+        (_, classes), names, _ = done[target]
+        return classes[0], names
+
+    def _fold_labelled(
+        self, acc: _Labelled[F], child: _Labelled[F], conjunctive: bool, shift: int
+    ) -> _Labelled[F]:
+        """Fold ``child`` in class by class: two classes combine when their
+        common labels agree, into the class of the union assignment."""
+        acc_scope, acc_classes = acc
+        child_scope, child_classes = child
+        if not acc_scope | child_scope:
+            return 0, {0: self._fold(acc_classes[0], child_classes[0], conjunctive, shift)}
+        common = acc_scope & child_scope
+        partners = _partners(child_classes, common)
+        classes: Dict[int, F] = {}
+        for key, part in acc_classes.items():
+            for other, child_part in partners.get(key & common, ()):
+                classes[key | other] = self._fold(part, child_part, conjunctive, shift)
+        return acc_scope | child_scope, classes
 
     def _decoration(self, name: str) -> tuple:
         raise NotImplementedError
@@ -301,14 +502,21 @@ class _Kernel(Generic[F]):
     def _add_gate_damage(self, front: F, gate_damage: float) -> F:
         raise NotImplementedError
 
+    def _pseudo_leaf(self, bit: int) -> _Labelled[F]:
+        """A label child: no cost, no damage, reached iff its label is."""
+        raise NotImplementedError
+
+    def _close(
+        self, acc: _Labelled[F], bit: int, shared: _Labelled[F], shift: int
+    ) -> _Labelled[F]:
+        """Join a label's own front at its dominator and sum the label out."""
+        raise NotImplementedError
+
 
 class _TripleKernel(_Kernel[_Quadrants]):
     """The DTrip setting: a node's front is its (N, R) quadrant pair."""
 
-    dag_error = (
-        "the bottom-up method requires a treelike AT; "
-        "use repro.core.bilp for DAG-like ATs (Theorem 6)"
-    )
+    dag_error = None
 
     def _decoration(self, name: str) -> Tuple[float, float]:
         return (self.model.cost[name], self.model.damage[name])
@@ -351,6 +559,41 @@ class _TripleKernel(_Kernel[_Quadrants]):
         r_front = (r_front[0], [value + gate_damage for value in r_front[1]], r_front[2])
         return _filter_not_reached(n_front, r_front), r_front
 
+    def _pseudo_leaf(self, bit: int) -> _Labelled[_Quadrants]:
+        zero: _Front = ([0.0], [0.0], [0])
+        return bit, {0: (zero, _EMPTY_FRONT), bit: (_EMPTY_FRONT, zero)}
+
+    def _close(
+        self, acc: _Labelled[_Quadrants], bit: int,
+        shared: _Labelled[_Quadrants], shift: int,
+    ) -> _Labelled[_Quadrants]:
+        """Each row takes the shared node's rows whose reach bit matches the
+        row's label bit and whose own labels agree; both label values then
+        land in one class, minimised together."""
+        acc_scope, acc_classes = acc
+        shared_scope, shared_classes = shared
+        rest = acc_scope & ~bit
+        common = rest & shared_scope
+        partners = _partners(shared_classes, common)
+        products: Dict[int, Tuple[list, list]] = {}
+        for key, (acc_n, acc_r) in acc_classes.items():
+            reached = 1 if key & bit else 0
+            for other, part in partners.get(key & common, ()):
+                rows = part[reached]
+                if not rows[0]:
+                    continue
+                n_products, r_products = products.setdefault(
+                    (key & ~bit) | other, ([], [])
+                )
+                n_products.append((acc_n, rows, shift))
+                r_products.append((acc_r, rows, shift))
+        classes: Dict[int, _Quadrants] = {}
+        for key, (n_products, r_products) in products.items():
+            r_front = _combine(r_products, self.limit)
+            n_front = _filter_not_reached(_combine(n_products, self.limit), r_front)
+            classes[key] = n_front, r_front
+        return rest | shared_scope, classes
+
 
 def _root_points(cdat: CostDamageAT, budget: float) -> List[ParetoPoint]:
     """The root rows as (cost, damage) points with witnesses, unminimised."""
@@ -388,9 +631,15 @@ def node_pareto_front(
     Raises
     ------
     ValueError
-        If the underlying tree is DAG-like — shared subtrees would be double
-        counted by this recursion (Section VII); use the BILP solver instead.
+        If the underlying tree is DAG-like: below the root, a node's rows
+        still depend on the labels of shared nodes outside its subtree.
     """
+    if not cdat.tree.is_treelike:
+        raise ValueError(
+            "node fronts require a treelike AT: on a DAG a node's rows depend "
+            "on shared nodes outside its subtree; pareto_front_treelike "
+            "answers the root"
+        )
     (n_front, r_front), names = _TripleKernel.run(cdat, node, budget)
     items = [
         AttributedAttack(cost=cost, damage=damage, reached=reached,
@@ -406,7 +655,8 @@ def pareto_front_treelike(
     cdat: CostDamageAT,
     budget: float = math.inf,
 ) -> ParetoFront:
-    """Solve CDPF for a treelike cd-AT bottom-up (Theorem 4).
+    """Solve CDPF for a cd-AT bottom-up (Theorem 4), a DAG-like one with
+    dominator labels.
 
     The root rows are projected onto ``(cost, damage)`` and minimised.
     With a finite ``budget`` this instead yields the Pareto front
@@ -419,7 +669,7 @@ def pareto_front_treelike(
 def max_damage_given_cost_treelike(
     cdat: CostDamageAT, budget: float
 ) -> Tuple[float, Optional[FrozenSet[str]]]:
-    """Solve DgC for a treelike cd-AT (Theorem 3).
+    """Solve DgC for a cd-AT bottom-up (Theorem 3), DAGs included.
 
     Propagates the budget ``U`` through the bottom-up recursion so that
     partial attacks exceeding the budget are discarded early, then returns
@@ -437,7 +687,7 @@ def max_damage_given_cost_treelike(
 def min_cost_given_damage_treelike(
     cdat: CostDamageAT, threshold: float
 ) -> Tuple[Optional[float], Optional[FrozenSet[str]]]:
-    """Solve CgD for a treelike cd-AT.
+    """Solve CgD for a cd-AT bottom-up, DAGs included.
 
     As the paper notes (Section VI.B), the damage threshold cannot be used
     to prune partial attacks — an attack below the threshold at ``v`` may

@@ -12,8 +12,8 @@ Layers
     The :class:`SolverBackend` protocol and the ``(problem, shape,
     setting)`` capability cells (Table I of the paper, made data).
 ``backends``
-    The built-in exact backends: bottom-up, conditioning, BILP and
-    enumerative.
+    The built-in exact backends: bottom-up (dominator labels on DAGs),
+    BILP and enumerative.
 ``registry``
     Registration and data-driven resolution.
 ``requests``
@@ -72,7 +72,6 @@ from .store import (
 _LAZY_BACKEND_EXPORTS = frozenset({
     "BilpBackend",
     "BottomUpBackend",
-    "ConditioningBackend",
     "EnumerativeBackend",
     "standard_backends",
 })
@@ -97,7 +96,6 @@ __all__ = [
     "BottomUpBackend",
     "Capability",
     "CapabilityError",
-    "ConditioningBackend",
     "EXECUTORS",
     "EnumerativeBackend",
     "NamespacedStore",

@@ -1,7 +1,7 @@
 """The solver-backend abstraction of the analysis engine.
 
-A *backend* is one algorithm family (bottom-up propagation, conditioning,
-BILP, enumeration) wrapped behind a uniform interface.  Each backend
+A *backend* is one algorithm family (bottom-up propagation, BILP,
+enumeration) wrapped behind a uniform interface.  Each backend
 declares the :class:`Capability` cells it covers — a cell is a
 ``(problem, shape, setting)`` triple mirroring Table I of the paper, where
 *shape* distinguishes treelike from DAG-like ATs and *setting* deterministic
@@ -11,8 +11,8 @@ ever branches on an algorithm enum again.
 
 Backends receive the model plus the :class:`~repro.engine.requests
 .AnalysisRequest` and return a :class:`BackendOutput` carrying the front or
-value/witness pair, plus any backend-specific extras (e.g. the
-conditioning backend's run counters).
+value/witness pair, plus any backend-specific extras (e.g. the shared-node
+count and frontier width of a labelled bottom-up fold on a DAG).
 """
 
 from __future__ import annotations

@@ -1,12 +1,10 @@
-"""Built-in backends: the paper's three exact solvers plus conditioning.
+"""Built-in backends: the paper's three exact solvers.
 
 Every backend is exact and auto-selectable (Table I):
 
-* ``bottom-up`` — Pareto propagation for treelike ATs (Theorems 4 and 9);
-* ``conditioning`` — the treelike kernel run once per subset of a
-  deterministic DAG's shared BASs; auto-resolves while its work stays
-  under a measured per-problem cutoff and declines the rest, which fall
-  through to ``bilp``;
+* ``bottom-up`` — Pareto propagation (Theorems 4 and 9); on deterministic
+  DAGs it folds shared nodes as dominator labels and declines, to
+  ``bilp``, models whose frontier width exceeds :data:`MAX_WIDTH`;
 * ``bilp`` — bi-objective integer programming for deterministic DAGs
   (Theorem 6; no probabilistic formulation exists, see Section IX);
 * ``enumerative`` — the exhaustive baseline; covers every cell, including
@@ -18,9 +16,9 @@ problem or a backend never touches a dispatch ladder.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from ..core import bilp, bottom_up, bottom_up_prob, conditioning, enumerative
+from ..core import bilp, bottom_up, bottom_up_prob, enumerative
 from ..core.problems import Problem
 from .backend import (
     BackendOutput,
@@ -35,8 +33,8 @@ from .backend import (
 from .requests import AnalysisRequest
 
 __all__ = [
+    "MAX_WIDTH",
     "BottomUpBackend",
-    "ConditioningBackend",
     "BilpBackend",
     "EnumerativeBackend",
     "standard_backends",
@@ -47,13 +45,25 @@ PROBABILISTIC_PROBLEMS = (Problem.CEDPF, Problem.EDGC, Problem.CGED)
 BOTH_SHAPES = (Shape.TREE, Shape.DAG)
 
 
+#: The widest labelled fold ``bottom-up`` takes on a deterministic DAG, per
+#: problem: the largest frontier width ``w`` at which it beat ``bilp`` on
+#: the ``wide-fan`` family (``benchmarks/DESIGN.md`` has the table).  CDPF
+#: costs BILP two solves per front point; DgC and CgD only one or a few.
+MAX_WIDTH: Dict[Problem, int] = {Problem.CDPF: 11, Problem.DGC: 5, Problem.CGD: 5}
+
+
 class BottomUpBackend(BaseBackend):
-    """Bottom-up Pareto propagation for treelike ATs (Theorems 4 and 9)."""
+    """Bottom-up Pareto propagation (Theorems 4 and 9).
+
+    Deterministic DAGs fold with dominator labels
+    (:mod:`repro.core.bottom_up`); results on them carry
+    ``extras={"shared_nodes": s, "width": w}``.
+    """
 
     name = "bottom-up"
     priority = 100
     capabilities = cells(
-        DETERMINISTIC_PROBLEMS, (Shape.TREE,), Setting.DETERMINISTIC
+        DETERMINISTIC_PROBLEMS, BOTH_SHAPES, Setting.DETERMINISTIC
     ) | cells(PROBABILISTIC_PROBLEMS, (Shape.TREE,), Setting.PROBABILISTIC)
 
     def __init__(self) -> None:
@@ -71,29 +81,56 @@ class BottomUpBackend(BaseBackend):
     ) -> Optional[str]:
         if shape is Shape.DAG:
             return (
-                "the bottom-up method requires a treelike AT (shared subtrees "
-                "break the recursion, Section VI); use bilp or enumerative"
+                "the probabilistic bottom-up method requires a treelike AT "
+                "(shared subtrees break independence, Section IX); use enumerative"
             )
         return None
 
     def cell_label(self, shape: Shape, setting: Setting) -> str:
+        if shape is Shape.DAG:
+            return (
+                "bottom-up with dominator labels (width ≤ cutoff), "
+                "else BILP (Theorem 6)"
+            )
         theorem = "Theorem 9" if setting is Setting.PROBABILISTIC else "Theorem 4"
         return f"bottom-up ({theorem})"
 
+    def declines(self, model: Model, problem: Problem) -> Optional[str]:
+        if model.tree.is_treelike:
+            return None
+        shared, width = bottom_up.label_width(model.tree)
+        if width > MAX_WIDTH[problem]:
+            return (
+                f"{shared} shared nodes keep up to {width} labels open, above "
+                f"the {problem.value} width cutoff of {MAX_WIDTH[problem]}; "
+                "BILP is faster there"
+            )
+        return None
+
+    @staticmethod
+    def _extras(model: Model) -> dict:
+        if model.tree.is_treelike:
+            return {}
+        shared, width = bottom_up.label_width(model.tree)
+        return {"shared_nodes": shared, "width": width}
+
     def _cdpf(self, model: Model, request: AnalysisRequest) -> BackendOutput:
-        return BackendOutput(front=bottom_up.pareto_front_treelike(as_deterministic(model)))
+        return BackendOutput(
+            front=bottom_up.pareto_front_treelike(as_deterministic(model)),
+            extras=self._extras(model),
+        )
 
     def _dgc(self, model: Model, request: AnalysisRequest) -> BackendOutput:
         value, witness = bottom_up.max_damage_given_cost_treelike(
             as_deterministic(model), request.budget
         )
-        return BackendOutput(value=value, witness=witness)
+        return BackendOutput(value=value, witness=witness, extras=self._extras(model))
 
     def _cgd(self, model: Model, request: AnalysisRequest) -> BackendOutput:
         value, witness = bottom_up.min_cost_given_damage_treelike(
             as_deterministic(model), request.threshold
         )
-        return BackendOutput(value=value, witness=witness)
+        return BackendOutput(value=value, witness=witness, extras=self._extras(model))
 
     def _cedpf(self, model: Model, request: AnalysisRequest) -> BackendOutput:
         cdpat = require_probabilistic(model, request.problem)
@@ -112,73 +149,6 @@ class BottomUpBackend(BaseBackend):
             cdpat, request.threshold
         )
         return BackendOutput(value=value, witness=witness)
-
-
-class ConditioningBackend(BaseBackend):
-    """Bottom-up per subset of the shared BASs, for deterministic DAGs.
-
-    Unfolds the DAG into a tree and runs the treelike kernel once per
-    subset ``σ`` of the ``k`` BASs with several copies
-    (:mod:`repro.core.conditioning`).  It declines requests where BILP is
-    faster — the work ``2^k × unfolded nodes`` above the problem's
-    :data:`~repro.core.conditioning.MAX_WORK` cutoff — so those still
-    auto-resolve to ``bilp``; naming it runs it regardless.  Results carry
-    ``extras={"shared_bas": k, "conditioned_runs": n}``.
-    """
-
-    name = "conditioning"
-    priority = 92
-    capabilities = cells(DETERMINISTIC_PROBLEMS, (Shape.DAG,), Setting.DETERMINISTIC)
-
-    def __init__(self) -> None:
-        self.handlers = {
-            Problem.CDPF: self._cdpf,
-            Problem.DGC: self._dgc,
-            Problem.CGD: self._cgd,
-        }
-
-    def unsupported_reason(
-        self, problem: Problem, shape: Shape, setting: Setting
-    ) -> Optional[str]:
-        if setting is Setting.PROBABILISTIC:
-            return (
-                "the conditioning backend only answers the deterministic "
-                "problems; use bottom-up for treelike ATs or enumerative"
-            )
-        if shape is Shape.TREE:
-            return (
-                "the conditioning backend only covers DAG-like ATs; "
-                "use bottom-up for treelike ones"
-            )
-        return None
-
-    def cell_label(self, shape: Shape, setting: Setting) -> str:
-        return (
-            "BILP (Theorem 6), or bottom-up over k shared BASs when the "
-            "2^k unfolded runs are cheaper"
-        )
-
-    def declines(self, model: Model, problem: Problem) -> Optional[str]:
-        return conditioning.decline_reason(model.tree, problem)
-
-    @staticmethod
-    def _counters(kernel: conditioning.Conditioning) -> dict:
-        return {"shared_bas": len(kernel.shared), "conditioned_runs": kernel.runs}
-
-    def _cdpf(self, model: Model, request: AnalysisRequest) -> BackendOutput:
-        kernel = conditioning.Conditioning(as_deterministic(model))
-        front = kernel.pareto_front()
-        return BackendOutput(front=front, extras=self._counters(kernel))
-
-    def _dgc(self, model: Model, request: AnalysisRequest) -> BackendOutput:
-        kernel = conditioning.Conditioning(as_deterministic(model))
-        value, witness = kernel.max_damage_given_cost(request.budget)
-        return BackendOutput(value=value, witness=witness, extras=self._counters(kernel))
-
-    def _cgd(self, model: Model, request: AnalysisRequest) -> BackendOutput:
-        kernel = conditioning.Conditioning(as_deterministic(model))
-        value, witness = kernel.min_cost_given_damage(request.threshold)
-        return BackendOutput(value=value, witness=witness, extras=self._counters(kernel))
 
 
 class BilpBackend(BaseBackend):
@@ -303,7 +273,6 @@ def standard_backends() -> List[BaseBackend]:
     """Fresh instances of every built-in backend."""
     return [
         BottomUpBackend(),
-        ConditioningBackend(),
         BilpBackend(),
         EnumerativeBackend(),
     ]

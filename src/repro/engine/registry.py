@@ -11,7 +11,8 @@ paper's Table I:
 setting         shape  resolved backend
 ==============  =====  ==========================================
 deterministic   tree   ``bottom-up``  (Theorem 4)
-deterministic   dag    ``conditioning`` (few shared BASs), else
+deterministic   dag    ``bottom-up`` with dominator labels (frontier
+                       width up to a per-problem cutoff), else
                        ``bilp`` (Theorem 6)
 probabilistic   tree   ``bottom-up``  (Theorem 9)
 probabilistic   dag    ``enumerative`` (the open problem's fallback,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
@@ -58,6 +59,10 @@ class AnalysisRequest:
                 isinstance(value, bool) or not isinstance(value, (int, float))
             ):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+            # json parses NaN, and a NaN budget or threshold fails every
+            # comparison, so solvers would answer as if it were absent.
+            if value is not None and math.isnan(value):
+                raise ValueError(f"{name} must be a number, got NaN")
         if self.backend is not None and not isinstance(self.backend, str):
             raise ValueError(f"backend must be a string name, got {self.backend!r}")
 
@@ -163,8 +168,8 @@ class AnalysisResult:
     node_count / bas_count:
         Size of the analyzed model.
     extras:
-        Backend-specific metadata (e.g. the conditioning backend's
-        ``shared_bas`` count).
+        Backend-specific metadata (e.g. ``bottom-up``'s ``shared_nodes``
+        and ``width`` on a DAG).
     """
 
     request: AnalysisRequest

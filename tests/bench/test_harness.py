@@ -47,7 +47,7 @@ class TestExecution:
             assert run.wall_time_seconds >= 0
             assert run.result_points > 0
             assert run.nodes > 0 and run.bas > 0
-            assert run.backend in {"bottom-up", "conditioning", "bilp"}
+            assert run.backend in {"bottom-up", "bilp"}
 
     def test_rows_round_trip(self):
         run = execute_specs(TINY[:1])[0]

@@ -40,6 +40,22 @@ class TestProfiles:
             assert isinstance(spec, ScenarioSpec)
             assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
+    def test_scale_wide_fan_dags_straddle_the_width_cutoff(self):
+        # wide-fan DAGs keep w = size // 3 labels open: the scale profile
+        # must time CDPF on both sides of bottom-up's cutoff.
+        from repro.core.problems import Problem
+        from repro.engine.backends import MAX_WIDTH
+
+        (spec,) = [s for s in profile("scale")
+                   if (s.family, s.shape) == ("wide-fan", "dag")]
+        widths = {size // 3 for size in spec.sizes}
+        assert min(widths) <= MAX_WIDTH[Problem.CDPF] < max(widths)
+        backends = {
+            AnalysisSession(case.model).resolve(Problem.CDPF).name
+            for _, case in expand_specs([spec])
+        }
+        assert backends == {"bottom-up", "bilp"}
+
     def test_smoke_requests_resolve(self):
         # Every smoke case must resolve to a backend without executing it —
         # an uncovered capability cell would only fail at bench time.

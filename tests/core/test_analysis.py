@@ -30,23 +30,30 @@ class TestBasics:
         assert text.startswith("deterministic (cd-AT) attack tree with 25 nodes")
         assert "(12 BASs), DAG-like" in text
 
+    def test_describe_states_dag_sharing_and_width(self):
+        text = describe(AnalysisSession(data_server()))
+        assert "DAG-like (shared nodes: 1, frontier width w = 1)" in text
+        assert "frontier width" not in describe(AnalysisSession(factory()))
+
     def test_describe_mentions_method(self):
         assert "CDPF runs on 'bottom-up'" in describe(AnalysisSession(factory()))
-        assert "CDPF runs on 'conditioning'" in describe(AnalysisSession(data_server()))
+        assert "CDPF runs on 'bottom-up'" in describe(AnalysisSession(data_server()))
 
     def test_describe_names_the_resolved_dag_method(self):
-        # shared-bas n18 shares 9 BASs: the registry leaves it to BILP.
+        # wide-fan n36 keeps its 12 overlap BASs open up to the root: w = 12
+        # is above the CDPF width cutoff, so the registry leaves it to BILP.
         (case,) = expand(ScenarioSpec(
-            family="shared-bas", shape="dag", setting="deterministic", sizes=(18,)
+            family="wide-fan", shape="dag", setting="deterministic", sizes=(36,)
         ))
         text = describe(AnalysisSession(case.model))
+        assert "DAG-like (shared nodes: 12, frontier width w = 12)" in text
         assert "CDPF runs on 'bilp' [BILP (Theorem 6)]" in text
-        assert "'bottom-up'" not in text and "'conditioning'" not in text
+        assert "'bottom-up'" not in text
 
     def test_describe_on_a_cdp_dag_names_the_backends_that_run(self):
         session = AnalysisSession(_data_server_half_probabilities())
         text = describe(session)
-        assert "CDPF runs on 'conditioning'" in text
+        assert "CDPF runs on 'bottom-up'" in text
         assert "CEDPF runs on 'enumerative' [open problem" in text
         assert "deterministic projection" not in text
         # The sentence names what the probabilistic report then runs.

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.attacktree.binarize import binarize_cd
 from repro.attacktree.catalog import data_server, factory, knapsack_like_chain, panda_iot
+from repro.core.bilp import pareto_front_bilp
 from repro.core.bottom_up import (
     AttributedAttack,
     max_damage_given_cost_treelike,
@@ -158,8 +159,12 @@ class TestBudgetPruning:
 
 class TestErrorsAndEdgeCases:
     def test_dag_rejected(self):
+        # Node fronts refuse a DAG; the root front folds it with labels.
         with pytest.raises(ValueError, match="treelike"):
-            pareto_front_treelike(data_server())
+            node_pareto_front(data_server())
+        assert pareto_front_treelike(data_server()).values_equal(
+            pareto_front_bilp(data_server())
+        )
 
     def test_unknown_node_rejected(self):
         with pytest.raises(KeyError):

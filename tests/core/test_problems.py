@@ -35,9 +35,9 @@ class TestDispatchAuto:
         assert result.backend == "bottom-up"
         assert result.front.values() == FACTORY_FRONT
 
-    def test_dag_deterministic_uses_conditioning(self):
+    def test_dag_deterministic_uses_bottom_up(self):
         result = run_request(data_server(), AnalysisRequest(Problem.CDPF))
-        assert result.backend == "conditioning"
+        assert result.backend == "bottom-up"
         assert len(result.front) == 6
 
     def test_treelike_probabilistic_uses_bottom_up(self):

@@ -1,9 +1,9 @@
 """Cross-backend differential suite over random workload models.
 
-The paper's exact methods — bottom-up propagation (treelike), BILP
-(deterministic, DAGs included) and exhaustive enumeration (every cell) —
-and the shared-node conditioning backend (deterministic DAGs) must agree
-wherever their capabilities overlap.  This suite generates
+The paper's exact methods — bottom-up propagation (treelike, and
+deterministic DAGs through dominator labels), BILP (deterministic, DAGs
+included) and exhaustive enumeration (every cell) — must agree wherever
+their capabilities overlap.  This suite generates
 random decorated trees through the :mod:`repro.workloads` families
 (property-based, via Hypothesis) and asserts that every *capable* exact
 backend returns identical results for each supported problem.
@@ -131,11 +131,7 @@ def _capable_exact_backends(model, probabilistic):
         second = "bottom-up" if model.tree.is_treelike else _PER_ATTACK
         backends = ["enumerative", second]
     else:
-        backends = ["enumerative", "bilp"]
-        if model.tree.is_treelike:
-            backends.append("bottom-up")
-        else:
-            backends.append("conditioning")
+        backends = ["enumerative", "bilp", "bottom-up"]
     return backends
 
 

@@ -24,6 +24,7 @@ from repro.engine import (
     run_request,
     standard_backends,
 )
+from repro.engine.backends import MAX_WIDTH
 from repro.workloads import ScenarioSpec, expand
 
 DETERMINISTIC = (Problem.CDPF, Problem.DGC, Problem.CGD)
@@ -33,6 +34,14 @@ PROBABILISTIC = (Problem.CEDPF, Problem.EDGC, Problem.CGED)
 def _shared_bas(size, setting="deterministic"):
     """The shared-bas workload DAG of a given pool size (k = size / 2)."""
     spec = ScenarioSpec(family="shared-bas", shape="dag", setting=setting, sizes=(size,))
+    return expand(spec)[0].model
+
+
+def _wide_fan(size):
+    """The wide-fan workload DAG: its overlap third stays open up to the
+    root, so the frontier width is w = size // 3."""
+    spec = ScenarioSpec(family="wide-fan", shape="dag", setting="deterministic",
+                        sizes=(size,))
     return expand(spec)[0].model
 
 
@@ -48,35 +57,55 @@ class TestTable1Resolution:
     def test_deterministic_tree_resolves_bottom_up(self, registry, problem):
         assert registry.resolve(problem, factory()).name == "bottom-up"
 
-    # Per problem, the largest shared-bas DAG conditioning takes and the
-    # smallest it leaves to BILP (k = size / 2; the cutoffs bound 2^k times
-    # the unfolded size, see repro.core.conditioning.MAX_WORK).
-    CUTOFFS = [(Problem.CDPF, 16, 18), (Problem.DGC, 8, 10), (Problem.CGD, 6, 8)]
+    # Per problem, the widest wide-fan DAG bottom-up takes and the narrowest
+    # it leaves to BILP (w = size // 3; see repro.engine.backends.MAX_WIDTH).
+    CUTOFFS = [(Problem.CDPF, 33, 36), (Problem.DGC, 15, 18), (Problem.CGD, 15, 18)]
 
     @pytest.mark.parametrize("problem, accepted, declined", CUTOFFS)
-    def test_deterministic_dag_resolves_conditioning_up_to_cutoff(
+    def test_deterministic_dag_resolves_bottom_up_up_to_cutoff(
         self, registry, problem, accepted, declined
     ):
-        assert registry.resolve(problem, data_server()).name == "conditioning"
-        assert registry.resolve(problem, _shared_bas(accepted)).name == "conditioning"
+        assert registry.resolve(problem, data_server()).name == "bottom-up"
+        assert registry.resolve(problem, _wide_fan(accepted)).name == "bottom-up"
+        assert MAX_WIDTH[problem] == accepted // 3
 
     @pytest.mark.parametrize("problem, accepted, declined", CUTOFFS)
     def test_deterministic_dag_above_cutoff_resolves_bilp(
         self, registry, problem, accepted, declined
     ):
-        assert registry.resolve(problem, _shared_bas(declined)).name == "bilp"
+        assert registry.resolve(problem, _wide_fan(declined)).name == "bilp"
 
-    def test_named_conditioning_runs_above_cutoff(self, registry):
-        model = _shared_bas(18)
-        chosen = registry.resolve(Problem.DGC, model, backend="conditioning")
-        assert chosen.name == "conditioning"
+    def test_shared_bas_n22_resolves_bottom_up(self, registry):
+        # k = 11 shared BASs, but each closes at its own gate: w = 3.
+        for problem in DETERMINISTIC:
+            assert registry.resolve(problem, _shared_bas(22)).name == "bottom-up"
+
+    def test_decline_states_shared_nodes_and_width(self, registry):
+        bottom_up = registry.get("bottom-up")
+        reason = bottom_up.declines(_wide_fan(36), Problem.CDPF)
+        assert "12 shared nodes keep up to 12 labels open" in reason
+        assert bottom_up.declines(factory(), Problem.CDPF) is None
+
+    def test_every_full_profile_dag_resolves_bottom_up(self, registry):
+        from repro.bench import profile
+
+        for spec in profile("full"):
+            if (spec.shape, spec.setting) != ("dag", "deterministic"):
+                continue
+            for case in expand(spec):
+                assert registry.resolve(Problem.CDPF, case.model).name == "bottom-up"
+
+    def test_named_bottom_up_runs_above_cutoff(self, registry):
+        model = _wide_fan(18)
+        chosen = registry.resolve(Problem.DGC, model, backend="bottom-up")
+        assert chosen.name == "bottom-up"
         result = run_request(
-            model, AnalysisRequest(Problem.DGC, budget=3.0, backend="conditioning")
+            model, AnalysisRequest(Problem.DGC, budget=3.0, backend="bottom-up")
         )
         expected = run_request(model, AnalysisRequest(Problem.DGC, budget=3.0))
-        assert result.backend == "conditioning" and expected.backend == "bilp"
+        assert result.backend == "bottom-up" and expected.backend == "bilp"
         assert result.value == pytest.approx(expected.value)
-        assert result.extras["shared_bas"] == 9
+        assert result.extras == {"shared_nodes": 6, "width": 6}
 
     @pytest.mark.parametrize("problem", PROBABILISTIC)
     def test_probabilistic_tree_resolves_bottom_up(self, registry, problem):
@@ -103,7 +132,7 @@ class TestTable1Resolution:
         table = registry.capability_report()
         assert len(table) == 4
         assert "bottom-up" in table[("deterministic", "tree")]
-        assert "bottom-up over k shared BASs" in table[("deterministic", "dag")]
+        assert "dominator labels" in table[("deterministic", "dag")]
         assert "BILP" in table[("deterministic", "dag")]
         assert "bottom-up" in table[("probabilistic", "tree")]
         assert "open problem" in table[("probabilistic", "dag")]
@@ -112,7 +141,7 @@ class TestTable1Resolution:
 class TestExplicitSelection:
     def test_one_backend_per_method(self):
         assert [backend.name for backend in standard_backends()] == [
-            "bottom-up", "conditioning", "bilp", "enumerative",
+            "bottom-up", "bilp", "enumerative",
         ]
 
     def test_every_standard_backend_reachable_by_name(self, registry):
@@ -131,18 +160,10 @@ class TestExplicitSelection:
         with pytest.raises(CapabilityError, match="no BILP formulation"):
             registry.resolve(Problem.CEDPF, panda_iot(), backend="bilp")
 
-    def test_bottom_up_rejects_dags_with_domain_message(self, registry):
-        with pytest.raises(CapabilityError, match="treelike"):
-            registry.resolve(Problem.CDPF, data_server(), backend="bottom-up")
-
-    def test_conditioning_rejects_probabilistic_problems(self, registry):
+    def test_bottom_up_rejects_probabilistic_dags_with_domain_message(self, registry):
         model = with_unit_probabilities(data_server())
-        with pytest.raises(CapabilityError, match="only answers the deterministic"):
-            registry.resolve(Problem.CEDPF, model, backend="conditioning")
-
-    def test_conditioning_rejects_treelike_models(self, registry):
-        with pytest.raises(CapabilityError, match="only covers DAG-like"):
-            registry.resolve(Problem.DGC, factory(), backend="conditioning")
+        with pytest.raises(CapabilityError, match="treelike"):
+            registry.resolve(Problem.CEDPF, model, backend="bottom-up")
 
 
 class TestRegistration:

@@ -42,6 +42,22 @@ class TestRequestRoundTrip:
         with pytest.raises(ValueError, match="threshold must be a number"):
             AnalysisRequest(Problem.CGD, threshold=True)
 
+    @pytest.mark.parametrize("problem, field", [
+        ("dgc", "budget"), ("edgc", "budget"), ("cgd", "threshold"), ("cged", "threshold"),
+    ])
+    def test_nan_parameter_rejected(self, problem, field):
+        # json parses NaN; a NaN budget would otherwise answer as unbudgeted.
+        text = f'{{"problem": "{problem}", "{field}": NaN}}'
+        with pytest.raises(ValueError, match=f"{field} must be a number, got NaN"):
+            AnalysisRequest.from_json(text)
+        with pytest.raises(ValueError, match="NaN"):
+            AnalysisRequest.from_dict({"problem": problem, field: float("nan")})
+
+    def test_infinite_budget_accepted(self):
+        # Unlike NaN, an infinite budget is meaningful: nothing is pruned.
+        request = AnalysisRequest.from_json('{"problem": "dgc", "budget": Infinity}')
+        assert request.budget == float("inf")
+
     def test_non_string_backend_rejected(self):
         with pytest.raises(ValueError, match="backend must be a string"):
             AnalysisRequest.from_dict({"problem": "cdpf", "backend": 3})
@@ -78,10 +94,10 @@ class TestResultRoundTrip:
 
     def test_extras_survive(self):
         session = AnalysisSession(data_server())
-        result = session.run(AnalysisRequest(Problem.CDPF, backend="conditioning"))
+        result = session.run(AnalysisRequest(Problem.CDPF))
         restored = AnalysisResult.from_json(result.to_json())
         assert restored.extras == result.extras
-        assert restored.extras["shared_bas"] >= 1
+        assert restored.extras["shared_nodes"] >= 1
 
     def test_json_is_plain_data(self):
         """The wire format must be stock JSON: no custom encoder needed."""

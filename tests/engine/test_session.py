@@ -60,13 +60,13 @@ class TestCaching:
 
     def test_mutating_extras_does_not_corrupt_cache(self):
         session = AnalysisSession(data_server())
-        request = AnalysisRequest(Problem.CDPF, backend="conditioning")
+        request = AnalysisRequest(Problem.CDPF)
         first = session.run(request)
         first.extras.clear()
         session.cached_results()[0].extras.clear()
         second = session.run(request)
         assert second.cache_hit
-        assert second.extras["shared_bas"] == 1
+        assert second.extras["shared_nodes"] == 1
 
     def test_sessions_on_same_model_share_keys_not_results(self):
         one, two = AnalysisSession(factory()), AnalysisSession(factory())
@@ -135,8 +135,8 @@ class TestMetadata:
     def test_result_metadata_fields(self):
         session = AnalysisSession(data_server())
         result = session.run(AnalysisRequest(Problem.CDPF))
-        assert result.backend == "conditioning"
-        assert result.extras == {"shared_bas": 1, "conditioned_runs": 2}
+        assert result.backend == "bottom-up"
+        assert result.extras == {"shared_nodes": 1, "width": 1}
         assert result.shape == "dag"
         assert result.setting == "deterministic"
         assert result.wall_time_seconds > 0

@@ -168,7 +168,7 @@ class TestTableI:
     def test_capability_matrix(self):
         matrix = capability_matrix()
         assert matrix[("deterministic", "tree")].startswith("bottom-up")
-        assert matrix[("deterministic", "dag")].startswith("BILP")
+        assert "BILP (Theorem 6)" in matrix[("deterministic", "dag")]
         assert matrix[("probabilistic", "tree")].startswith("bottom-up")
         assert "open" in matrix[("probabilistic", "dag")]
 

@@ -163,6 +163,20 @@ class TestValidationAtTheEdge:
         assert doc["index"] == 1
         assert "budget" in doc["error"]
 
+    @pytest.mark.parametrize("request_doc", [
+        {"problem": "dgc", "budget": float("nan")},
+        {"problem": "cgd", "threshold": float("nan")},
+    ])
+    def test_nan_parameter_is_400_and_enqueues_nothing(self, server, request_doc):
+        # json.dumps writes NaN, which the server's json.loads accepts.
+        status, _, doc = submit(server, requests=[{"problem": "cdpf"}, request_doc])
+        assert status == 400
+        assert doc["kind"] == "validation"
+        assert doc["index"] == 1
+        assert "NaN" in doc["error"]
+        assert call(server, "/v1/jobs")[2]["jobs"] == []
+        assert sum(server.queue.counts().values()) == 0
+
     def test_bad_model_is_400_with_field(self, server):
         status, _, doc = call(
             server, "/v1/jobs", method="POST",

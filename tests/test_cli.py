@@ -65,6 +65,12 @@ class TestCommands:
             main(["experiments", "--quick"])
         assert exit_info.value.code == 2
 
+    def test_analyze_states_dag_width(self, tmp_path, capsys):
+        path = tmp_path / "ds.json"
+        serialization.save_json(catalog.data_server(), str(path))
+        assert main(["analyze", str(path)]) == 0
+        assert "frontier width w = 1" in capsys.readouterr().out
+
     def test_analyze_names_the_backends_it_runs(self, tmp_path, capsys):
         model = catalog.data_server()
         path = tmp_path / "ds-prob.json"
@@ -76,7 +82,7 @@ class TestCommands:
         )
         assert main(["analyze", str(path), "--probabilistic"]) == 0
         output = capsys.readouterr().out
-        assert "CDPF runs on 'conditioning'" in output
+        assert "CDPF runs on 'bottom-up'" in output
         assert "CEDPF runs on 'enumerative'" in output
 
     def test_batch_parallel_matches_sequential(self, factory_json, tmp_path, capsys):
@@ -307,10 +313,10 @@ class TestErrorPaths:
         assert main(["pareto", factory_json, "--backend", "nope"]) == 2
         self._assert_one_line_error(capsys)
 
-    def test_uncovered_capability_exits_2(self, factory_json, capsys):
-        # conditioning cannot answer treelike models: capability error.
-        assert main(["pareto", factory_json, "--backend", "conditioning"]) == 2
-        assert "only covers DAG-like ATs" in self._assert_one_line_error(capsys)
+    def test_uncovered_capability_exits_2(self, panda_json, capsys):
+        # bilp cannot answer probabilistic problems: capability error.
+        assert main(["pareto", panda_json, "--probabilistic", "--backend", "bilp"]) == 2
+        assert "no BILP formulation" in self._assert_one_line_error(capsys)
 
     def test_model_beyond_enumerative_table_limit_exits_2(self, tmp_path, capsys):
         # Auto-resolution refuses a 17-BAS probabilistic DAG instead of
@@ -336,6 +342,15 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert "[1]" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("entry", [
+        '{"problem": "dgc", "budget": NaN}', '{"problem": "cgd", "threshold": NaN}',
+    ])
+    def test_nan_parameter_in_batch_exits_2(self, factory_json, tmp_path, capsys, entry):
+        requests = tmp_path / "requests.json"
+        requests.write_text(f'[{{"problem": "cdpf"}}, {entry}]')
+        assert main(["batch", factory_json, str(requests)]) == 2
+        assert "NaN" in self._assert_one_line_error(capsys)
 
     def test_bench_unknown_profile_exits_2(self, capsys):
         assert main(["bench", "run", "--profile", "nope"]) == 2
