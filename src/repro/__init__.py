@@ -72,7 +72,7 @@ from .engine import (
 )
 from .pareto import ParetoFront, ParetoPoint
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "AnalysisRequest",

@@ -16,6 +16,7 @@ work runs.
 
 from __future__ import annotations
 
+import gc
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -227,9 +228,14 @@ def execute_serialized_case(
     the case's peak traced allocation is recorded as ``peak_kb``
     (:mod:`tracemalloc`; measured around the solver run, so a store-served
     case reports only its deserialization footprint).
+
+    Garbage is collected before the case, outside its timed region, so a
+    generation-2 collection triggered by earlier cases' allocations does
+    not land inside this case's wall time.
     """
     if store is None:
         store = _WORKER_STORE
+    gc.collect()
     trace_memory = bool(payload.get("trace_memory"))
     peak_kb: Optional[float] = None
     owns_tracer = False

@@ -36,15 +36,13 @@ Installed as the ``atcd`` console script.  Sub-commands:
 ``atcd serve --queue DB --store DB [--host H] [--port P] [--token T]``
     Serve a work queue and/or result store over HTTP (the network broker,
     see :mod:`repro.net`), so shared-nothing hosts can run workers
-    against ``http://host:port`` queue/store URLs.  With ``--root DIR``
-    the broker hosts many *named* queues (``DIR/<name>.queue.sqlite``)
-    instead of one ``--queue`` file; clients address them as
-    ``http://host:port/queues/<name>``.  ``--access-log PATH|-`` writes
-    one structured JSON line per request.
-``atcd queue create|list|drop TARGET [NAME]``
-    Manage the named queues of a multi-queue root.  TARGET is either a
-    ``--root`` directory (managed directly) or a running ``--root``
-    broker's URL (managed over HTTP).
+    against ``http://host:port`` queue/store URLs.  One broker serves at
+    most one queue; a run that needs its own queue starts its own
+    ``atcd serve --queue``.  ``--access-log PATH|-`` writes one
+    structured JSON line per request.
+``atcd queue prune DB|URL --ttl SECONDS``
+    Garbage-collect finished tasks and orphaned job descriptors from one
+    work queue (a sqlite file or an ``atcd serve`` broker URL).
 ``atcd api --queue DB|URL --keys FILE [--workers N] [--store DB|URL]``
     Serve the multi-tenant analysis API (see :mod:`repro.service`):
     clients POST request batches to ``/v1/jobs`` with per-tenant API
@@ -380,11 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue", default=None, metavar="DB",
                        help="work-queue sqlite file to expose "
                             "(created if absent)")
-    serve.add_argument("--root", default=None, metavar="DIR",
-                       help="host *named* queues from this directory "
-                            "instead of one --queue file; clients use "
-                            "http://host:port/queues/<name> (manage with "
-                            "'atcd queue create|list|drop')")
     serve.add_argument("--store", default=None, metavar="DB",
                        help="result-store sqlite file to expose "
                             "(created if absent)")
@@ -407,36 +400,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help=_TRACE_OUT_HELP)
 
     queue_cmd = subparsers.add_parser(
-        "queue", help="manage the named queues of a multi-queue root"
+        "queue", help="maintain one work queue"
     )
     queue_sub = queue_cmd.add_subparsers(dest="queue_command", required=True)
-    queue_create = queue_sub.add_parser(
-        "create", help="create a named queue (idempotent)"
-    )
-    queue_create.add_argument("target", metavar="DIR|URL",
-                              help="queue-root directory, or the URL of a "
-                                   "running 'atcd serve --root' broker")
-    queue_create.add_argument("name", help="queue name ([A-Za-z0-9_.-], "
-                                           "max 64 chars)")
-    queue_list = queue_sub.add_parser(
-        "list", help="list the root's queues and their task counts"
-    )
-    queue_list.add_argument("target", metavar="DIR|URL",
-                            help="queue-root directory or broker URL")
-    queue_drop = queue_sub.add_parser(
-        "drop", help="delete a named queue and all its tasks"
-    )
-    queue_drop.add_argument("target", metavar="DIR|URL",
-                            help="queue-root directory or broker URL")
-    queue_drop.add_argument("name", help="queue name to delete")
     queue_prune = queue_sub.add_parser(
         "prune", help="garbage-collect finished tasks and orphaned job "
                       "descriptors from one queue"
     )
     queue_prune.add_argument("target", metavar="DB|URL",
                              help="work-queue sqlite file (must exist) or "
-                                  "broker queue URL "
-                                  "(http://host:port[/queues/<name>])")
+                                  "broker URL (http://host:port)")
     queue_prune.add_argument("--ttl", type=float, required=True, metavar="S",
                              help="delete done/cancelled tasks finished more "
                                   "than this many seconds ago (0 deletes "
@@ -448,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     api.add_argument("--queue", required=True, metavar="DB|URL",
                      help="work queue backing the service: sqlite file "
-                          "(created if absent) or a broker queue URL "
-                          "(http://host:port[/queues/<name>])")
+                          "(created if absent) or a broker URL "
+                          "(http://host:port)")
     api.add_argument("--keys", required=True, metavar="FILE",
                      help="tenant keys file: {\"tenants\": [{\"name\", "
                           "\"key\", \"max_in_flight\"?, "
@@ -1046,10 +1019,8 @@ def _command_serve(args: argparse.Namespace) -> int:
     from .net.server import BrokerServer
     from .net.wire import TOKEN_ENV_VAR
 
-    if not args.queue and not args.store and not args.root:
-        raise ValueError(
-            "nothing to serve: pass --queue, --root and/or --store"
-        )
+    if not args.queue and not args.store:
+        raise ValueError("nothing to serve: pass --queue and/or --store")
     token = args.token or os.environ.get(TOKEN_ENV_VAR) or None
     access_log, close_log = _open_access_log(args.access_log)
     close_trace = _open_trace_output(args.trace_out)
@@ -1057,7 +1028,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         server = BrokerServer(
             queue_path=args.queue,
             store_path=args.store,
-            root=args.root,
             host=args.host,
             port=args.port,
             token=token,
@@ -1080,7 +1050,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         f"{kind} {path}"
         for kind, path in (
             ("queue", args.queue),
-            ("root", args.root),
             ("store", args.store),
         )
         if path
@@ -1118,59 +1087,15 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _command_queue(args: argparse.Namespace) -> int:
-    if args.queue_command == "prune":
-        from .distributed import open_queue
+    from .distributed import open_queue
 
-        with open_queue(args.target, must_exist=True) as queue:
-            pruned = queue.prune(args.ttl)
-        print(
-            f"pruned {pruned['tasks']} finished tasks and "
-            f"{pruned['descriptors']} orphaned job descriptors "
-            f"from {args.target}"
-        )
-        return 0
-    def render_rows(rows) -> None:
-        if not rows:
-            print("(no queues)")
-            return
-        for row in rows:
-            counts = row["counts"]
-            states = ", ".join(
-                f"{state}={count}" for state, count in counts.items() if count
-            ) or "empty"
-            print(f"  {row['name']:<24} {states}")
-
-    if args.target.startswith(("http://", "https://")):
-        from .net.client import BrokerAdmin
-        from .net.wire import TOKEN_ENV_VAR
-
-        token = os.environ.get(TOKEN_ENV_VAR) or None
-        with BrokerAdmin(args.target, token=token) as admin:
-            admin.ping()
-            if args.queue_command == "create":
-                created = admin.create_queue(args.name)
-                verb = "created" if created else "already exists"
-                print(f"queue {args.name!r} {verb} on {admin.url}")
-            elif args.queue_command == "drop":
-                dropped = admin.drop_queue(args.name)
-                verb = "dropped" if dropped else "did not exist"
-                print(f"queue {args.name!r} {verb} on {admin.url}")
-            else:
-                render_rows(admin.list_queues())
-        return 0
-    from .distributed import QueueRoot
-
-    with QueueRoot(args.target) as root:
-        if args.queue_command == "create":
-            created = root.create(args.name)
-            verb = "created" if created else "already exists"
-            print(f"queue {args.name!r} {verb} under {args.target}")
-        elif args.queue_command == "drop":
-            dropped = root.drop(args.name)
-            verb = "dropped" if dropped else "did not exist"
-            print(f"queue {args.name!r} {verb} under {args.target}")
-        else:
-            render_rows(root.describe())
+    with open_queue(args.target, must_exist=True) as queue:
+        pruned = queue.prune(args.ttl)
+    print(
+        f"pruned {pruned['tasks']} finished tasks and "
+        f"{pruned['descriptors']} orphaned job descriptors "
+        f"from {args.target}"
+    )
     return 0
 
 

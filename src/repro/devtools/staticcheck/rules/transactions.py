@@ -44,7 +44,6 @@ __all__ = ["TransactionRule", "SQL_MODULES"]
 SQL_MODULES = (
     "repro/distributed/queue.py",
     "repro/engine/store.py",
-    "repro/distributed/roots.py",
 )
 
 #: Functions that *are* the discipline: their bodies hold the lock /

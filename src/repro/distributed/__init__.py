@@ -54,7 +54,6 @@ flags at an ``atcd serve`` broker URL instead of a path
 
 from .coordinator import Coordinator, GatherReport, RUN_META_KEY
 from .fleet import LocalFleet, worker_command, worker_environment
-from .roots import QUEUE_FILE_SUFFIX, QueueRoot
 from .queue import (
     DEFAULT_LEASE_GRACE,
     DEFAULT_MAX_ATTEMPTS,
@@ -81,10 +80,8 @@ __all__ = [
     "DEFAULT_MAX_ATTEMPTS",
     "GatherReport",
     "LocalFleet",
-    "QUEUE_FILE_SUFFIX",
     "QUEUE_SCHEMA_VERSION",
     "QueueError",
-    "QueueRoot",
     "RUN_META_KEY",
     "SqliteQueue",
     "Task",

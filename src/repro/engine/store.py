@@ -311,6 +311,28 @@ class NamespacedStore:
         self.close()
 
 
+def _enable_wal(connection: sqlite3.Connection, timeout: float) -> None:
+    """Switch ``connection`` to WAL journaling, waiting out lock contention.
+
+    WAL lets readers proceed while a writer commits; sqlite falls back
+    transparently where the filesystem cannot support it.  When several
+    processes open one fresh file together, sqlite fails this pragma with
+    "database is locked" at once, without consulting the busy handler, so
+    it is retried here for up to the connection's own ``timeout``.
+    """
+    deadline = time.monotonic() + timeout
+    delay = 0.001
+    while True:
+        try:
+            connection.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as error:
+            if "locked" not in str(error) or time.monotonic() >= deadline:
+                raise
+        time.sleep(delay)
+        delay = min(delay * 2, 0.05)
+
+
 class SqliteStore:
     """A persistent, concurrency-safe :class:`ResultStore` in one sqlite file.
 
@@ -339,9 +361,7 @@ class SqliteStore:
             self._connection = sqlite3.connect(
                 self.path, timeout=timeout, check_same_thread=False
             )
-            # WAL lets readers proceed while a writer commits; sqlite falls
-            # back transparently where the filesystem cannot support it.
-            self._connection.execute("PRAGMA journal_mode=WAL")
+            _enable_wal(self._connection, timeout)
             self._initialize_schema()
         except sqlite3.Error as error:
             if self._connection is not None:

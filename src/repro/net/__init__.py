@@ -51,18 +51,16 @@ the clients.
 """
 
 from .accesslog import AccessLog, REQUEST_ID_HEADER
-from .client import BrokerAdmin, HttpQueue, HttpStore, split_queue_url
+from .client import HttpQueue, HttpStore
 from .server import BrokerServer
 from .wire import TOKEN_ENV_VAR, WIRE_VERSION
 
 __all__ = [
     "AccessLog",
-    "BrokerAdmin",
     "BrokerServer",
     "HttpQueue",
     "HttpStore",
     "REQUEST_ID_HEADER",
     "TOKEN_ENV_VAR",
     "WIRE_VERSION",
-    "split_queue_url",
 ]

@@ -56,35 +56,7 @@ from .wire import (
     task_from_wire,
 )
 
-__all__ = ["BrokerAdmin", "HttpQueue", "HttpStore", "split_queue_url"]
-
-
-def split_queue_url(url: str) -> tuple:
-    """Split a queue URL into ``(base_url, queue_name_or_None)``.
-
-    Two shapes are accepted: ``http://host:port`` (a broker serving one
-    queue) and ``http://host:port/queues/<name>`` (one named queue under
-    a ``--root`` broker).  Anything else raises :class:`QueueError`.
-    """
-    parsed = urllib.parse.urlsplit(url)
-    base = urllib.parse.urlunsplit(
-        (parsed.scheme, parsed.netloc, "", "", "")
-    )
-    path = parsed.path.strip("/")
-    if not path and not parsed.query and not parsed.fragment:
-        return base, None
-    parts = path.split("/")
-    if (
-        len(parts) == 2 and parts[0] == "queues" and parts[1]
-        and not parsed.query and not parsed.fragment
-    ):
-        from ..distributed.roots import validate_queue_name
-
-        return base, validate_queue_name(parts[1])
-    raise QueueError(
-        f"invalid queue URL {url!r}: expected http://host:port or "
-        "http://host:port/queues/<name>"
-    )
+__all__ = ["HttpQueue", "HttpStore"]
 
 
 class _Transport:
@@ -236,8 +208,7 @@ class HttpQueue:
     ----------
     url:
         The broker base URL (``http://host:port``) — what ``atcd serve``
-        printed on startup — or ``http://host:port/queues/<name>`` for
-        one named queue under an ``atcd serve --root`` broker.
+        printed on startup.
     token:
         Bearer token when the broker requires one; defaults to
         ``$ATCD_BROKER_TOKEN``.
@@ -253,42 +224,19 @@ class HttpQueue:
         retries: int = 5,
         backoff_seconds: float = 0.1,
     ) -> None:
-        base, self.queue_name = split_queue_url(url)
         self._transport = _Transport(
-            base, QueueError, token=token, timeout=timeout,
+            url, QueueError, token=token, timeout=timeout,
             retries=retries, backoff_seconds=backoff_seconds,
         )
         self.url = self._transport.url
-        if self.queue_name is not None:
-            self.url = f"{self._transport.url}/queues/{self.queue_name}"
 
     def _call(self, op: str, payload: Optional[Dict[str, Any]] = None) -> Any:
-        if self.queue_name is not None:
-            path = f"/queues/{self.queue_name}/{op}"
-        else:
-            path = f"/queue/{op}"
-        return self._transport.request("POST", path, payload or {})
+        return self._transport.request("POST", f"/queue/{op}", payload or {})
 
     def ping(self) -> Dict[str, Any]:
-        """Verify the broker is reachable and serves the queue we name."""
+        """Verify the broker is reachable and serves a work queue."""
         document = self._transport.ping_raw()
-        if self.queue_name is not None:
-            if not document.get("root"):
-                raise QueueError(
-                    f"broker {self._transport.url} serves no named queues; "
-                    "drop the /queues/<name> path from the URL"
-                )
-            if self.queue_name not in document.get("queues", []):
-                raise QueueError(
-                    f"broker {self._transport.url} has no queue named "
-                    f"{self.queue_name!r}; create it with 'atcd queue create'"
-                )
-        elif document.get("root"):
-            raise QueueError(
-                f"broker {self._transport.url} serves named queues; point at "
-                f"{self._transport.url}/queues/<name> instead"
-            )
-        elif not document.get("queue"):
+        if not document.get("queue"):
             raise QueueError(f"broker {self.url} serves no work queue")
         return document
 
@@ -488,64 +436,6 @@ class HttpStore:
         self._transport.close()
 
     def __enter__(self) -> "HttpStore":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
-class BrokerAdmin:
-    """Management client for an ``atcd serve --root`` broker.
-
-    The ``atcd queue create|list|drop`` verbs over HTTP: thin wrappers
-    around ``POST /queues/create``, ``GET /queues`` and
-    ``POST /queues/drop``.
-    """
-
-    def __init__(
-        self,
-        url: str,
-        token: Optional[str] = None,
-        timeout: float = 60.0,
-        retries: int = 5,
-        backoff_seconds: float = 0.1,
-    ) -> None:
-        self._transport = _Transport(
-            url, QueueError, token=token, timeout=timeout,
-            retries=retries, backoff_seconds=backoff_seconds,
-        )
-        self.url = self._transport.url
-
-    def ping(self) -> Dict[str, Any]:
-        """Verify the broker is reachable and serves a queue root."""
-        document = self._transport.ping_raw()
-        if not document.get("root"):
-            raise QueueError(
-                f"broker {self.url} serves no queue root; start it with "
-                "'atcd serve --root DIR' to host named queues"
-            )
-        return document
-
-    def create_queue(self, name: str) -> bool:
-        """Create the named queue; ``False`` if it already existed."""
-        return self._transport.request(
-            "POST", "/queues/create", {"name": name}
-        )["created"]
-
-    def list_queues(self) -> List[Dict[str, Any]]:
-        """One ``{"name", "counts"}`` row per hosted queue."""
-        return self._transport.request("GET", "/queues")["queues"]
-
-    def drop_queue(self, name: str) -> bool:
-        """Delete the named queue; ``False`` if it did not exist."""
-        return self._transport.request(
-            "POST", "/queues/drop", {"name": name}
-        )["dropped"]
-
-    def close(self) -> None:
-        self._transport.close()
-
-    def __enter__(self) -> "BrokerAdmin":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:

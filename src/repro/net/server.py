@@ -34,7 +34,6 @@ from ..distributed.queue import (
     SqliteQueue,
     TaskState,
 )
-from ..distributed.roots import QueueRoot, validate_queue_name
 from ..engine.requests import AnalysisRequest, AnalysisResult
 from ..engine.store import SqliteStore, StoreError
 from ..obs.promtext import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
@@ -60,14 +59,10 @@ _STORE_OP_NAMES = frozenset({"get", "put", "prune", "evict", "len", "summary"})
 def _route_template(path: str) -> str:
     """Collapse one request path to a bounded-cardinality route label."""
     parts = path.strip("/").split("/")
-    if path in ("/ping", "/metrics", "/queues"):
-        return path
-    if len(parts) == 2 and parts[0] == "queues" and parts[1] in ("create", "drop"):
+    if path in ("/ping", "/metrics"):
         return path
     if len(parts) == 2 and parts[0] == "queue" and parts[1] in _QUEUE_OP_NAMES:
         return path
-    if len(parts) == 3 and parts[0] == "queues" and parts[2] in _QUEUE_OP_NAMES:
-        return f"/queues/{{name}}/{parts[2]}"
     if len(parts) == 2 and parts[0] == "store" and parts[1] in _STORE_OP_NAMES:
         return path
     return "other"
@@ -196,17 +191,13 @@ class _BrokerHandler(JsonHandler):
             return
         broker = self.owner
         if self.path == "/ping":
-            document = {
+            self._reply(200, {
                 "ok": True,
                 "server": SERVER_NAME,
                 "wire_version": WIRE_VERSION,
                 "queue": broker.queue is not None,
                 "store": broker.store is not None,
-                "root": broker.root is not None,
-            }
-            if broker.root is not None:
-                document["queues"] = broker.root.names()
-            self._reply(200, document)
+            })
             return
         if self.path == "/metrics":
             # Same auth posture as every other broker endpoint (the
@@ -216,112 +207,23 @@ class _BrokerHandler(JsonHandler):
                 200, broker.metrics_body(), PROMETHEUS_CONTENT_TYPE
             )
             return
-        if self.path == "/queues":
-            if broker.root is None:
-                self._reply_error(
-                    404, "this broker serves no queue root", "not-found"
-                )
-                return
-            try:
-                value = {"queues": broker.root.describe()}
-            except QueueError as error:
-                self._reply_error(400, str(error), "queue-error")
-                return
-            self._reply(200, {"ok": True, "value": value})
-            return
         self._reply_unknown_endpoint()
-
-    def _resolve_queue(self, parts: Any) -> Optional[SqliteQueue]:
-        """The queue a ``/queue/...`` or ``/queues/<name>/...`` path names.
-
-        Replies with the appropriate error when the path does not
-        resolve; the caller just returns on ``None``.
-        """
-        broker = self.owner
-        if parts[0] == "queue":
-            if broker.queue is None:
-                message = (
-                    "this broker serves named queues; use /queues/<name>/<op>"
-                    if broker.root is not None else "this broker serves no queue"
-                )
-                self._reply_error(404, message, "not-found")
-                return None
-            return broker.queue
-        name = parts[1]
-        if broker.root is None:
-            self._reply_error(
-                404, "this broker serves no queue root", "not-found"
-            )
-            return None
-        try:
-            validate_queue_name(name)
-        except QueueError as error:
-            self._reply_error(400, str(error), "queue-error")
-            return None
-        if not broker.root.exists(name):
-            self._reply_error(
-                404,
-                f"no queue named {name!r}; create it with 'atcd queue create'",
-                "not-found",
-            )
-            return None
-        return broker.root.open(name)
-
-    def _handle_root_verb(self, op: str) -> None:
-        """``POST /queues/create`` / ``POST /queues/drop`` management verbs."""
-        broker = self.owner
-        if broker.root is None:
-            self._reply_error(
-                404, "this broker serves no queue root", "not-found"
-            )
-            return
-        args = self._read_body()
-        if args is None:
-            return
-        try:
-            name = args["name"]
-            if op == "create":
-                value = {"name": name, "created": broker.root.create(name)}
-            else:
-                value = {"name": name, "dropped": broker.root.drop(name)}
-        except QueueError as error:
-            self._reply_error(400, str(error), "queue-error")
-        except (KeyError, ValueError, TypeError) as error:
-            self._reply_error(400, f"bad queues request: {error}", "bad-request")
-        else:
-            self._reply(200, {"ok": True, "value": value})
 
     def _handle_post(self) -> None:
         if not self._authorized():
             return
         parts = self.path.strip("/").split("/")
-        if len(parts) == 2 and parts[0] == "queues" and parts[1] in (
-            "create", "drop"
-        ):
-            self._handle_root_verb(parts[1])
-            return
-        is_queue_op = (
-            (len(parts) == 2 and parts[0] == "queue")
-            or (len(parts) == 3 and parts[0] == "queues")
-        )
-        is_store_op = len(parts) == 2 and parts[0] == "store"
-        if not is_queue_op and not is_store_op:
+        if len(parts) != 2 or parts[0] not in ("queue", "store"):
             self._reply_unknown_endpoint()
             return
-        op = parts[-1]
-        resource = "store" if is_store_op else "queue"
+        resource, op = parts
         broker = self.owner
-        if is_store_op:
-            target = broker.store
-            if target is None:
-                self._reply_error(
-                    404, "this broker serves no store", "not-found"
-                )
-                return
-        else:
-            target = self._resolve_queue(parts)
-            if target is None:
-                return
+        target = broker.queue if resource == "queue" else broker.store
+        if target is None:
+            self._reply_error(
+                404, f"this broker serves no {resource}", "not-found"
+            )
+            return
         args = self._read_body()
         if args is None:
             return
@@ -359,15 +261,8 @@ class BrokerServer(JsonServer):
     Parameters
     ----------
     queue_path / store_path:
-        Sqlite files to expose (created if absent); at least one resource
-        (queue, store or root) is required.  Requests against an
-        unattached resource get a 404.
-    root:
-        Directory of *named* queues to serve instead of a single queue
-        file (``atcd serve --root``): task operations then live at
-        ``POST /queues/<name>/<op>``, with ``/queues`` listing and
-        ``/queues/create|drop`` management verbs.  Mutually exclusive
-        with ``queue_path``; combines freely with ``store_path``.
+        Sqlite files to expose (created if absent); at least one is
+        required.  Requests against an unattached resource get a 404.
     host / port:
         Bind address; port 0 picks a free port (read it back from
         ``server.port`` / ``server.url``).
@@ -392,7 +287,6 @@ class BrokerServer(JsonServer):
         self,
         queue_path: Optional[str] = None,
         store_path: Optional[str] = None,
-        root: Optional[str] = None,
         host: str = "127.0.0.1",
         port: int = 0,
         token: Optional[str] = None,
@@ -400,26 +294,18 @@ class BrokerServer(JsonServer):
         verbose: bool = False,
         access_log: Optional[AccessLog] = None,
     ) -> None:
-        if queue_path is None and store_path is None and root is None:
+        if queue_path is None and store_path is None:
             raise ValueError(
-                "nothing to serve: pass queue_path, store_path and/or root"
-            )
-        if queue_path is not None and root is not None:
-            raise ValueError(
-                "pass either queue_path (one queue) or root (named queues), "
-                "not both"
+                "nothing to serve: pass queue_path and/or store_path"
             )
         self.token = token
         self.queue: Optional[SqliteQueue] = None
         self.store: Optional[SqliteStore] = None
-        self.root: Optional[QueueRoot] = None
         try:
             if queue_path is not None:
                 self.queue = SqliteQueue(
                     queue_path, grace_seconds=grace_seconds
                 )
-            if root is not None:
-                self.root = QueueRoot(root, grace_seconds=grace_seconds)
             if store_path is not None:
                 self.store = SqliteStore(store_path)
         except BaseException:
@@ -431,20 +317,13 @@ class BrokerServer(JsonServer):
         """The ``GET /metrics`` exposition body for this broker.
 
         Covers the broker's own registry plus every worker snapshot
-        published into the served queue(s)' metadata, so one scrape
-        answers for the whole fleet behind this broker.
+        published into the served queue's metadata, so one scrape answers
+        for the whole fleet behind this broker.
         """
-        queues = []
-        if self.queue is not None:
-            queues.append(self.queue)
-        if self.root is not None:
-            for name in self.root.names():
-                with contextlib.suppress(QueueError):
-                    queues.append(self.root.open(name))
-        return render_fleet_metrics(queues=queues, store=self.store)
+        return render_fleet_metrics(queue=self.queue, store=self.store)
 
     def _release(self) -> None:
-        for resource in (self.queue, self.store, self.root):
+        for resource in (self.queue, self.store):
             if resource is not None:
                 with contextlib.suppress(Exception):
                     resource.close()

@@ -5,10 +5,8 @@ process:
 
 ``GET /ping``
     Liveness and capability probe.  Returns ``{"server": "atcd-broker",
-    "wire_version": 1, "queue": bool, "store": bool, "root": bool}`` —
-    clients verify ``wire_version`` and that the resource they need is
-    attached.  A ``--root`` broker additionally reports its queue names
-    under ``"queues"``.
+    "wire_version": 1, "queue": bool, "store": bool}`` — clients verify
+    ``wire_version`` and that the resource they need is attached.
 ``POST /queue/<op>`` / ``POST /store/<op>``
     One :class:`~repro.distributed.queue.WorkQueue` /
     :class:`~repro.engine.store.ResultStore` protocol method each.  The
@@ -17,14 +15,6 @@ process:
     ``tasks`` takes an optional ``state`` and an optional ``task_ids``
     list; with ``task_ids`` only those tasks come back (unknown ids are
     skipped), still in submission order.
-``POST /queues/<name>/<op>``
-    The same queue operations against one *named* queue of an
-    ``atcd serve --root`` broker (clients address it as
-    ``http://host:port/queues/<name>``).  Unknown names are 404 — a typo
-    must not conjure an empty queue.
-``GET /queues`` / ``POST /queues/create`` / ``POST /queues/drop``
-    Root management: list hosted queues (name + state counts), create one
-    (idempotent; ``created`` reports whether it was new), delete one.
 
 Errors are JSON too — ``{"ok": false, "error": "<message>", "kind":
 "<kind>"}`` — with the HTTP status carrying the class of failure:

@@ -28,7 +28,7 @@ independent of — the rest of the package.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from . import families
 from .metrics import MetricsRegistry, get_registry, merge_snapshots
@@ -74,21 +74,15 @@ def worker_snapshots(queue: Any) -> List[Dict[str, Any]]:
     return snapshots
 
 
-def _refresh_queue_gauge(
-    queues: Iterable[Any], registry: MetricsRegistry
-) -> None:
-    totals: Dict[str, int] = {}
-    for queue in queues:
-        try:
-            counts = queue.counts()
-        # staticcheck: allow-broad-except(queues are duck-typed here; skip the one that cannot be counted)
-        except Exception:
-            continue
-        for state, value in counts.items():
-            totals[state] = totals.get(state, 0) + int(value)
+def _refresh_queue_gauge(queue: Any, registry: MetricsRegistry) -> None:
+    try:
+        counts = queue.counts()
+    # staticcheck: allow-broad-except(queues are duck-typed here; a scrape without queue gauges beats no scrape)
+    except Exception:
+        return
     gauge = families.queue_tasks(registry)
-    for state, value in totals.items():
-        gauge.set(value, state=state)
+    for state, value in counts.items():
+        gauge.set(int(value), state=state)
 
 
 def _refresh_store_gauges(store: Any, registry: MetricsRegistry) -> None:
@@ -102,24 +96,23 @@ def _refresh_store_gauges(store: Any, registry: MetricsRegistry) -> None:
 
 
 def render_fleet_metrics(
-    queues: Iterable[Any] = (),
+    queue: Optional[Any] = None,
     store: Optional[Any] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> str:
     """The Prometheus text body for one ``GET /metrics``.
 
-    Refreshes the state gauges (task counts summed over ``queues``, store
-    entries/bytes), merges every worker snapshot found in the queues'
+    Refreshes the state gauges (the queue's task counts, store
+    entries/bytes), merges every worker snapshot found in the queue's
     metadata under the process's own registry, and renders the result.
     """
     registry = registry if registry is not None else get_registry()
     families.ensure_all(registry)
-    queues = list(queues)
-    _refresh_queue_gauge(queues, registry)
+    snapshots: List[Dict[str, Any]] = []
+    if queue is not None:
+        _refresh_queue_gauge(queue, registry)
+        snapshots.extend(worker_snapshots(queue))
     if store is not None:
         _refresh_store_gauges(store, registry)
-    snapshots: List[Dict[str, Any]] = []
-    for queue in queues:
-        snapshots.extend(worker_snapshots(queue))
     snapshots.append(registry.snapshot())
     return render(merge_snapshots(*snapshots))

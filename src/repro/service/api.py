@@ -409,7 +409,7 @@ class ServiceServer(JsonServer):
         worker metrics show up here even though the service itself never
         computes anything.
         """
-        return render_fleet_metrics(queues=[self.queue])
+        return render_fleet_metrics(queue=self.queue)
 
     def _release(self) -> None:
         with contextlib.suppress(Exception):

@@ -49,6 +49,23 @@ class TestExecution:
             assert run.nodes > 0 and run.bas > 0
             assert run.backend in {"bottom-up", "bilp"}
 
+    def test_garbage_is_collected_once_per_case_before_timing(
+        self, monkeypatch
+    ):
+        import gc
+
+        from repro.engine import AnalysisSession
+
+        events = []
+        run = AnalysisSession.run
+        monkeypatch.setattr(gc, "collect", lambda *args: events.append("gc"))
+        monkeypatch.setattr(
+            AnalysisSession, "run",
+            lambda self, request: events.append("run") or run(self, request),
+        )
+        execute_specs(TINY)
+        assert events == ["gc", "run"] * 5
+
     def test_rows_round_trip(self):
         run = execute_specs(TINY[:1])[0]
         assert BenchRun.from_dict(run.to_dict()) == run

@@ -461,6 +461,40 @@ class TestConcurrentWriters:
         store.close()
 
 
+def _lock_wal_pragmas(monkeypatch, count):
+    """Make each new connection's first ``count`` WAL pragmas fail the way
+    sqlite fails them when another process opens the same fresh file."""
+
+    class Connection(sqlite3.Connection):
+        locked = count
+
+        def execute(self, sql, *args):
+            if sql.startswith("PRAGMA journal_mode") and self.locked:
+                self.locked -= 1
+                raise sqlite3.OperationalError("database is locked")
+            return super().execute(sql, *args)
+
+    connect = sqlite3.connect
+    monkeypatch.setattr(
+        sqlite3, "connect",
+        lambda *args, **kwargs: connect(*args, factory=Connection, **kwargs),
+    )
+
+
+class TestOpenRace:
+    def test_locked_wal_pragma_is_retried(self, store_path, monkeypatch):
+        _lock_wal_pragmas(monkeypatch, 1)
+        with SqliteStore(store_path) as store:
+            assert len(store) == 0
+
+    def test_retry_is_bounded_by_the_connection_timeout(
+        self, store_path, monkeypatch
+    ):
+        _lock_wal_pragmas(monkeypatch, 10 ** 6)
+        with pytest.raises(StoreError, match="database is locked"):
+            SqliteStore(store_path, timeout=0.05)
+
+
 class TestSessionWiring:
     def test_read_through_across_sessions(self, any_store):
         first = AnalysisSession(factory(), store=any_store)

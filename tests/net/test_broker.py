@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.attacktree.catalog import factory
+from repro.cli import main
 from repro.core.problems import Problem
 from repro.distributed import (
     QueueError,
@@ -28,6 +29,7 @@ from repro.engine.store import ResultStore, StoreError, open_store
 from repro.distributed.queue import open_queue
 from repro.net import BrokerServer, HttpQueue, HttpStore, WIRE_VERSION
 from repro.net.edge import JsonHandler
+from repro.obs.families import http_requests_total
 
 
 @pytest.fixture
@@ -141,6 +143,27 @@ class TestProtocolConformance:
         with pytest.raises(StoreError, match="invalid broker URL"):
             HttpStore("http://host:1/some/path")
 
+    @pytest.mark.parametrize("url", ["http://h:1/queues/x", "http://h:1/x?y"])
+    def test_queue_urls_with_a_path_are_rejected(self, url):
+        """A broker serves one queue at its base URL; nothing addresses a
+        queue by path."""
+        with pytest.raises(QueueError, match="expected just http://host:port"):
+            HttpQueue(url)
+        with pytest.raises(QueueError, match="expected just http://host:port"):
+            open_queue(url)
+
+
+class TestQueuePruneOverTheBroker:
+    def test_prune_cli_against_a_broker_url(self, broker, capsys):
+        with HttpQueue(broker.url) as queue:
+            queue.submit([{"kind": "t"}, {"kind": "t"}])
+            task = queue.claim("w", lease_seconds=30)
+            queue.complete(task.task_id, "w", {"ok": True})
+            assert main(["queue", "prune", broker.url, "--ttl", "0"]) == 0
+            assert "pruned 1 finished tasks" in capsys.readouterr().out
+            counts = queue.counts()
+        assert counts["done"] == 0 and counts["pending"] == 1
+
 
 class TestMalformedRequests:
     """A broken or hostile client gets a clean 4xx, never a hung server."""
@@ -187,6 +210,32 @@ class TestMalformedRequests:
         status, _ = raw_request(broker, "POST", "/queue/claim/extra",
                                 body=b"{}")
         assert status == 404
+
+    @pytest.mark.parametrize("method, path", [
+        ("GET", "/queues"),
+        ("POST", "/queues/create"),
+        ("POST", "/queues/x/claim"),
+    ])
+    def test_named_queue_routes_are_unknown_endpoints(
+        self, broker, method, path
+    ):
+        """No route addresses a queue by name; such paths get the plain
+        unknown-endpoint 404 and the catch-all ``other`` route label."""
+        requests = http_requests_total()
+        before = requests.value(server="broker", route="other", status="404")
+        status, document = raw_request(
+            broker, method, path, body=b'{"name": "x"}'
+        )
+        assert status == 404
+        assert document == {
+            "ok": False,
+            "error": f"unknown endpoint {path!r}",
+            "kind": "not-found",
+        }
+        assert requests.value(
+            server="broker", route="other", status="404"
+        ) == before + 1
+        assert requests.value(server="broker", route=path, status="404") == 0
 
     def test_malformed_store_document_is_a_400_not_a_crash(self, broker):
         status, document = raw_request(
