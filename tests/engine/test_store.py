@@ -494,6 +494,40 @@ class TestOpenRace:
         with pytest.raises(StoreError, match="database is locked"):
             SqliteStore(store_path, timeout=0.05)
 
+    def test_retried_open_leaves_the_store_in_wal_mode(
+        self, store_path, monkeypatch
+    ):
+        _lock_wal_pragmas(monkeypatch, 3)
+        SqliteStore(store_path).close()
+        monkeypatch.undo()
+        connection = sqlite3.connect(store_path)
+        try:
+            mode = connection.execute("PRAGMA journal_mode").fetchone()[0]
+        finally:
+            connection.close()
+        assert mode.lower() == "wal"
+
+    def test_other_pragma_errors_are_not_retried(self, store_path,
+                                                 monkeypatch):
+        attempts = []
+
+        class Connection(sqlite3.Connection):
+            def execute(self, sql, *args):
+                if sql.startswith("PRAGMA journal_mode"):
+                    attempts.append(sql)
+                    raise sqlite3.OperationalError("disk I/O error")
+                return super().execute(sql, *args)
+
+        connect = sqlite3.connect
+        monkeypatch.setattr(
+            sqlite3, "connect",
+            lambda *args, **kwargs: connect(*args, factory=Connection,
+                                            **kwargs),
+        )
+        with pytest.raises(StoreError, match="disk I/O error"):
+            SqliteStore(store_path, timeout=30)
+        assert len(attempts) == 1
+
 
 class TestSessionWiring:
     def test_read_through_across_sessions(self, any_store):

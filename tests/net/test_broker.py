@@ -165,6 +165,65 @@ class TestQueuePruneOverTheBroker:
         assert counts["done"] == 0 and counts["pending"] == 1
 
 
+class TestOneQueuePerBroker:
+    """A broker serves at most one queue, at ``/queue/<op>``; a run that
+    needs a queue of its own starts a broker of its own."""
+
+    def test_queue_operations_over_http(self, broker):
+        with HttpQueue(broker.url) as queue:
+            ids = queue.submit([{"kind": "t", "i": i} for i in range(2)])
+            task = queue.claim("w", lease_seconds=30)
+            assert queue.complete(task.task_id, "w", {"ok": True})
+            assert queue.cancel_pending(ids) == [ids[1]]
+            counts = queue.counts()
+        assert counts["done"] == 1 and counts["cancelled"] == 1
+
+    def test_two_brokers_keep_their_queues_apart(self, tmp_path):
+        with BrokerServer(queue_path=str(tmp_path / "alpha.sqlite")) as one, \
+                BrokerServer(queue_path=str(tmp_path / "beta.sqlite")) as two:
+            one.start()
+            two.start()
+            with HttpQueue(one.url) as alpha, HttpQueue(two.url) as beta:
+                alpha.submit([{"kind": "t"}])
+                alpha.set_meta("run", "alpha-run")
+                assert alpha.counts()["pending"] == 1
+                assert beta.counts()["pending"] == 0
+                assert beta.get_meta("run") is None
+
+    def test_ping_names_only_the_served_resources(self, broker):
+        status, document = raw_request(broker, "GET", "/ping")
+        assert status == 200
+        assert set(document) == {
+            "ok", "server", "wire_version", "queue", "store"
+        }
+
+    def test_queue_requests_to_a_store_only_broker_create_no_queue(
+        self, tmp_path
+    ):
+        with BrokerServer(store_path=str(tmp_path / "store.sqlite")) as server:
+            server.start()
+            status, document = raw_request(
+                server, "POST", "/queue/counts", body=b"{}"
+            )
+        assert status == 404 and document["kind"] == "not-found"
+        assert [
+            path.name for path in tmp_path.iterdir()
+            if not path.name.startswith("store.sqlite")
+        ] == []
+
+    @pytest.mark.parametrize("argv", [
+        ["queue", "create", "alpha"],
+        ["queue", "list"],
+        ["queue", "drop", "alpha"],
+        ["serve", "--root", "queues"],
+    ])
+    def test_named_queue_cli_verbs_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
 class TestMalformedRequests:
     """A broken or hostile client gets a clean 4xx, never a hung server."""
 

@@ -22,7 +22,9 @@ from repro.cli import main
 from repro.distributed import SqliteQueue, Worker
 from repro.net import BrokerServer
 from repro.net.accesslog import AccessLog
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.promtext import CONTENT_TYPE, parse
+from repro.obs.scrape import render_fleet_metrics
 from repro.service import ServiceServer, Tenant, TenantRegistry
 
 MODEL = serialization.to_dict(factory())
@@ -56,6 +58,22 @@ def service(tmp_path):
         server.log_stream = log_stream
         server.start()
         yield server
+
+
+class TestFleetRender:
+    """``render_fleet_metrics`` reads the one queue it is given, if any."""
+
+    def test_one_queue_sets_the_task_gauge(self, tmp_path):
+        with SqliteQueue(str(tmp_path / "queue.sqlite")) as queue:
+            queue.submit([{"kind": "noop"}, {"kind": "noop"}])
+            body = render_fleet_metrics(queue=queue, registry=MetricsRegistry())
+        tasks = parse(body)["atcd_queue_tasks"]
+        assert tasks.value(state="pending") == 2
+        assert tasks.value(state="done") == 0
+
+    def test_no_queue_leaves_the_task_gauge_empty(self):
+        body = render_fleet_metrics(registry=MetricsRegistry())
+        assert parse(body)["atcd_queue_tasks"].samples == []
 
 
 class TestBrokerMetrics:
