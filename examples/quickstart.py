@@ -66,7 +66,7 @@ def engine_analysis():
     print()
 
     # A batch of single-objective questions in one call; pass
-    # executor="thread" to fan a large batch out over a thread pool.
+    # executor="process" to fan a large batch out over a process pool.
     batch = session.run_batch(
         [
             AnalysisRequest(Problem.DGC, budget=2),

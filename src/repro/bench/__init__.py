@@ -3,8 +3,8 @@
 This package closes the loop the paper's evaluation opens (Table III
 timings, Fig. 7 random suites): :mod:`repro.workloads` describes *what* to
 run, the harness (:mod:`repro.bench.harness`) runs it through the analysis
-engine — sequentially, on a thread pool, or on a **process pool** for true
-CPU parallelism — and :mod:`repro.bench.artifact` persists the numbers as
+engine — sequentially or on a **process pool** for true CPU parallelism —
+and :mod:`repro.bench.artifact` persists the numbers as
 versioned ``BENCH_*.json`` documents that
 :func:`~repro.bench.artifact.compare_artifacts` can diff for regressions.
 

@@ -3,31 +3,29 @@
 The harness turns :class:`~repro.workloads.spec.ScenarioSpec` lists into
 engine work — one :class:`~repro.engine.AnalysisRequest` per generated
 workload case — executes them through :class:`~repro.engine.AnalysisSession`
-on a sequential, thread-pool or **process-pool** executor, and records a
-:class:`BenchRun` row per case (wall time, result size, cache counters,
-resolved backend).
+sequentially or on a **process pool**, and records a :class:`BenchRun` row
+per case (wall time, result size, cache counters, resolved backend).
 
 Every case is self-contained on the wire (model and request as JSON dicts),
 so the process executor ships cases to workers without pickling any domain
-object; the same serialized form is executed inline by the sequential and
-thread executors, guaranteeing that executors differ only in *where* the
-work runs.
+object; the same serialized form is executed inline by the sequential
+executor, guaranteeing that executors differ only in *where* the work runs.
 """
 
 from __future__ import annotations
 
 import gc
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..attacktree import serialization
 from ..core.problems import Problem
 from ..engine import AnalysisRequest, AnalysisSession
-from ..engine.session import EXECUTORS
+from ..engine.session import validate_executor
 from ..engine.store import ResultStore, open_store
 from ..workloads import ScenarioSpec, WorkloadCase, expand
-from .measure import TimingSample
+from .measure import TimingSample, frozen_heap
 
 __all__ = [
     "BenchRun",
@@ -214,6 +212,9 @@ _WORKER_STORE: Optional[ResultStore] = None
 def _store_initializer(store_path: Optional[str]) -> None:
     global _WORKER_STORE
     _WORKER_STORE = open_store(store_path) if store_path else None
+    # The pool process is dedicated to the run: what is alive now (the
+    # imported modules, the run's state inherited over fork) stays alive.
+    gc.freeze()
 
 
 def execute_serialized_case(
@@ -222,8 +223,8 @@ def execute_serialized_case(
     """Run one case (possibly in a worker process) and return its row.
 
     Module-level so :class:`~concurrent.futures.ProcessPoolExecutor` can
-    pickle it.  The sequential and thread executors pass the run's shared
-    store instance explicitly; pool workers fall back to the per-process
+    pickle it.  The sequential executor passes the run's shared store
+    instance explicitly; pool workers fall back to the per-process
     one their initializer opened.  With ``trace_memory`` set on the payload
     the case's peak traced allocation is recorded as ``peak_kb``
     (:mod:`tracemalloc`; measured around the solver run, so a store-served
@@ -316,12 +317,11 @@ def execute_specs(
     specs:
         The workloads to benchmark.
     executor:
-        ``"sequential"``, ``"thread"`` or ``"process"`` — how cases are
-        distributed.  Results are identical across executors (only timings
-        differ); the process pool gives true CPU parallelism for the
-        solver hot path.
+        ``"sequential"`` or ``"process"`` — how cases are distributed.
+        Results are identical across executors (only timings differ); the
+        process pool gives true CPU parallelism for the solver hot path.
     max_workers:
-        Pool size for the parallel executors (default: case count capped
+        Pool size for the process executor (default: case count capped
         at 8).
     repeats:
         Timing repetitions per case (mean/std are recorded).
@@ -343,22 +343,13 @@ def execute_specs(
         so wall times from a traced run are not comparable to untraced
         ones.
     """
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; expected one of {', '.join(EXECUTORS)}"
-        )
+    validate_executor(executor, max_workers)
     if not isinstance(repeats, int) or repeats < 1:
         raise ValueError(f"repeats must be a positive integer, got {repeats!r}")
-    if max_workers is not None and (
-        not isinstance(max_workers, int) or max_workers < 1
-    ):
-        raise ValueError(
-            f"max_workers must be a positive integer, got {max_workers!r}"
-        )
     # Open the store once, up front: a corrupt or stale-schema file must
     # fail before any work runs, not from inside the Nth pool worker.  The
-    # same connection then serves every sequential/thread case; process
-    # workers open their own via the pool initializer.
+    # same connection then serves every sequential case; process workers
+    # open their own via the pool initializer.
     store = open_store(store_path) if store_path is not None else None
     try:
         items = expand_specs(specs)
@@ -367,28 +358,20 @@ def execute_specs(
             for spec, case in items
         ]
         validate_case_requests(items)
-        if executor == "sequential" or len(payloads) <= 1:
-            rows = [
-                execute_serialized_case(payload, store=store)
-                for payload in payloads
-            ]
-        elif executor == "thread":
-            workers = max_workers or min(len(payloads), 8)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(
-                    pool.map(
-                        lambda payload: execute_serialized_case(payload, store=store),
-                        payloads,
-                    )
-                )
-        else:
-            workers = max_workers or min(len(payloads), 8)
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_store_initializer,
-                initargs=(store_path,),
-            ) as pool:
-                rows = list(pool.map(execute_serialized_case, payloads))
+        with frozen_heap():
+            if executor == "sequential" or len(payloads) <= 1:
+                rows = [
+                    execute_serialized_case(payload, store=store)
+                    for payload in payloads
+                ]
+            else:
+                workers = max_workers or min(len(payloads), 8)
+                with ProcessPoolExecutor(
+                    max_workers=workers,
+                    initializer=_store_initializer,
+                    initargs=(store_path,),
+                ) as pool:
+                    rows = list(pool.map(execute_serialized_case, payloads))
     finally:
         if store is not None:
             store.close()

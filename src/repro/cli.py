@@ -11,8 +11,9 @@ Installed as the ``atcd`` console script.  Sub-commands:
 ``atcd batch MODEL.json REQUESTS.json [--parallel] [--out FILE] [--store DB]``
     Execute a JSON list of analysis requests through one
     :class:`~repro.engine.AnalysisSession` and emit the results as JSON —
-    the service-style entry point of the engine.  With ``--store`` the
-    session reads through and writes back to a shared sqlite result store.
+    the service-style entry point of the engine.  ``--parallel`` runs the
+    batch on a process pool; with ``--store`` the session reads through
+    and writes back to a shared sqlite result store.
 ``atcd backends``
     List the registered solver backends and their capabilities.
 ``atcd store stats|prune DB``
@@ -20,19 +21,21 @@ Installed as the ``atcd`` console script.  Sub-commands:
     ``prune --ttl SECONDS`` / ``--max-bytes N`` evict oldest-first instead
     of emptying, for long-lived deployments.
 ``atcd bench run [--profile NAME] [--out FILE] [--executor ...] [--store DB]``
-    Execute a benchmark profile through the engine and write a versioned
-    ``BENCH_*.json`` artifact (see ``benchmarks/DESIGN.md``).  With
-    ``--store`` repeated runs serve unchanged cases from the shared store;
-    ``--trace-memory`` records per-case peak allocation as ``peak_kb``.
+    Execute a benchmark profile through the engine, sequentially or on a
+    process pool, and write a versioned ``BENCH_*.json`` artifact (see
+    ``benchmarks/DESIGN.md``).  With ``--store`` repeated runs serve
+    unchanged cases from the shared store; ``--trace-memory`` records
+    per-case peak allocation as ``peak_kb``.
 ``atcd dist submit|worker|run|status|gather|resubmit``
     Distributed execution over a durable work queue
-    (see :mod:`repro.distributed`).  ``dist run`` is the single-host mode
-    (coordinator plus N local worker processes); ``submit``/``worker``
-    split the same run across hosts sharing the queue file, with
-    ``status``/``gather`` usable from anywhere; ``resubmit`` re-queues
-    dead-lettered tasks with a fresh retry budget.  Every ``--queue`` and
-    ``--store`` accepts either a sqlite path or an ``atcd serve`` broker
-    URL (``http://host:port``) — the latter needs no shared filesystem.
+    (see :mod:`repro.distributed`) of a benchmark profile.  ``dist run``
+    is the single-host mode (coordinator plus N local worker processes);
+    ``submit``/``worker`` split the same run across hosts sharing the
+    queue file, with ``status``/``gather`` usable from anywhere;
+    ``resubmit`` re-queues dead-lettered tasks with a fresh retry budget.
+    Every ``--queue`` and ``--store`` accepts either a sqlite path or an
+    ``atcd serve`` broker URL (``http://host:port``) — the latter needs no
+    shared filesystem.  Request batches go to ``atcd api`` instead.
 ``atcd serve --queue DB --store DB [--host H] [--port P] [--token T]``
     Serve a work queue and/or result store over HTTP (the network broker,
     see :mod:`repro.net`), so shared-nothing hosts can run workers
@@ -162,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("model", help="path to a JSON attack-tree model")
     batch.add_argument("requests", help="path to a JSON list of request objects")
     batch.add_argument("--parallel", action="store_true",
-                       help="execute the batch on a thread pool")
+                       help="execute the batch on a process pool")
     batch.add_argument("--out", default=None, help="output path (default: stdout)")
     batch.add_argument("--store", default=None, metavar="DB|URL",
                        help="shared result store to read through and write "
@@ -207,9 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench_run.add_argument("--out", default=None,
                            help="artifact path (default: BENCH_<profile>.json)")
     bench_run.add_argument("--executor", default="sequential",
-                           help="sequential, thread or process (default: sequential)")
+                           help="sequential or process (default: sequential)")
     bench_run.add_argument("--max-workers", type=int, default=None,
-                           help="pool size for the parallel executors")
+                           help="pool size for the process executor")
     bench_run.add_argument("--repeats", type=int, default=1,
                            help="timing repetitions per case (default: 1)")
     bench_run.add_argument("--store", default=None, metavar="DB|URL",
@@ -243,10 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="artifact path (default: "
                                      "BENCH_<profile>_baseline.json)")
     bench_baseline.add_argument("--executor", default="sequential",
-                                help="sequential, thread or process "
+                                help="sequential or process "
                                      "(default: sequential)")
     bench_baseline.add_argument("--max-workers", type=int, default=None,
-                                help="pool size for the parallel executors")
+                                help="pool size for the process executor")
     bench_sub.add_parser("list", help="list workload families and profiles")
 
     dist = subparsers.add_parser(
@@ -255,22 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
     dist_sub = dist.add_subparsers(dest="dist_command", required=True)
 
     dist_submit = dist_sub.add_parser(
-        "submit", help="shard a profile (or batch request list) into a queue"
+        "submit", help="shard a benchmark profile into a queue"
     )
     dist_submit.add_argument("--queue", required=True, metavar="DB|URL",
                              help="work-queue sqlite file (one run per queue; "
                                   "created if absent) or atcd-serve broker "
                                   "URL (http://host:port)")
-    dist_submit.add_argument("--profile", default=None,
+    dist_submit.add_argument("--profile", required=True,
                              help="benchmark profile to shard "
                                   "(see 'atcd bench list')")
-    dist_submit.add_argument("--model", default=None, metavar="MODEL.json",
-                             help="with --requests: shard a batch request "
-                                  "list against this model instead of a "
-                                  "profile")
-    dist_submit.add_argument("--requests", default=None, metavar="REQUESTS.json",
-                             help="JSON list of request objects (see "
-                                  "'atcd batch')")
     dist_submit.add_argument("--repeats", type=int, default=1,
                              help="timing repetitions per case (default: 1)")
     dist_submit.add_argument("--trace-memory", action="store_true",
@@ -360,8 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="work-queue sqlite file (must exist) or "
                                   "broker URL")
     dist_gather.add_argument("--out", default=None,
-                             help="output path (default: BENCH_<name>.json "
-                                  "for profile runs, stdout for batch runs)")
+                             help="artifact path (default: BENCH_<name>.json)")
 
     dist_resubmit = dist_sub.add_parser(
         "resubmit", help="re-queue dead-lettered tasks with a fresh retry "
@@ -601,7 +596,7 @@ def _run_batch_command(args: argparse.Namespace, store) -> int:
             return 2
         requests.append(request)
     results = session.run_batch(
-        requests, executor="thread" if args.parallel else "sequential"
+        requests, executor="process" if args.parallel else "sequential"
     )
     try:
         text = json.dumps([result.to_dict() for result in results], indent=2)
@@ -806,44 +801,18 @@ def _command_dist(args: argparse.Namespace) -> int:
 
 
 def _dist_submit(args: argparse.Namespace) -> int:
+    from . import bench
     from .distributed import Coordinator, open_queue
-    batch_mode = args.model is not None or args.requests is not None
-    if args.profile is not None and batch_mode:
-        raise ValueError("use either --profile or --model/--requests, not both")
-    if batch_mode and (args.model is None or args.requests is None):
-        raise ValueError("batch submission needs both --model and --requests")
-    if args.profile is None and not batch_mode:
-        raise ValueError("nothing to submit: pass --profile or --model/--requests")
-    if batch_mode and (args.repeats != 1 or args.trace_memory):
-        # Refuse rather than silently drop the flags: batch tasks return
-        # AnalysisResult documents, which carry neither repeats nor peak_kb.
-        raise ValueError(
-            "--repeats/--trace-memory only apply to profile submissions"
-        )
-    with open_queue(args.queue) as queue:
-        coordinator = Coordinator(queue)
-        if batch_mode:
-            model_payload = serialization.to_dict(_load_model(args.model))
-            with open(args.requests, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if not isinstance(payload, list):
-                raise ValueError(
-                    f"{args.requests} must contain a JSON list of requests"
-                )
-            task_ids = coordinator.submit_requests(
-                model_payload, payload, max_attempts=args.max_attempts
-            )
-        else:
-            from . import bench
 
-            specs = bench.profile(args.profile)
-            task_ids = coordinator.submit_profile(
-                args.profile,
-                specs,
-                repeats=args.repeats,
-                trace_memory=args.trace_memory,
-                max_attempts=args.max_attempts,
-            )
+    specs = bench.profile(args.profile)
+    with open_queue(args.queue) as queue:
+        task_ids = Coordinator(queue).submit_profile(
+            args.profile,
+            specs,
+            repeats=args.repeats,
+            trace_memory=args.trace_memory,
+            max_attempts=args.max_attempts,
+        )
     print(
         f"submitted {len(task_ids)} tasks to {args.queue}; start workers "
         f"with: atcd dist worker --queue {args.queue}"
@@ -852,6 +821,7 @@ def _dist_submit(args: argparse.Namespace) -> int:
 
 
 def _dist_worker(args: argparse.Namespace) -> int:
+    from .bench.measure import frozen_heap
     from .distributed import Worker, open_queue, signal_shutdown
 
     store = None
@@ -873,8 +843,9 @@ def _dist_worker(args: argparse.Namespace) -> int:
             )
             # SIGTERM/SIGINT fail the in-flight task back to the queue
             # (immediately claimable) and exit cleanly, instead of
-            # abandoning it to its lease.
-            with signal_shutdown(worker):
+            # abandoning it to its lease.  The frozen heap keeps each
+            # bench case's collect off the worker's long-lived objects.
+            with signal_shutdown(worker), frozen_heap():
                 report = worker.run()
     finally:
         if store is not None:
@@ -896,24 +867,15 @@ def _dist_worker(args: argparse.Namespace) -> int:
 
 
 def _dist_emit(args: argparse.Namespace, report) -> int:
-    """Write a GatherReport's output document; shared by gather and run."""
-    if report.kind == "batch":
-        text = json.dumps(report.output, indent=2)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            print(f"wrote {report.completed} results to {args.out}")
-        else:
-            print(text)
-    else:
-        from . import bench
+    """Write a GatherReport's BENCH artifact; shared by gather and run."""
+    from . import bench
 
-        out = args.out or f"BENCH_{report.name}.json"
-        bench.write_artifact(report.output, out)
-        _print_artifact_summary(report.output, out)
-        workers = ", ".join(report.workers) or "(none)"
-        print(f"  distributed: workers {workers}, retries {report.retries}, "
-              f"dead tasks {len(report.dead)}")
+    out = args.out or f"BENCH_{report.name}.json"
+    bench.write_artifact(report.output, out)
+    _print_artifact_summary(report.output, out)
+    workers = ", ".join(report.workers) or "(none)"
+    print(f"  distributed: workers {workers}, retries {report.retries}, "
+          f"dead tasks {len(report.dead)}")
     for entry in report.dead:
         label = entry.get("case_id", entry["task_id"])
         print(

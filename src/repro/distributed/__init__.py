@@ -22,10 +22,12 @@ Layers
     points, idempotently via a shared result store) → heartbeat →
     complete/fail.
 ``coordinator``
-    :class:`Coordinator`: shard a bench profile or batch request list into
-    tasks, wait out the fleet (sweeping expired leases, so crashed
-    workers' tasks are retried), gather results into a ``BENCH_*.json``
-    artifact or result list with distributed-run metadata.
+    :class:`Coordinator`: shard a bench profile into tasks, wait out the
+    fleet (sweeping expired leases, so crashed workers' tasks are
+    retried), gather results into a ``BENCH_*.json`` artifact with
+    distributed-run metadata.  Request batches reach the same workers
+    through the analysis service's ``POST /v1/jobs``
+    (:mod:`repro.service`).
 ``fleet``
     :class:`LocalFleet`: the supervised N-worker-subprocess mode behind
     ``atcd dist run``.

@@ -1,16 +1,15 @@
 """The coordinator: shard work into a queue, track it, gather the output.
 
-A :class:`Coordinator` owns one *run* on one queue.  It shards either a
-benchmark profile (one task per workload case, the
-:func:`repro.bench.harness.case_payload` wire format) or a batch of
-analysis requests (one task per request) into the queue, records a run
+A :class:`Coordinator` owns one *run* on one queue.  It shards a benchmark
+profile into the queue (one task per workload case, the
+:func:`repro.bench.harness.case_payload` wire format), records a run
 descriptor in the queue metadata so any later process can gather without
 out-of-band knowledge, waits for the fleet to drain the queue — sweeping
 expired leases so crashed workers' tasks are retried — and finally gathers
-the per-task results back into the run's natural output: a schema-v1
-``BENCH_*.json`` artifact for profile runs (with distributed-run metadata:
-worker ids seen, retry count, dead-lettered cases), or an ordered result
-list for batch runs.
+the per-task results into a schema-v1 ``BENCH_*.json`` artifact with
+distributed-run metadata (worker ids seen, retry count, dead-lettered
+cases).  Request batches reach a fleet through the analysis service's
+``POST /v1/jobs`` (:mod:`repro.service`), not through a coordinator.
 
 The coordinator is deliberately broker-less: all coordination state lives
 in the queue file, so the coordinator can die and be restarted (or `atcd
@@ -52,14 +51,11 @@ RUN_META_KEY = "run"
 class GatherReport:
     """The gathered output of a drained run.
 
-    ``output`` is the run's natural artifact: a validated BENCH artifact
-    dict for profile runs (``kind == "bench"``), a list of serialized
-    :class:`~repro.engine.AnalysisResult` dicts for batch runs
-    (``kind == "batch"``).  ``dead`` lists dead-lettered tasks — they are
-    *absent* from ``output`` and must be surfaced, never dropped silently.
+    ``output`` is the run's validated BENCH artifact dict.  ``dead`` lists
+    dead-lettered tasks — their cases are *absent* from ``output`` and
+    must be surfaced, never dropped silently.
     """
 
-    kind: str
     name: str
     output: Any
     completed: int
@@ -173,43 +169,6 @@ class Coordinator:
             }, max_attempts)
             return self.queue.submit(payloads, max_attempts=max_attempts)
 
-    def submit_requests(
-        self,
-        model_payload: Dict[str, Any],
-        request_payloads: Sequence[Dict[str, Any]],
-        name: str = "batch",
-        max_attempts: int = 3,
-    ) -> List[str]:
-        """Shard a batch-API request list: one task per request."""
-        from ..attacktree import serialization
-        from ..engine import AnalysisRequest, AnalysisSession
-
-        model = serialization.from_dict(model_payload)
-        session = AnalysisSession(model)
-        for index, entry in enumerate(request_payloads):
-            try:
-                request = AnalysisRequest.from_dict(entry)
-                request.validate()
-                session.resolve(request.problem, backend=request.backend)
-            except (ValueError, TypeError) as error:
-                raise ValueError(f"requests[{index}]: {error}") from error
-        payloads = [
-            {"kind": "request", "model": model_payload, "request": dict(entry)}
-            for entry in request_payloads
-        ]
-        with trace_span(
-            "coordinator.submit",
-            attrs={"kind": "batch", "run": name, "tasks": len(payloads)},
-        ):
-            _stamp_trace(payloads)
-            self._record_run({
-                "kind": "batch",
-                "name": name,
-                "max_attempts": max_attempts,
-                "created_unix": self._clock(),
-            }, max_attempts)
-            return self.queue.submit(payloads, max_attempts=max_attempts)
-
     # ------------------------------------------------------------------ #
     # tracking
     # ------------------------------------------------------------------ #
@@ -263,6 +222,13 @@ class Coordinator:
         artifact's ``config["distributed"]`` block.
         """
         info = self.run_info()
+        if info.get("kind") != "bench":
+            # Only profile runs are gathered; another kind of run (a 4.x
+            # request batch) is outside input, rejected rather than guessed at.
+            raise QueueError(
+                f"queue holds a {info.get('kind')!r} run; only bench "
+                "profile runs can be gathered"
+            )
         if not self.queue.drained():
             counts = self.queue.counts()
             raise QueueError(
@@ -279,12 +245,6 @@ class Coordinator:
             task.worker_id for task in done if task.worker_id is not None
         })
         rows = [task.result for task in done]
-        if info["kind"] == "batch":
-            return GatherReport(
-                kind="batch", name=info["name"], output=rows,
-                completed=len(done), retries=retries, workers=workers,
-                dead=dead,
-            )
         from ..bench.artifact import build_artifact
         from ..bench.harness import BenchRun
         from ..workloads import ScenarioSpec
@@ -307,6 +267,6 @@ class Coordinator:
             config["distributed"].update(distributed)
         artifact = build_artifact(info["name"], specs, runs, config=config)
         return GatherReport(
-            kind="bench", name=info["name"], output=artifact,
+            name=info["name"], output=artifact,
             completed=len(done), retries=retries, workers=workers, dead=dead,
         )

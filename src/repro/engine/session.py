@@ -8,18 +8,14 @@ the model's canonical JSON serialization, so two sessions over structurally
 identical models share nothing but *would* agree on keys, which is what a
 future shared (e.g. out-of-process) cache needs.
 
-Batches run sequentially by default; the ``executor`` knob fans them out
-over a pool from :mod:`concurrent.futures`:
-
-* ``"thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`.  The
-  solvers are pure Python, so threads mostly help when backends release
-  the GIL or block on I/O.
-* ``"process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor` for
-  true CPU parallelism on the solver hot path.  The model crosses the
-  process boundary once per worker (via its canonical JSON form, installed
-  by a pool initializer); each request and result crosses as its JSON
-  dict.  Workers resolve backends against their own process-wide registry,
-  so the process executor requires the default built-in backends.
+Batches run sequentially by default; ``executor="process"`` fans them out
+over a :class:`~concurrent.futures.ProcessPoolExecutor` for true CPU
+parallelism on the solver hot path (the solvers are pure Python, so threads
+would only contend for the GIL).  The model crosses the process boundary
+once per worker (via its canonical JSON form, installed by a pool
+initializer); each request and result crosses as its JSON dict.  Workers
+resolve backends against their own process-wide registry, so the process
+executor requires the default built-in backends.
 
 Cache hits are always served in the parent process; only misses are
 dispatched, and duplicate misses within one batch are computed once.
@@ -31,7 +27,7 @@ import copy
 import hashlib
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
@@ -53,10 +49,30 @@ __all__ = [
     "model_fingerprint",
     "run_request",
     "run_serialized_request",
+    "validate_executor",
 ]
 
 #: Batch executor names accepted by :meth:`AnalysisSession.run_batch`.
-EXECUTORS = ("sequential", "thread", "process")
+EXECUTORS = ("sequential", "process")
+
+
+def validate_executor(executor: str, max_workers: Optional[int]) -> None:
+    """Refuse an unknown executor name or a non-positive pool size.
+
+    ``max_workers`` of 0 is refused rather than read as unset, which is
+    what ``max_workers or default`` would silently do.
+    """
+    if executor not in EXECUTORS:
+        raise ValueError(
+            f"unknown executor {executor!r}; expected one of "
+            f"{', '.join(EXECUTORS)}"
+        )
+    if max_workers is not None and (
+        not isinstance(max_workers, int) or max_workers < 1
+    ):
+        raise ValueError(
+            f"max_workers must be a positive integer, got {max_workers!r}"
+        )
 
 
 def model_fingerprint(model: Model) -> str:
@@ -266,8 +282,8 @@ class AnalysisSession:
         if cached is not None:
             obs_families.session_cache_total().inc(result="hit")
             # The extras deep-copy in as_cache_hit is O(result size); do it
-            # outside the lock so parallel batches don't serialize on hits
-            # (the stored entry is never mutated, so this is safe).
+            # outside the lock so threads sharing a session don't serialize
+            # on hits (the stored entry is never mutated, so this is safe).
             return cached.as_cache_hit()
         stored = self._from_store(request)
         if stored is not None:
@@ -305,8 +321,8 @@ class AnalysisSession:
         ``cache_hit=False``, like a freshly computed entry) and recorded in
         ``stats.store_hits``; returns ``None`` on a genuine miss.  With
         ``count_hit=False`` the overall hit counter is left to the caller
-        (the batch paths account hits and misses for the whole batch at
-        once).
+        (the process batch path accounts hits and misses for the whole
+        batch at once).
         """
         if self.store is None or self._store_broken:
             return None
@@ -343,31 +359,20 @@ class AnalysisSession:
         requests:
             The analyses to run.
         max_workers:
-            Pool size for the parallel executors (default: batch size
-            capped at 8).
+            Pool size for the process executor (default: number of cache
+            misses capped at 8).
         executor:
-            ``"sequential"`` (the default), ``"thread"`` or ``"process"``.
-            The thread executor shares the (thread-safe) cache, though two
-            concurrent identical requests may both compute before one wins
-            the cache slot.  The process executor serves cache hits in the
-            parent, computes duplicate misses once, and requires the default
-            backend registry (worker processes resolve backends against
-            their own shared registry, where custom backends would not
-            exist).
+            ``"sequential"`` (the default) or ``"process"``.  The process
+            executor serves cache hits in the parent, computes duplicate
+            misses once, and requires the default backend registry (worker
+            processes resolve backends against their own shared registry,
+            where custom backends would not exist).
         """
         requests = list(requests)
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of "
-                f"{', '.join(EXECUTORS)}"
-            )
+        validate_executor(executor, max_workers)
         if executor == "process":
             return self._run_batch_process(requests, max_workers)
-        if executor == "sequential" or len(requests) <= 1:
-            return [self.run(request) for request in requests]
-        workers = max_workers or min(len(requests), 8)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(self.run, requests))
+        return [self.run(request) for request in requests]
 
     def _run_batch_process(
         self, requests: List[AnalysisRequest], max_workers: Optional[int]
@@ -377,7 +382,7 @@ class AnalysisSession:
             raise ValueError(
                 "the process executor requires the default backend registry "
                 "(worker processes cannot see a custom registry); use "
-                "executor='thread' for custom backends"
+                "executor='sequential' for custom backends"
             )
         # Validate and resolve everything up front, in the parent, so a
         # malformed request fails with a clean error before any process

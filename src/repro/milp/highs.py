@@ -24,7 +24,7 @@ __all__ = ["HighsSolver"]
 
 
 # The fd redirect below is process-global state, so overlapping solves
-# (thread-pool batches) must not each save-and-restore fd 1 independently:
+# (callers solving on several threads) must not each save-and-restore fd 1 independently:
 # interleaved restores would leave stdout pointing at /dev/null forever.
 # A refcount under a lock makes the gag reentrant — the first solve in
 # redirects, the last one out restores.

@@ -13,11 +13,8 @@ import time
 
 import pytest
 
-from repro.attacktree import serialization
-from repro.attacktree.catalog import factory
 from repro.bench.harness import execute_specs
 from repro.distributed import Coordinator, QueueError, SqliteQueue, Worker
-from repro.engine import AnalysisRequest, AnalysisSession
 from repro.workloads import ScenarioSpec
 
 TINY_SPECS = [
@@ -206,38 +203,3 @@ class TestFaultTolerance:
         assert retried["store_hits"] >= 1
         # The retry recomputed nothing for the crashed case.
         assert store.stats.hits >= 1
-
-
-class TestBatchRuns:
-    def test_batch_results_match_session_run_batch(self, tmp_path):
-        model = factory()
-        requests = [
-            {"problem": "cdpf"},
-            {"problem": "dgc", "budget": 2},
-            {"problem": "cgd", "threshold": 200},
-        ]
-        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
-        coordinator = Coordinator(queue, poll_seconds=0.01)
-        coordinator.submit_requests(serialization.to_dict(model), requests)
-        run_workers(queue, 2)
-        coordinator.wait(timeout=30)
-        report = coordinator.gather()
-        assert report.kind == "batch"
-        session = AnalysisSession(factory())
-        expected = session.run_batch(
-            [AnalysisRequest.from_dict(entry) for entry in requests]
-        )
-        assert [row.get("value") for row in report.output] == \
-            [result.value for result in expected]
-        assert [row["request"]["problem"] for row in report.output] == \
-            [entry["problem"] for entry in requests]
-
-    def test_batch_submit_validates_every_request(self, tmp_path):
-        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
-        coordinator = Coordinator(queue)
-        with pytest.raises(ValueError, match=r"requests\[1\]"):
-            coordinator.submit_requests(
-                serialization.to_dict(factory()),
-                [{"problem": "cdpf"}, {"problem": "dgc"}],  # missing budget
-            )
-        assert queue.counts()["pending"] == 0

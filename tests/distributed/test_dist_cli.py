@@ -19,7 +19,7 @@ import pytest
 from repro.bench import profiles
 from repro.bench.harness import execute_specs
 from repro.cli import main
-from repro.distributed import Coordinator, SqliteQueue
+from repro.distributed import RUN_META_KEY, Coordinator, SqliteQueue
 from repro.workloads import ScenarioSpec
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -101,26 +101,6 @@ class TestSubmitWorkerStatusGather:
         artifact = json.load(open(out))
         sequential = [run.to_dict() for run in execute_specs(TINY_SPECS)]
         assert results_section(artifact["runs"]) == results_section(sequential)
-
-    def test_batch_submit_and_gather(self, tmp_path, capsys):
-        queue_path = str(tmp_path / "batch.queue")
-        model = str(tmp_path / "factory.json")
-        requests = str(tmp_path / "requests.json")
-        main(["catalog", "factory", "--out", model])
-        Path(requests).write_text(
-            json.dumps([{"problem": "cdpf"}, {"problem": "dgc", "budget": 2}])
-        )
-        capsys.readouterr()
-        assert main(["dist", "submit", "--queue", queue_path,
-                     "--model", model, "--requests", requests]) == 0
-        assert main(["dist", "worker", "--queue", queue_path,
-                     "--poll", "0.01"]) == 0
-        out = str(tmp_path / "results.json")
-        assert main(["dist", "gather", "--queue", queue_path,
-                     "--out", out]) == 0
-        results = json.load(open(out))
-        assert len(results) == 2
-        assert results[1]["value"] == 200.0
 
 
 class TestKillOneWorkerMidRun:
@@ -231,14 +211,35 @@ class TestDistErrors:
                      "--queue", str(tmp_path / "absent.queue")]) == 2
 
     def test_submit_without_work_exits_2(self, tmp_path, capsys):
-        assert main(["dist", "submit",
-                     "--queue", str(tmp_path / "q.queue")]) == 2
-        assert "nothing to submit" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["dist", "submit", "--queue", str(tmp_path / "q.queue")])
+        assert exit_info.value.code == 2
+        assert "--profile" in capsys.readouterr().err
 
-    def test_submit_profile_and_model_exits_2(self, tiny_profile, tmp_path, capsys):
-        assert main(["dist", "submit", "--queue", str(tmp_path / "q.queue"),
-                     "--profile", tiny_profile, "--model", "m.json",
-                     "--requests", "r.json"]) == 2
+    @pytest.mark.parametrize("with_profile", [True, False])
+    def test_submit_model_is_a_usage_error(
+        self, with_profile, tiny_profile, tmp_path, capsys
+    ):
+        # Request batches go through POST /v1/jobs; dist submit shards
+        # bench profiles only.
+        queue_path = tmp_path / "q.queue"
+        profile = ["--profile", tiny_profile] if with_profile else []
+        with pytest.raises(SystemExit) as exit_info:
+            main(["dist", "submit", "--queue", str(queue_path), *profile,
+                  "--model", "m.json", "--requests", "r.json"])
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not queue_path.exists()
+
+    def test_gather_on_a_batch_run_exits_2(self, tmp_path, capsys):
+        # A request-batch run descriptor (written by 4.x) is outside input.
+        queue_path = str(tmp_path / "batch.queue")
+        with SqliteQueue(queue_path) as queue:
+            queue.set_meta_if_absent(
+                RUN_META_KEY, json.dumps({"kind": "batch", "name": "batch"})
+            )
+        assert main(["dist", "gather", "--queue", queue_path]) == 2
+        assert "'batch'" in capsys.readouterr().err
 
     def test_double_submit_exits_2(self, tiny_profile, tmp_path, capsys):
         queue_path = str(tmp_path / "q.queue")
@@ -254,17 +255,6 @@ class TestDistErrors:
                      "--queue", str(tmp_path / "absent.queue"),
                      "--store", str(store_path)]) == 2
         assert not store_path.exists()
-
-    def test_batch_submit_rejects_profile_only_flags(self, tmp_path, capsys):
-        model = str(tmp_path / "factory.json")
-        main(["catalog", "factory", "--out", model])
-        requests = tmp_path / "requests.json"
-        requests.write_text(json.dumps([{"problem": "cdpf"}]))
-        capsys.readouterr()
-        assert main(["dist", "submit", "--queue", str(tmp_path / "q.queue"),
-                     "--model", model, "--requests", str(requests),
-                     "--trace-memory"]) == 2
-        assert "only apply to profile submissions" in capsys.readouterr().err
 
     def test_status_on_foreign_database_exits_2(self, tmp_path, capsys):
         import sqlite3

@@ -75,18 +75,28 @@ class TestProcessExecutor:
 
     def test_custom_registry_rejected(self):
         session = AnalysisSession(catalog.factory(), registry=default_registry())
-        with pytest.raises(ValueError, match="default backend registry"):
+        with pytest.raises(ValueError, match="default backend registry") as error:
             session.run_batch([AnalysisRequest(Problem.CDPF)], executor="process")
+        assert "executor='sequential'" in str(error.value)
 
-    def test_unknown_executor_rejected(self):
+    @pytest.mark.parametrize("executor", ["quantum", "thread"])
+    def test_unknown_executor_rejected(self, executor):
         session = AnalysisSession(catalog.factory())
         with pytest.raises(ValueError, match="unknown executor"):
-            session.run_batch([AnalysisRequest(Problem.CDPF)], executor="quantum")
+            session.run_batch([AnalysisRequest(Problem.CDPF)], executor=executor)
 
-    def test_thread_executor_runs_the_batch(self):
+    @pytest.mark.parametrize("executor", ["sequential", "process"])
+    @pytest.mark.parametrize("max_workers", [0, -1])
+    def test_non_positive_max_workers_rejected(self, executor, max_workers):
+        # 0 is falsy, so `max_workers or ...` would silently pick the
+        # default pool size instead of refusing it.
         session = AnalysisSession(catalog.factory())
-        results = session.run_batch(REQUESTS[:1] + REQUESTS[2:], executor="thread")
-        assert len(results) == 3
+        with pytest.raises(ValueError, match="max_workers must be a positive"):
+            session.run_batch(
+                [AnalysisRequest(Problem.CDPF)],
+                executor=executor,
+                max_workers=max_workers,
+            )
 
 
 class TestSerializedRequest:

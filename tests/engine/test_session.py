@@ -109,7 +109,7 @@ class TestBatch:
             AnalysisRequest(Problem.CGED, threshold=25),
         ]
         expected = [sequential.run(r) for r in requests]
-        actual = parallel.run_batch(requests, executor="thread", max_workers=4)
+        actual = parallel.run_batch(requests, executor="process", max_workers=2)
         for got, want in zip(actual, expected):
             assert got.backend == want.backend
             assert got.value == pytest.approx(want.value) if want.value is not None \
@@ -122,7 +122,8 @@ class TestBatch:
         budgets = [0, 1, 2, 3, 4, 5]
         results = session.run_batch(
             [AnalysisRequest(Problem.DGC, budget=b) for b in budgets],
-            executor="thread",
+            executor="process",
+            max_workers=2,
         )
         assert [r.request.budget for r in results] == budgets
         assert [r.value for r in results] == [0, 200, 200, 210, 210, 310]

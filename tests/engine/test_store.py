@@ -572,14 +572,6 @@ class TestSessionWiring:
         assert warm.stats.hits == 3 and warm.stats.store_hits == 3
         assert warm.stats.misses == 0
 
-    def test_thread_batch_reads_through(self, any_store):
-        requests = [AnalysisRequest(Problem.DGC, budget=b) for b in (1, 2)]
-        AnalysisSession(factory(), store=any_store).run_batch(requests)
-        warm = AnalysisSession(factory(), store=any_store)
-        results = warm.run_batch(requests, executor="thread")
-        assert all(result.cache_hit for result in results)
-        assert warm.stats.store_hits == 2
-
     def test_sessions_without_store_unaffected(self):
         session = AnalysisSession(factory())
         assert session.store is None

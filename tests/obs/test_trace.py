@@ -9,8 +9,6 @@ import io
 import json
 import threading
 
-from repro.attacktree import serialization
-from repro.attacktree.catalog import factory
 from repro.distributed import Coordinator, Worker
 from repro.net import BrokerServer, HttpQueue
 from repro.obs.trace import (
@@ -26,6 +24,7 @@ from repro.obs.trace import (
     span,
     traceparent_header,
 )
+from repro.workloads import ScenarioSpec
 
 
 class TestSpans:
@@ -108,15 +107,14 @@ class TestEndToEndOverBroker:
     def test_worker_spans_share_the_coordinator_trace_id(self, tmp_path):
         stream = io.StringIO()
         add_exporter(NdjsonSpanExporter(stream))
-        model = serialization.to_dict(factory())
-        requests = [{"problem": "cdpf"}, {"problem": "dgc", "budget": 2.0},
-                    {"problem": "cdpf"}, {"problem": "dgc", "budget": 3.0}]
+        # Four small random trees: one task per case.
+        specs = [ScenarioSpec(family="random", sizes=(6,), cases_per_size=4)]
         with BrokerServer(
             queue_path=str(tmp_path / "queue.sqlite"), grace_seconds=0.0
         ) as server:
             server.start()
             with HttpQueue(server.url) as queue:
-                Coordinator(queue).submit_requests(model, requests)
+                task_ids = Coordinator(queue).submit_profile("tiny", specs)
 
                 def run_worker(worker_id):
                     with HttpQueue(server.url) as worker_queue:
@@ -137,7 +135,7 @@ class TestEndToEndOverBroker:
         assert len(submits) == 1
         trace_id = submits[0]["trace_id"]
         worker_spans = [s for s in spans if s["name"] == "worker.task"]
-        assert len(worker_spans) == len(requests)
+        assert len(worker_spans) == len(task_ids) == 4
         assert {s["trace_id"] for s in worker_spans} == {trace_id}
         # Both workers contributed, and the solve spans nested beneath
         # the worker spans stay on the same trace.

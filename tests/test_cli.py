@@ -228,6 +228,26 @@ class TestStore:
         assert [r["cache_hit"] for r in warm] == [True, True]
         assert [r["backend"] for r in warm] == [r["backend"] for r in cold]
 
+    def test_parallel_batch_writes_back_to_the_store(
+        self, factory_json, tmp_path, capsys
+    ):
+        # The process pool computes in workers; the parent writes each
+        # result to the store, so a later sequential run is all hits.
+        store = str(tmp_path / "results.sqlite")
+        requests = tmp_path / "requests.json"
+        requests.write_text(json.dumps(
+            [{"problem": "cdpf"}] + [{"problem": "dgc", "budget": b} for b in (1, 2)]
+        ))
+        assert main(["batch", factory_json, str(requests), "--parallel",
+                     "--store", store]) == 0
+        cold = json.loads(capsys.readouterr().out)
+        assert [r["cache_hit"] for r in cold] == [False, False, False]
+
+        assert main(["batch", factory_json, str(requests), "--store", store]) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert [r["cache_hit"] for r in warm] == [True, True, True]
+        assert [r.get("value") for r in warm] == [r.get("value") for r in cold]
+
     def test_store_stats_and_prune(self, factory_json, tmp_path, capsys):
         store = str(tmp_path / "results.sqlite")
         requests = tmp_path / "requests.json"
