@@ -72,7 +72,7 @@ from .engine import (
 )
 from .pareto import ParetoFront, ParetoPoint
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "AnalysisRequest",

@@ -8,10 +8,11 @@ configuration, and one row per timed case.  The schema is documented in
 ``benchmarks/DESIGN.md``.
 
 :func:`compare_artifacts` is the regression gate: it matches rows across a
-baseline and a candidate artifact by ``(case_id, problem, backend)``,
-flags timing regressions beyond a relative threshold (ignoring
-sub-resolution timings) and — more importantly — flags *result* changes
-(front size / value), which are correctness failures, not slowdowns.
+baseline and a candidate artifact by ``(case_id, problem)``, flags timing
+regressions beyond a relative threshold (ignoring sub-resolution timings)
+and — more importantly — flags *result* changes (front size / value),
+which are correctness failures, not slowdowns.  A case whose resolved
+backend changed is still compared, and the change is listed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import platform
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -176,8 +178,18 @@ def artifact_runs(artifact: Mapping[str, Any]) -> List[BenchRun]:
     return [BenchRun.from_dict(run) for run in artifact["runs"]]
 
 
-def _run_key(run: BenchRun) -> Tuple[str, str, str]:
-    return (run.case_id, run.problem, run.backend)
+def _keyed_runs(artifact: Mapping[str, Any]) -> Dict[Tuple[str, ...], BenchRun]:
+    """The artifact's runs by ``(case_id, problem)``, so a resolver change
+    does not unpair a case.  A case the artifact runs on several backends
+    keeps the backend in its key, ``(case_id, problem, backend)``."""
+    runs = artifact_runs(artifact)
+    repeats = Counter((run.case_id, run.problem) for run in runs)
+    return {
+        (run.case_id, run.problem)
+        if repeats[run.case_id, run.problem] == 1
+        else (run.case_id, run.problem, run.backend): run
+        for run in runs
+    }
 
 
 def baseline_artifact(
@@ -194,7 +206,7 @@ def baseline_artifact(
     machine was when the baseline was cut.
 
     All inputs must share the same name and the same run keys
-    (``case_id``/``problem``/``backend``); result fields are taken from
+    (``case_id``/``problem``); result fields are taken from
     the first artifact after checking the runs agree on them — a baseline
     averaging over runs that *disagree on answers* would bury a
     correctness bug in a timing file.
@@ -207,10 +219,7 @@ def baseline_artifact(
             f"baseline inputs mix profiles {sorted(names)!r}; rerun one "
             "profile per baseline"
         )
-    per_run = [
-        {_run_key(run): run for run in artifact_runs(artifact)}
-        for artifact in artifacts
-    ]
+    per_run = [_keyed_runs(artifact) for artifact in artifacts]
     keys = set(per_run[0])
     for index, mapping in enumerate(per_run[1:], start=2):
         if set(mapping) != keys:
@@ -260,8 +269,10 @@ class ComparisonReport:
 
     ``regressions`` are timing slowdowns beyond the threshold;
     ``mismatches`` are result differences (front size or value) — always
-    failures regardless of timing; ``missing``/``added`` list run keys only
-    present on one side (informational).
+    failures regardless of timing; ``backend_changes`` list the compared
+    runs whose resolved backend differs (informational: the run is still
+    checked); ``missing``/``added`` list run keys only present on one side
+    (informational).
     """
 
     threshold: float
@@ -270,8 +281,9 @@ class ComparisonReport:
     regressions: List[Dict[str, Any]] = field(default_factory=list)
     improvements: List[Dict[str, Any]] = field(default_factory=list)
     mismatches: List[Dict[str, Any]] = field(default_factory=list)
-    missing: List[Tuple[str, str, str]] = field(default_factory=list)
-    added: List[Tuple[str, str, str]] = field(default_factory=list)
+    backend_changes: List[Dict[str, Any]] = field(default_factory=list)
+    missing: List[Tuple[str, ...]] = field(default_factory=list)
+    added: List[Tuple[str, ...]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -306,6 +318,10 @@ class ComparisonReport:
                 "improvement {key}: {baseline:.4f}s -> {candidate:.4f}s "
                 "({ratio:+.0%})".format(**entry)
             )
+        for entry in self.backend_changes:
+            lines.append(
+                "backend changed {key}: {baseline} -> {candidate}".format(**entry)
+            )
         if self.missing:
             lines.append(f"missing from candidate: {len(self.missing)} runs")
         if self.added:
@@ -337,8 +353,8 @@ def compare_artifacts(
     """
     if threshold < 0:
         raise ValueError(f"threshold must be non-negative, got {threshold!r}")
-    baseline_runs = {_run_key(run): run for run in artifact_runs(baseline)}
-    candidate_runs = {_run_key(run): run for run in artifact_runs(candidate)}
+    baseline_runs = _keyed_runs(baseline)
+    candidate_runs = _keyed_runs(candidate)
     report = ComparisonReport(threshold=threshold, min_seconds=min_seconds)
     report.missing = sorted(set(baseline_runs) - set(candidate_runs))
     report.added = sorted(set(candidate_runs) - set(baseline_runs))
@@ -346,6 +362,11 @@ def compare_artifacts(
         before, after = baseline_runs[key], candidate_runs[key]
         report.compared += 1
         label = "/".join(key)
+        if before.backend != after.backend:
+            report.backend_changes.append({
+                "key": label, "baseline": before.backend,
+                "candidate": after.backend,
+            })
         if before.result_points != after.result_points or (
             before.value is not None
             and after.value is not None

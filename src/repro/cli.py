@@ -293,8 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   "heartbeat-renewed while a task runs "
                                   "(default: 30)")
     dist_worker.add_argument("--poll", type=float, default=0.2, metavar="S",
-                             help="idle sleep between claim attempts "
-                                  "(default: 0.2)")
+                             help="longest one idle claim waits in the "
+                                  "queue for a task to become pending; it "
+                                  "returns as soon as one does (default: 0.2)")
     dist_worker.add_argument("--max-tasks", type=int, default=None,
                              help="stop after this many task attempts")
     dist_worker.add_argument("--keep-alive", action="store_true",

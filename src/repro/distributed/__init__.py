@@ -20,7 +20,7 @@ Layers
 ``worker``
     :class:`Worker`: claim → execute (through the engine's wire entry
     points, idempotently via a shared result store) → heartbeat →
-    complete/fail.
+    complete (claiming the next task in the same call) or fail.
 ``coordinator``
     :class:`Coordinator`: shard a bench profile into tasks, wait out the
     fleet (sweeping expired leases, so crashed workers' tasks are
@@ -60,6 +60,7 @@ from .queue import (
     DEFAULT_LEASE_GRACE,
     DEFAULT_MAX_ATTEMPTS,
     QUEUE_SCHEMA_VERSION,
+    FinishedTask,
     QueueError,
     SqliteQueue,
     Task,
@@ -80,6 +81,7 @@ __all__ = [
     "Coordinator",
     "DEFAULT_LEASE_GRACE",
     "DEFAULT_MAX_ATTEMPTS",
+    "FinishedTask",
     "GatherReport",
     "LocalFleet",
     "QUEUE_SCHEMA_VERSION",

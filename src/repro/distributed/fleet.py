@@ -37,6 +37,8 @@ def worker_command(
 ) -> List[str]:
     """The argv for one local ``atcd dist worker`` subprocess.
 
+    ``poll_seconds`` bounds each idle claim's wait in the queue (``--poll``);
+    a worker takes a new task as soon as it is pending.
     ``keep_alive`` workers poll for new work indefinitely instead of
     exiting once the queue drains — the fleet mode behind a long-lived
     service, where an idle queue means "no jobs right now", not "done".
@@ -85,7 +87,9 @@ class LocalFleet:
     Parameters
     ----------
     queue_path / store_path / lease_seconds / poll_seconds:
-        Forwarded to every worker (see :func:`worker_command`).
+        Forwarded to every worker (see :func:`worker_command`);
+        ``poll_seconds`` bounds an idle worker's claim wait, it is not a
+        sleep.
     workers:
         Fleet size (kept constant while the run is outstanding).
     respawn_budget:

@@ -31,7 +31,21 @@ Transitions are claim-driven: :meth:`WorkQueue.claim` first sweeps expired
 leases (``running`` → ``pending`` or ``dead``), then atomically hands the
 oldest pending task to the caller.  ``attempts`` counts claims, so a task
 bounces between ``pending`` and ``running`` at most ``max_attempts`` times
-before dead-lettering.
+before dead-lettering.  A worker finishing a task claims its next one in
+the same transaction (:meth:`WorkQueue.complete_and_claim`).
+
+Waiting
+-------
+An idle :meth:`WorkQueue.claim` and a result stream's
+:meth:`WorkQueue.wait_finished` block instead of polling: each waits on a
+condition variable of the queue object that serves it, notified when that
+object commits a change the waiter can use — a task becoming pending
+(submit, retried failure, released lease, resubmit) wakes claims; a task
+finishing (complete, dead-letter, cancel, lease expiry to dead) wakes
+streams.  Heartbeats, metadata writes and empty claims notify no one.  A
+write by *another process* on a shared file notifies nothing here; the
+waiter sees it when its wait times out and it looks once more, so a wait
+bounds how stale an answer can be, as a poll interval used to.
 
 Two implementations, mirroring :mod:`repro.engine.store`:
 
@@ -63,12 +77,16 @@ from __future__ import annotations
 import contextlib
 import enum
 import json
+import math
 import os
 import sqlite3
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Set, Tuple, runtime_checkable
+from typing import (
+    Any, Callable, Collection, Dict, List, NamedTuple, Optional, Protocol,
+    Sequence, Set, Tuple, runtime_checkable,
+)
 
 from ..obs import families as obs_families
 
@@ -78,6 +96,7 @@ __all__ = [
     "QueueError",
     "TaskState",
     "Task",
+    "FinishedTask",
     "WorkQueue",
     "SqliteQueue",
     "open_queue",
@@ -98,6 +117,25 @@ DEFAULT_MAX_ATTEMPTS = 3
 #: would double-execute the task).  Two seconds comfortably covers NTP
 #: discipline; deployments with worse clocks can raise it per queue.
 DEFAULT_LEASE_GRACE = 2.0
+
+
+#: The change kinds waiters subscribe to: a task became pending (claims
+#: wake), or a task finished — done, dead or cancelled (streams wake).
+_PENDING_CHANGE = "pending"
+_FINISHED_CHANGE = "finished"
+_CHANGE_KINDS = (_PENDING_CHANGE, _FINISHED_CHANGE)
+
+
+def _validate_wait(wait_seconds: float) -> float:
+    if (
+        isinstance(wait_seconds, bool)
+        or not isinstance(wait_seconds, (int, float))
+        or not 0 <= wait_seconds < math.inf
+    ):
+        raise QueueError(
+            f"wait_seconds must be a non-negative number, got {wait_seconds!r}"
+        )
+    return float(wait_seconds)
 
 
 def _validate_grace(grace_seconds: float) -> float:
@@ -147,6 +185,19 @@ class Task:
     error: Optional[str] = None
 
 
+class FinishedTask(NamedTuple):
+    """A finished task as :meth:`WorkQueue.wait_finished` reports it."""
+
+    task_id: str
+    state: TaskState
+    result: Optional[Dict[str, Any]]
+    error: Optional[str]
+
+
+#: The states :meth:`WorkQueue.wait_finished` reports.
+_FINISHED_STATES = (TaskState.DONE, TaskState.DEAD, TaskState.CANCELLED)
+
+
 @runtime_checkable
 class WorkQueue(Protocol):
     """What workers, the coordinator and the CLI require of a queue."""
@@ -166,12 +217,17 @@ class WorkQueue(Protocol):
         """
         ...
 
-    def claim(self, worker_id: str, lease_seconds: float) -> Optional[Task]:
+    def claim(
+        self, worker_id: str, lease_seconds: float, wait_seconds: float = 0.0
+    ) -> Optional[Task]:
         """Atomically take the oldest pending task under a lease.
 
         Expired leases are swept first, so crashed workers' tasks become
-        claimable (or dead) without any separate janitor process.  Returns
-        ``None`` when nothing is pending.
+        claimable (or dead) without any separate janitor process.  When
+        nothing is pending, waits up to ``wait_seconds`` for a task to
+        become pending (a submit, a retried failure, a released lease, a
+        resubmit) and claims it; returns ``None`` when the wait ends
+        empty-handed.
         """
         ...
 
@@ -186,6 +242,38 @@ class WorkQueue(Protocol):
         already ``done`` *by the same worker* returns ``True`` (a replay
         after a lost broker response must not read as a lost lease).  A
         different worker's completion still returns ``False``.
+        """
+        ...
+
+    def complete_and_claim(
+        self,
+        task_id: str,
+        worker_id: str,
+        result: Dict[str, Any],
+        lease_seconds: float,
+    ) -> Tuple[bool, Optional[Task]]:
+        """:meth:`complete` and an immediate :meth:`claim`, atomically.
+
+        Returns ``(ok, next_task)``: ``ok`` is what :meth:`complete` would
+        return (replay rule included), and ``next_task`` is the oldest
+        pending task, now leased to ``worker_id``, or ``None``.  A lost
+        lease still claims.  One transaction (and, over a broker, one
+        round trip) where the two calls took two; it never waits.
+        """
+        ...
+
+    def wait_finished(
+        self,
+        task_ids: Sequence[str],
+        known: Collection[str],
+        wait_seconds: float,
+    ) -> List[FinishedTask]:
+        """The listed tasks that are done, dead or cancelled and not in
+        ``known``, in submission order, without their payloads.
+
+        Waits up to ``wait_seconds`` for at least one such task; an empty
+        list means none finished in time.  Result streams call this
+        instead of re-reading their whole job on a timer.
         """
         ...
 
@@ -279,7 +367,8 @@ class WorkQueue(Protocol):
         ...
 
     def close(self) -> None:
-        """Release any underlying resources (idempotent)."""
+        """Release any underlying resources (idempotent); a waiting
+        :meth:`claim` or :meth:`wait_finished` is woken at once."""
         ...
 
 
@@ -407,6 +496,16 @@ class SqliteQueue:
         self._grace = _validate_grace(grace_seconds)
         self._lock = threading.Lock()
         self._closed = False
+        # Waiters (see "Waiting" in the module docstring).  Each change
+        # kind has an epoch, bumped after the COMMIT that made such a
+        # change; a waiter reads the epoch before it looks, so a change
+        # committed between its look and its wait is never missed.
+        self._marks: Set[str] = set()  # kinds the open transaction changed
+        self._signal = threading.Lock()
+        self._ready = {
+            kind: threading.Condition(self._signal) for kind in _CHANGE_KINDS
+        }
+        self._epochs = dict.fromkeys(_CHANGE_KINDS, 0)
         self._connection: Optional[sqlite3.Connection] = None
         try:
             self._connection = sqlite3.connect(
@@ -501,6 +600,7 @@ class SqliteQueue:
         if self._closed:
             raise QueueError(f"work queue {self.path!r} is closed")
         with self._lock:
+            self._marks = marks = set()
             try:
                 self._connection.execute("BEGIN IMMEDIATE")
             except sqlite3.Error as error:
@@ -538,6 +638,46 @@ class SqliteQueue:
                     raise QueueError(
                         f"work queue {self.path!r} failed: {error}"
                     ) from error
+        self._notify(marks)
+
+    def _mark(self, kind: str) -> None:
+        """Record that the open transaction makes a ``kind`` change; its
+        waiters are notified once the transaction commits."""
+        self._marks.add(kind)
+
+    def _notify(self, kinds: Set[str]) -> None:
+        if not kinds:
+            return
+        with self._signal:
+            for kind in kinds:
+                self._epochs[kind] += 1
+                self._ready[kind].notify_all()
+
+    def _waiting(
+        self, kind: str, wait_seconds: float, attempt: Callable[[], Any]
+    ) -> Any:
+        """``attempt()`` until it returns something truthy or
+        ``wait_seconds`` have passed; between tries, sleep until this
+        object commits a ``kind`` change.  The last try runs at the
+        deadline, which is when another process's writes are seen."""
+        wait_seconds = _validate_wait(wait_seconds)
+        if not wait_seconds:
+            return attempt()
+        deadline = time.monotonic() + wait_seconds
+        ready = self._ready[kind]
+        while True:
+            with ready:
+                seen = self._epochs[kind]
+            found = attempt()
+            remaining = deadline - time.monotonic()
+            if found or remaining <= 0:
+                return found
+            with ready:
+                # On close the next attempt raises "queue is closed".
+                ready.wait_for(
+                    lambda: self._closed or self._epochs[kind] != seen,
+                    remaining,
+                )
 
     def _query(self, sql: str, parameters: tuple = ()) -> List[tuple]:
         """A read outside any explicit transaction."""
@@ -628,6 +768,8 @@ class SqliteQueue:
                 )
                 ids.append(task_id)
                 seq += 1
+            if ids:
+                self._mark(_PENDING_CHANGE)
             if dedupe_key is not None:
                 connection.execute(
                     "INSERT INTO queue_meta (key, value) VALUES (?, ?)",
@@ -653,6 +795,10 @@ class SqliteQueue:
             " AND lease_expires_unix IS NOT NULL AND lease_expires_unix < ?",
             (now, now - self._grace),
         )
+        if cursor.rowcount:
+            # Released to pending or to dead: both kinds of waiter care.
+            self._mark(_PENDING_CHANGE)
+            self._mark(_FINISHED_CHANGE)
         _record_op("lease-expire", cursor.rowcount)
         return cursor.rowcount
 
@@ -660,32 +806,53 @@ class SqliteQueue:
         with self._transaction() as connection:
             return self._expire_sql(connection, self._clock())
 
-    def claim(self, worker_id: str, lease_seconds: float) -> Optional[Task]:
+    def _claim_sql(
+        self,
+        connection: sqlite3.Connection,
+        worker_id: str,
+        lease_seconds: float,
+        now: float,
+    ) -> Optional[tuple]:
+        """Lease the oldest pending task to ``worker_id``; its row, or
+        ``None`` when nothing is pending."""
+        row = connection.execute(
+            "SELECT task_id FROM tasks WHERE state = ? ORDER BY seq LIMIT 1",
+            (TaskState.PENDING.value,),
+        ).fetchone()
+        if row is None:
+            return None
+        task_id = row[0]
+        cursor = connection.execute(
+            "UPDATE tasks SET state = ?, worker_id = ?,"
+            " attempts = attempts + 1, lease_expires_unix = ?,"
+            " updated_unix = ? WHERE task_id = ? AND state = ?",
+            (TaskState.RUNNING.value, worker_id, now + lease_seconds,
+             now, task_id, TaskState.PENDING.value),
+        )
+        # The write lock was held since BEGIN IMMEDIATE, so the selected
+        # row cannot have been taken by anyone else.
+        assert cursor.rowcount == 1
+        return connection.execute(
+            _TASK_SELECT + " WHERE task_id = ?", (task_id,)
+        ).fetchone()
+
+    def _claim_once(self, worker_id: str, lease_seconds: float) -> Optional[Task]:
         now = self._clock()
         with self._transaction() as connection:
             self._expire_sql(connection, now)
-            row = connection.execute(
-                "SELECT task_id FROM tasks WHERE state = ? ORDER BY seq LIMIT 1",
-                (TaskState.PENDING.value,),
-            ).fetchone()
-            if row is None:
-                return None
-            task_id = row[0]
-            cursor = connection.execute(
-                "UPDATE tasks SET state = ?, worker_id = ?,"
-                " attempts = attempts + 1, lease_expires_unix = ?,"
-                " updated_unix = ? WHERE task_id = ? AND state = ?",
-                (TaskState.RUNNING.value, worker_id, now + lease_seconds,
-                 now, task_id, TaskState.PENDING.value),
-            )
-            # The write lock was held since BEGIN IMMEDIATE, so the selected
-            # row cannot have been taken by anyone else.
-            assert cursor.rowcount == 1
-            task_row = connection.execute(
-                _TASK_SELECT + " WHERE task_id = ?", (task_id,)
-            ).fetchone()
+            row = self._claim_sql(connection, worker_id, lease_seconds, now)
+        if row is None:
+            return None
         _record_op("claim")
-        return _task_from_row(task_row)
+        return _task_from_row(row)
+
+    def claim(
+        self, worker_id: str, lease_seconds: float, wait_seconds: float = 0.0
+    ) -> Optional[Task]:
+        return self._waiting(
+            _PENDING_CHANGE, wait_seconds,
+            lambda: self._claim_once(worker_id, lease_seconds),
+        )
 
     def heartbeat(self, task_id: str, worker_id: str, lease_seconds: float) -> bool:
         now = self._clock()
@@ -702,32 +869,72 @@ class SqliteQueue:
             _record_op("heartbeat")
         return extended
 
-    def complete(self, task_id: str, worker_id: str, result: Dict[str, Any]) -> bool:
-        now = self._clock()
-        with self._transaction() as connection:
-            self._expire_sql(connection, now)
-            cursor = connection.execute(
-                "UPDATE tasks SET state = ?, result = ?, error = NULL,"
-                " lease_expires_unix = NULL, updated_unix = ?"
-                " WHERE task_id = ? AND worker_id = ? AND state = ?",
-                (TaskState.DONE.value, json.dumps(result, sort_keys=True),
-                 now, task_id, worker_id, TaskState.RUNNING.value),
-            )
-            if cursor.rowcount == 1:
-                _record_op("complete")
-                return True
-            # Replay check (see the protocol docstring): already done by
-            # this very worker — an earlier complete whose response was
-            # lost — is still a success, not a lost lease.
-            row = connection.execute(
-                "SELECT state, worker_id FROM tasks WHERE task_id = ?",
-                (task_id,),
-            ).fetchone()
-        return (
+    def _complete_sql(
+        self,
+        connection: sqlite3.Connection,
+        task_id: str,
+        worker_id: str,
+        result: Dict[str, Any],
+        now: float,
+    ) -> Tuple[bool, bool]:
+        """The ownership-checked complete: ``(ok, completed)``, where
+        ``ok`` is what :meth:`complete` returns and ``completed`` says
+        whether this call (not a replayed one) finished the task."""
+        cursor = connection.execute(
+            "UPDATE tasks SET state = ?, result = ?, error = NULL,"
+            " lease_expires_unix = NULL, updated_unix = ?"
+            " WHERE task_id = ? AND worker_id = ? AND state = ?",
+            (TaskState.DONE.value, json.dumps(result, sort_keys=True),
+             now, task_id, worker_id, TaskState.RUNNING.value),
+        )
+        if cursor.rowcount == 1:
+            self._mark(_FINISHED_CHANGE)
+            return True, True
+        # Replay check (see the protocol docstring): already done by this
+        # very worker — an earlier complete whose response was lost — is
+        # still a success, not a lost lease.
+        row = connection.execute(
+            "SELECT state, worker_id FROM tasks WHERE task_id = ?",
+            (task_id,),
+        ).fetchone()
+        replayed = (
             row is not None
             and row[0] == TaskState.DONE.value
             and row[1] == worker_id
         )
+        return replayed, False
+
+    def complete(self, task_id: str, worker_id: str, result: Dict[str, Any]) -> bool:
+        now = self._clock()
+        with self._transaction() as connection:
+            self._expire_sql(connection, now)
+            ok, completed = self._complete_sql(
+                connection, task_id, worker_id, result, now
+            )
+        if completed:
+            _record_op("complete")
+        return ok
+
+    def complete_and_claim(
+        self,
+        task_id: str,
+        worker_id: str,
+        result: Dict[str, Any],
+        lease_seconds: float,
+    ) -> Tuple[bool, Optional[Task]]:
+        now = self._clock()
+        with self._transaction() as connection:
+            self._expire_sql(connection, now)
+            ok, completed = self._complete_sql(
+                connection, task_id, worker_id, result, now
+            )
+            row = self._claim_sql(connection, worker_id, lease_seconds, now)
+        if completed:
+            _record_op("complete")
+        if row is None:
+            return ok, None
+        _record_op("claim")
+        return ok, _task_from_row(row)
 
     def fail(self, task_id: str, worker_id: str, error: str) -> bool:
         now = self._clock()
@@ -750,6 +957,10 @@ class SqliteQueue:
                     "SELECT state FROM tasks WHERE task_id = ?", (task_id,)
                 ).fetchone()
                 next_state = row[0] if row is not None else None
+                self._mark(
+                    _FINISHED_CHANGE if next_state == TaskState.DEAD.value
+                    else _PENDING_CHANGE
+                )
         if failed:
             _record_op(
                 "dead-letter" if next_state == TaskState.DEAD.value else "retry"
@@ -778,6 +989,8 @@ class SqliteQueue:
                     f" WHERE task_id IN ({_placeholders(chunk)})",
                     (TaskState.CANCELLED.value, now, *chunk),
                 )
+            if cancelled:
+                self._mark(_FINISHED_CHANGE)
         _record_op("cancel", len(cancelled))
         return cancelled
 
@@ -797,6 +1010,7 @@ class SqliteQueue:
                     " error = NULL, updated_unix = ? WHERE state = ?",
                     (TaskState.PENDING.value, now, TaskState.DEAD.value),
                 )
+                self._mark(_PENDING_CHANGE)
         _record_op("resubmit", len(ids))
         return ids
 
@@ -893,6 +1107,39 @@ class SqliteQueue:
             rows.sort(key=lambda row: row[1])  # seq
         return [_task_from_row(row) for row in rows]
 
+    def wait_finished(
+        self,
+        task_ids: Sequence[str],
+        known: Collection[str],
+        wait_seconds: float,
+    ) -> List[FinishedTask]:
+        known = set(known)
+        wanted = [
+            task_id for task_id in dict.fromkeys(task_ids)
+            if task_id not in known
+        ]
+        if not wanted:
+            return []
+        return self._waiting(
+            _FINISHED_CHANGE, wait_seconds, lambda: self._finished(wanted)
+        )
+
+    def _finished(self, task_ids: Sequence[str]) -> List[FinishedTask]:
+        rows = self._query_ids(
+            "SELECT seq, task_id, state, result, error FROM tasks"
+            " WHERE state IN (?, ?, ?) AND task_id IN ({})",
+            tuple(state.value for state in _FINISHED_STATES),
+            task_ids,
+        )
+        rows.sort()
+        return [
+            FinishedTask(
+                task_id, TaskState(state),
+                json.loads(result) if result is not None else None, error,
+            )
+            for _, task_id, state, result, error in rows
+        ]
+
     def get_meta(self, key: str) -> Optional[str]:
         rows = self._query(
             "SELECT value FROM queue_meta WHERE key = ?", (key,)
@@ -946,10 +1193,18 @@ class SqliteQueue:
         }
 
     def close(self) -> None:
-        if not self._closed:
+        # Under the lock: closing the connection while another thread runs
+        # a statement on it crashes the interpreter, and a waiter woken
+        # below may be about to run one.
+        with self._lock:
+            if self._closed:
+                return
             self._closed = True
             if self._connection is not None:
                 self._connection.close()
+        with self._signal:
+            for ready in self._ready.values():
+                ready.notify_all()
 
     def __enter__(self) -> "SqliteQueue":
         return self

@@ -20,6 +20,11 @@ the store (``run_serialized_request(store=...)`` /
 ``execute_serialized_case(store=...)`` read through it) instead of being
 recomputed, so crash-retry cannot produce divergent results.
 
+A finished task is reported and the next one claimed in one queue call
+(:meth:`~.queue.WorkQueue.complete_and_claim`) whenever the loop will run
+again.  An idle worker does not sleep between claims: its claim waits in
+the queue (``wait_seconds``) until a task becomes pending.
+
 Failures inside a task (a payload that does not deserialize, a backend
 error) are reported to the queue with :meth:`~.queue.WorkQueue.fail` —
 bounded retries, then dead-letter — and the worker moves on; only the
@@ -236,7 +241,10 @@ class Worker:
         Visibility lease per claim; renewed by heartbeat at a third of
         this interval while the task executes.
     poll_seconds:
-        Idle sleep between claim attempts when nothing is pending.
+        Longest one idle claim waits in the queue for a task to become
+        pending (it returns as soon as one does).  Between waits the
+        worker publishes unpublished metrics and, with
+        ``exit_when_drained``, checks whether the queue drained.
     max_tasks:
         Stop after this many attempts (None = unbounded).
     exit_when_drained:
@@ -281,7 +289,8 @@ class Worker:
         self._unpublished = False  # tasks finished since the last publish
 
     def stop(self) -> None:
-        """Ask a running loop to return after its current task."""
+        """Ask a running loop to return after its current task, or once
+        its current claim wait (at most ``poll_seconds``) ends."""
         self._stop_event.set()
 
     def _execute(self, task: Task) -> Dict[str, Any]:
@@ -291,8 +300,19 @@ class Worker:
             return self.executor(task.payload)
         return execute_task_payload(task.payload, store=self.store)
 
-    def run_one(self, task: Task, report: WorkerReport) -> None:
-        """Execute one claimed task under a heartbeat, report the outcome."""
+    def _room_after(self, report: WorkerReport) -> bool:
+        """Whether the loop runs again once the task in hand is counted."""
+        return not self._stop_event.is_set() and (
+            self.max_tasks is None or report.executed + 1 < self.max_tasks
+        )
+
+    def run_one(self, task: Task, report: WorkerReport) -> Optional[Task]:
+        """Execute one claimed task under a heartbeat, report the outcome.
+
+        A success is reported with :meth:`~.queue.WorkQueue.complete_and_claim`
+        when the loop will run again, and the task it claimed is returned
+        (now this worker's to run or fail back); otherwise returns ``None``.
+        """
         keeper = _LeaseKeeper(
             self.queue, task.task_id, self.worker_id, self.lease_seconds
         )
@@ -342,12 +362,19 @@ class Worker:
             report.failures.append(task.task_id)
             obs_families.worker_tasks_total().inc(outcome="failed")
             self._publish_if_due()
-            return
+            return None
         keeper.stop()
         obs_families.worker_task_seconds().observe(
             time.perf_counter() - started, kind=kind
         )
-        if self.queue.complete(task.task_id, self.worker_id, result):
+        following: Optional[Task] = None
+        if self._room_after(report):
+            ok, following = self.queue.complete_and_claim(
+                task.task_id, self.worker_id, result, self.lease_seconds
+            )
+        else:
+            ok = self.queue.complete(task.task_id, self.worker_id, result)
+        if ok:
             report.completed += 1
             obs_families.worker_tasks_total().inc(outcome="completed")
         else:
@@ -358,51 +385,57 @@ class Worker:
             report.failures.append(task.task_id)
             obs_families.worker_tasks_total().inc(outcome="lost-lease")
         self._publish_if_due()
+        return following
 
     def run(self) -> WorkerReport:
         """Claim and execute until drained/stopped/signalled; returns the
         report.
 
         On :class:`WorkerShutdown` (a SIGTERM/SIGINT routed in by
-        :func:`signal_shutdown`) the in-flight claim is failed back to
+        :func:`signal_shutdown`) the in-flight claims are failed back to
         the queue — ownership-checked, so nothing is touched if the lease
-        already moved on — making the task immediately claimable instead
+        already moved on — making the tasks immediately claimable instead
         of invisible until lease expiry.
         """
         report = WorkerReport(worker_id=self.worker_id)
         current: Optional[Task] = None
+        # No task came with the last claim or completion.  Only then does
+        # a claim wait, so a worker started on a drained queue exits at
+        # once.
+        idle = False
         try:
             while not self._stop_event.is_set():
                 if self.max_tasks is not None and report.executed >= self.max_tasks:
                     break
-                current = self.queue.claim(self.worker_id, self.lease_seconds)
                 if current is None:
-                    if self.exit_when_drained and self.queue.drained():
-                        break
-                    if self._unpublished:
-                        # Idle now: the last tasks' numbers must not wait
-                        # for the next task to become visible.
-                        self.publish_metrics()
-                    if self._stop_event.wait(self.poll_seconds):
-                        break
-                    continue
-                self.run_one(current, report)
-                current = None
+                    if idle:
+                        if self.exit_when_drained and self.queue.drained():
+                            break
+                        if self._unpublished:
+                            # Idle now: the last tasks' numbers must not
+                            # wait for the next task to become visible.
+                            self.publish_metrics()
+                    current = self.queue.claim(
+                        self.worker_id, self.lease_seconds,
+                        wait_seconds=self.poll_seconds if idle else 0.0,
+                    )
+                    if current is None:
+                        idle = True
+                        continue
+                current = self.run_one(current, report)
+                idle = current is None
         except WorkerShutdown as shutdown:
             report.interrupted = shutdown.signum
             try:
-                # `current` is None when the signal landed between tasks —
-                # or inside claim(), after the server committed the lease
-                # but before the result was assigned.  Ask the queue which
-                # tasks it believes are ours so that window leaks nothing.
-                if current is not None:
-                    claims = [current]
-                else:
-                    claims = [
-                        task
-                        for task in self.queue.tasks(TaskState.RUNNING)
-                        if task.worker_id == self.worker_id
-                    ]
+                # The signal can land inside claim() or complete_and_claim(),
+                # after the queue committed a lease but before the task
+                # reached `current`.  Ask the queue which tasks it believes
+                # are ours, so that window leaks nothing.
+                claims = [
+                    task
+                    for task in self.queue.tasks(TaskState.RUNNING)
+                    if task.worker_id == self.worker_id
+                ]
                 for task in claims:
                     if self.queue.fail(
                         task.task_id, self.worker_id,

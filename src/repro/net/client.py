@@ -23,10 +23,10 @@ Transport behaviour, shared by both clients:
   rejection raises :class:`QueueError`/:class:`StoreError`, which the CLI
   reports as a one-line exit-2 message like every other bad-input case.
 
-Retried requests are not exactly-once: a ``claim`` whose response was
-lost may leave an orphan lease on the server, recovered by the normal
-expiry sweep — the same guarantee as a crashed worker, and the reason
-blanket retry is safe here.
+Retried requests are not exactly-once: a ``claim`` or
+``complete_and_claim`` whose response was lost may leave an orphan lease
+on the server, recovered by the normal expiry sweep — the same guarantee
+as a crashed worker, and the reason blanket retry is safe here.
 """
 
 from __future__ import annotations
@@ -38,10 +38,13 @@ import threading
 import time
 import urllib.parse
 import uuid
-from typing import Any, Callable, Dict, List, Optional, Sequence, Type
+from typing import (
+    Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple, Type,
+)
 
 from ..distributed.queue import (
     DEFAULT_MAX_ATTEMPTS,
+    FinishedTask,
     QueueError,
     Task,
     TaskState,
@@ -53,6 +56,7 @@ from .wire import (
     SERVER_NAME,
     TOKEN_ENV_VAR,
     WIRE_VERSION,
+    finished_from_wire,
     task_from_wire,
 )
 
@@ -260,9 +264,12 @@ class HttpQueue:
             "dedupe_key": dedupe_key,
         })["task_ids"]
 
-    def claim(self, worker_id: str, lease_seconds: float) -> Optional[Task]:
+    def claim(
+        self, worker_id: str, lease_seconds: float, wait_seconds: float = 0.0
+    ) -> Optional[Task]:
         value = self._call("claim", {
             "worker_id": worker_id, "lease_seconds": lease_seconds,
+            "wait_seconds": wait_seconds,
         })["task"]
         return None if value is None else task_from_wire(value)
 
@@ -276,6 +283,32 @@ class HttpQueue:
         return self._call("complete", {
             "task_id": task_id, "worker_id": worker_id, "result": result,
         })["ok"]
+
+    def complete_and_claim(
+        self,
+        task_id: str,
+        worker_id: str,
+        result: Dict[str, Any],
+        lease_seconds: float,
+    ) -> Tuple[bool, Optional[Task]]:
+        value = self._call("complete_and_claim", {
+            "task_id": task_id, "worker_id": worker_id, "result": result,
+            "lease_seconds": lease_seconds,
+        })
+        task = value["task"]
+        return value["ok"], None if task is None else task_from_wire(task)
+
+    def wait_finished(
+        self,
+        task_ids: Sequence[str],
+        known: Collection[str],
+        wait_seconds: float,
+    ) -> List[FinishedTask]:
+        value = self._call("wait_finished", {
+            "task_ids": list(task_ids), "known": list(known),
+            "wait_seconds": wait_seconds,
+        })["finished"]
+        return [finished_from_wire(row) for row in value]
 
     def fail(self, task_id: str, worker_id: str, error: str) -> bool:
         return self._call("fail", {

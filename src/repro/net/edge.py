@@ -65,8 +65,8 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Seconds any one read or write on an accepted socket may block.  It
 #: bounds a stalled request body and an idle kept-alive connection; it
-#: does not bound a handler's own work (a slow solve, a stream's poll
-#: loop), which never blocks on the socket.  Longer than the workers'
+#: does not bound a handler's own work (a slow solve, a waiting claim or
+#: stream), which never blocks on the socket.  Longer than the workers'
 #: lease-renewal interval, so their heartbeat connections stay open.
 SOCKET_TIMEOUT_SECONDS = 30.0
 
@@ -287,12 +287,17 @@ class JsonHandler(BaseHTTPRequestHandler):
         content_type: str,
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        self._start_reply(status, {
-            "Content-Type": content_type,
-            "Content-Length": str(len(body)),
-            **(headers or {}),
-        })
-        self.wfile.write(body)
+        try:
+            self._start_reply(status, {
+                "Content-Type": content_type,
+                "Content-Length": str(len(body)),
+                **(headers or {}),
+            })
+            self.wfile.write(body)
+        except ConnectionError:
+            # The client left before its answer, as a worker stopped in
+            # the middle of a waiting claim does: nothing is left to tell.
+            self.close_connection = True
 
     def _reply(
         self,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import hmac
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from ..distributed.queue import (
     DEFAULT_LEASE_GRACE,
@@ -40,7 +40,14 @@ from ..obs.promtext import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from ..obs.scrape import render_fleet_metrics
 from .accesslog import AccessLog
 from .edge import JsonHandler, JsonServer
-from .wire import AUTH_HEADER, SERVER_NAME, WIRE_VERSION, task_to_wire
+from .wire import (
+    AUTH_HEADER,
+    MAX_WAIT_SECONDS,
+    SERVER_NAME,
+    WIRE_VERSION,
+    finished_to_wire,
+    task_to_wire,
+)
 
 __all__ = ["BrokerServer"]
 
@@ -49,9 +56,10 @@ __all__ = ["BrokerServer"]
 #: these closed sets — an arbitrary client path must never mint a new
 #: label value (metric cardinality is a server resource).
 _QUEUE_OP_NAMES = frozenset({
-    "submit", "claim", "heartbeat", "complete", "fail", "expire_leases",
-    "resubmit_dead", "cancel_pending", "prune", "counts", "drained",
-    "tasks", "get_meta", "set_meta", "set_meta_if_absent", "summary",
+    "submit", "claim", "heartbeat", "complete", "complete_and_claim",
+    "fail", "expire_leases", "resubmit_dead", "cancel_pending", "prune",
+    "counts", "drained", "tasks", "wait_finished", "get_meta", "set_meta",
+    "set_meta_if_absent", "summary",
 })
 _STORE_OP_NAMES = frozenset({"get", "put", "prune", "evict", "len", "summary"})
 
@@ -68,6 +76,32 @@ def _route_template(path: str) -> str:
     return "other"
 
 
+def _wait_seconds(args: Dict[str, Any]) -> float:
+    """The request's ``wait_seconds`` (default 0), clamped to
+    :data:`MAX_WAIT_SECONDS`; a negative or non-numeric one is a 400."""
+    value = args.get("wait_seconds", 0.0)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not value >= 0
+    ):
+        raise ValueError(
+            f"wait_seconds must be a non-negative number, got {value!r}"
+        )
+    return min(float(value), MAX_WAIT_SECONDS)
+
+
+def _task_ids(args: Dict[str, Any], key: str) -> Optional[List[str]]:
+    """An optional list-of-task-id-strings argument."""
+    task_ids = args.get(key)
+    if task_ids is not None and not (
+        isinstance(task_ids, list)
+        and all(isinstance(task_id, str) for task_id in task_ids)
+    ):
+        raise TypeError(f"{key} must be a list of task id strings")
+    return task_ids
+
+
 def _queue_operation(
     queue: SqliteQueue, op: str, args: Dict[str, Any]
 ) -> Dict[str, Any]:
@@ -79,8 +113,17 @@ def _queue_operation(
             dedupe_key=args.get("dedupe_key"),
         )}
     if op == "claim":
-        task = queue.claim(args["worker_id"], float(args["lease_seconds"]))
+        task = queue.claim(
+            args["worker_id"], float(args["lease_seconds"]),
+            wait_seconds=_wait_seconds(args),
+        )
         return {"task": None if task is None else task_to_wire(task)}
+    if op == "complete_and_claim":
+        ok, task = queue.complete_and_claim(
+            args["task_id"], args["worker_id"], args["result"],
+            float(args["lease_seconds"]),
+        )
+        return {"ok": ok, "task": None if task is None else task_to_wire(task)}
     if op == "heartbeat":
         return {"ok": queue.heartbeat(
             args["task_id"], args["worker_id"], float(args["lease_seconds"])
@@ -107,16 +150,18 @@ def _queue_operation(
         return {"drained": queue.drained()}
     if op == "tasks":
         state = args.get("state")
-        task_ids = args.get("task_ids")
-        if task_ids is not None and not (
-            isinstance(task_ids, list)
-            and all(isinstance(task_id, str) for task_id in task_ids)
-        ):
-            raise TypeError("task_ids must be a list of task id strings")
         rows = queue.tasks(
-            None if state is None else TaskState(state), task_ids=task_ids
+            None if state is None else TaskState(state),
+            task_ids=_task_ids(args, "task_ids"),
         )
         return {"tasks": [task_to_wire(task) for task in rows]}
+    if op == "wait_finished":
+        rows = queue.wait_finished(
+            _task_ids(args, "task_ids") or [],
+            _task_ids(args, "known") or [],
+            _wait_seconds(args),
+        )
+        return {"finished": [finished_to_wire(row) for row in rows]}
     if op == "get_meta":
         return {"value": queue.get_meta(args["key"])}
     if op == "set_meta":

@@ -52,9 +52,9 @@ from __future__ import annotations
 import contextlib
 import json
 import time
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Set
 
-from ..distributed.queue import QueueError, WorkQueue
+from ..distributed.queue import QueueError, TaskState, WorkQueue
 from ..engine.store import StoreError
 from ..net.accesslog import AccessLog
 from ..net.edge import JsonHandler, JsonServer
@@ -73,6 +73,8 @@ SERVICE_NAME = "atcd-service"
 
 #: Version of the service wire schema; bump on incompatible change.
 SERVICE_VERSION = 1
+
+_UNFINISHED = (TaskState.PENDING.value, TaskState.RUNNING.value)
 
 
 def _route_template(path: str) -> str:
@@ -283,11 +285,17 @@ class _ServiceHandler(JsonHandler):
         close``) — the one framing a streaming body can use over plain
         ``http.server``.  Results stream in completion order; the terminal
         line carries the job's final state and status document.
+
+        The job is read whole once; after that the stream waits on
+        :meth:`~repro.distributed.queue.WorkQueue.wait_finished`, which
+        wakes on each completion and carries no payloads.  The job is read
+        again only when every task has finished, when a task died or was
+        cancelled, or when a wait times out — the read that notices a
+        cancel, the stream deadline or a closing service.
         """
         service = self.owner
         jobs = service.jobs
-        # One read per poll: the status and the rows come from the same
-        # descriptor and task lookup (the first poll doubles as the 404).
+        # The first read doubles as the 404.
         document = jobs.results(tenant.name, job_id)
         if document is None:
             self._reply_job_not_found(job_id)
@@ -302,23 +310,22 @@ class _ServiceHandler(JsonHandler):
             )
             self.wfile.flush()
 
-        emitted = set()
+        def emit_result(index: int, result: Optional[Dict[str, Any]]) -> None:
+            if index not in emitted and result is not None:
+                emitted.add(index)
+                emit({"event": "result", "index": index, "result": result})
+
+        emitted: Set[int] = set()
+        index_of = {row["task_id"]: row["index"] for row in document["results"]}
+        finished: Set[str] = set()  # task ids known to be done/dead/cancelled
         deadline = time.monotonic() + service.stream_timeout_seconds
         try:
             while True:
-                if document is None:
-                    emit({"event": "error", "error": "job disappeared"})
-                    return
                 status = document["job"]
                 for row in document["results"]:
-                    if row["index"] in emitted or row["result"] is None:
-                        continue
-                    emitted.add(row["index"])
-                    emit({
-                        "event": "result",
-                        "index": row["index"],
-                        "result": row["result"],
-                    })
+                    emit_result(row["index"], row["result"])
+                    if row["state"] not in _UNFINISHED:
+                        finished.add(row["task_id"])
                 if status["state"] in ("done", "failed", "cancelled"):
                     emit({"event": "end", "state": status["state"],
                           "job": status})
@@ -331,11 +338,33 @@ class _ServiceHandler(JsonHandler):
                     emit({"event": "error",
                           "error": "service is shutting down"})
                     return
-                time.sleep(service.poll_seconds)
+                if len(finished) == len(index_of):
+                    # Every task finished, yet the job is not terminal:
+                    # its tasks were changed outside the service.  Nothing
+                    # will wake a wait, so look again a poll later.
+                    time.sleep(service.poll_seconds)
+                while len(finished) < len(index_of):
+                    rows = service.queue.wait_finished(
+                        list(index_of), finished, service.poll_seconds
+                    )
+                    for row in rows:
+                        finished.add(row.task_id)
+                        emit_result(index_of[row.task_id], row.result)
+                    if (
+                        not rows
+                        or any(row.state is not TaskState.DONE for row in rows)
+                        or time.monotonic() >= deadline
+                        or service.closing
+                    ):
+                        break
                 document = jobs.results(tenant.name, job_id)
+                if document is None:
+                    emit({"event": "error", "error": "job disappeared"})
+                    return
         except (OSError, ValueError):
             # The client went away mid-stream; nothing to clean up — job
-            # progress lives in the queue, not in this connection.
+            # progress lives in the queue, not in this connection.  (A
+            # queue closed under a shutting-down service lands here too.)
             return
 
 
@@ -357,8 +386,10 @@ class ServiceServer(JsonServer):
         Task retry budget and largest accepted batch (forwarded to
         :class:`JobManager`).
     poll_seconds / stream_timeout_seconds:
-        Streaming endpoint tuning: poll cadence against the queue, and
-        the hard cap on one streaming response's lifetime.
+        Streaming endpoint tuning: the longest one wait for a completion
+        lasts before the stream re-reads its job (to notice a cancel, its
+        deadline or a closing service), and the hard cap on one streaming
+        response's lifetime.
     access_log:
         Optional :class:`~repro.net.accesslog.AccessLog`; the CLI wires
         this to stderr by default — a public surface should not be dark.

@@ -345,7 +345,8 @@ class JobManager:
         The rows are per request, in submission order: index, task id,
         state, result/error.  Status and rows come from one read of the
         descriptor and one of the job's tasks, so they agree with each
-        other — the stream endpoint polls this once per tick.
+        other — the stream endpoint reads this when it starts and when a
+        wait for a completion ends in something other than a result.
         """
         descriptor = self._descriptor(tenant, job_id)
         if descriptor is None:

@@ -169,3 +169,42 @@ class TestComparison:
         assert report.compared == 0
         assert not report.ok
         assert "no overlapping runs" in report.render()
+
+
+class TestBackendChanges:
+    """Runs pair by case and problem, so a resolver change cannot take a
+    case out of the comparison."""
+
+    def test_a_changed_backend_and_value_is_a_mismatch(self, artifact):
+        baseline = json.loads(json.dumps(artifact))
+        baseline["runs"][0]["value"] = 5.0
+        changed = json.loads(json.dumps(baseline))
+        run = changed["runs"][0]
+        run["backend"] = "elsewhere"
+        run["value"] = 6.0
+        report = compare_artifacts(baseline, changed)
+        assert not report.ok
+        assert report.compared == 3 and not report.missing and not report.added
+        assert len(report.mismatches) == 1
+        assert report.backend_changes == [{
+            "key": f"{run['case_id']}/{run['problem']}",
+            "baseline": baseline["runs"][0]["backend"],
+            "candidate": "elsewhere",
+        }]
+        assert "backend changed" in report.render()
+
+    def test_a_changed_backend_alone_is_listed_and_timed(self, artifact):
+        changed = json.loads(json.dumps(artifact))
+        changed["runs"][0]["backend"] = "elsewhere"
+        changed["runs"][0]["wall_time_seconds"] = 100.0
+        report = compare_artifacts(artifact, changed)
+        assert len(report.backend_changes) == 1
+        assert len(report.regressions) == 1 and not report.ok
+
+    def test_a_case_run_on_two_backends_keeps_both_runs(self, artifact):
+        doubled = json.loads(json.dumps(artifact))
+        twin = dict(doubled["runs"][0], backend="elsewhere")
+        doubled["runs"].append(twin)
+        report = compare_artifacts(doubled, doubled)
+        assert report.ok and report.compared == 4
+        assert report.backend_changes == []

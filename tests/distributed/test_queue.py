@@ -15,6 +15,7 @@ import signal
 import sqlite3
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -710,3 +711,309 @@ class TestReplayIdempotence:
         first = any_queue.submit(payloads(2), dedupe_key="batch-1")
         assert any_queue.submit(payloads(2), dedupe_key="batch-1") == first
         assert any_queue.counts()["pending"] == 2
+
+
+class TestCompleteAndClaim:
+    """A worker's complete and its next claim, as one operation."""
+
+    def test_completes_and_claims_the_next_task(self, any_queue):
+        first, second = any_queue.submit(payloads(2))
+        task = any_queue.claim("w", lease_seconds=30)
+        ok, following = any_queue.complete_and_claim(
+            task.task_id, "w", {"answer": 1}, lease_seconds=30
+        )
+        assert ok and following.task_id == second
+        assert following.state is TaskState.RUNNING
+        assert following.worker_id == "w" and following.attempts == 1
+        (done,) = any_queue.tasks(TaskState.DONE)
+        assert done.task_id == first and done.result == {"answer": 1}
+
+    def test_nothing_pending_claims_nothing(self, any_queue):
+        any_queue.submit(payloads(1))
+        task = any_queue.claim("w", lease_seconds=30)
+        assert any_queue.complete_and_claim(
+            task.task_id, "w", {}, lease_seconds=30
+        ) == (True, None)
+        assert any_queue.drained()
+
+    def test_replay_by_the_owner_is_still_success(self, any_queue):
+        any_queue.submit(payloads(3))
+        task = any_queue.claim("w", lease_seconds=30)
+        ok, _ = any_queue.complete_and_claim(task.task_id, "w", {"a": 1}, 30)
+        # The replayed call (its first response lost) still answers ok;
+        # it claims afresh, and the first call's claim stays leased.
+        ok_again, following = any_queue.complete_and_claim(
+            task.task_id, "w", {"a": 1}, 30
+        )
+        assert ok and ok_again and following is not None
+        assert any_queue.counts()["running"] == 2
+        impostor, _ = any_queue.complete_and_claim(
+            task.task_id, "impostor", {"a": 2}, 30
+        )
+        assert not impostor
+        (done,) = any_queue.tasks(TaskState.DONE)
+        assert done.result == {"a": 1}
+
+    def test_a_lost_lease_still_claims(self, any_queue):
+        any_queue.submit(payloads(2))
+        stale = any_queue.claim("stale", lease_seconds=0.05)
+        time.sleep(0.1)
+        thief = any_queue.claim("thief", lease_seconds=30)
+        assert thief.task_id == stale.task_id
+        ok, following = any_queue.complete_and_claim(
+            stale.task_id, "stale", {"late": True}, lease_seconds=30
+        )
+        assert not ok
+        assert following is not None and following.worker_id == "stale"
+        assert following.task_id != stale.task_id
+        assert any_queue.counts()["done"] == 0
+
+    def test_one_transaction(self, queue_path):
+        queue = SqliteQueue(queue_path)
+        queue.submit(payloads(2))
+        task = queue.claim("w", lease_seconds=30)
+        statements = []
+        queue._connection.set_trace_callback(statements.append)
+        ok, following = queue.complete_and_claim(task.task_id, "w", {}, 30)
+        queue._connection.set_trace_callback(None)
+        assert ok and following is not None
+        assert statements.count("BEGIN IMMEDIATE") == 1
+        assert statements.count("COMMIT") == 1
+        queue.close()
+
+    def test_counted_as_a_complete_and_a_claim(self, queue_path):
+        from repro.obs.families import queue_ops_total
+
+        queue = SqliteQueue(queue_path)
+        queue.submit(payloads(2))
+        task = queue.claim("w", lease_seconds=30)
+        before = {op: queue_ops_total().value(op=op) for op in ("complete", "claim")}
+        queue.complete_and_claim(task.task_id, "w", {}, 30)
+        assert queue_ops_total().value(op="complete") == before["complete"] + 1
+        assert queue_ops_total().value(op="claim") == before["claim"] + 1
+        queue.close()
+
+
+@pytest.fixture(params=["sqlite", "http"])
+def waiting_queue(request, queue_path):
+    """One queue object that waiters and writers share: in process, or
+    the broker serving it (each thread on its own connection)."""
+    if request.param == "http":
+        from repro.net import BrokerServer, HttpQueue
+
+        server = BrokerServer(queue_path=queue_path, grace_seconds=0.0)
+        server.start()
+        queue = HttpQueue(server.url)
+        yield queue
+        queue.close()
+        server.close()
+        return
+    queue = SqliteQueue(queue_path, grace_seconds=0.0)
+    yield queue
+    queue.close()
+
+
+def _in_thread(function, *args):
+    """Start ``function(*args)`` on a thread; returns a callable that joins
+    it and gives back ``(result, seconds it took)``."""
+    outcome = {}
+
+    def run():
+        started = time.monotonic()
+        try:
+            outcome["value"] = function(*args)
+        except Exception as error:  # noqa: BLE001 — handed to the test
+            outcome["value"] = error
+        outcome["seconds"] = time.monotonic() - started
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+
+    def join():
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        return outcome["value"], outcome["seconds"]
+
+    return join
+
+
+class TestWaitingClaim:
+    def test_a_submit_wakes_a_waiting_claim(self, waiting_queue):
+        join = _in_thread(waiting_queue.claim, "w", 30, 5.0)
+        time.sleep(0.2)
+        (task_id,) = waiting_queue.submit(payloads(1))
+        task, seconds = join()
+        assert task.task_id == task_id and task.worker_id == "w"
+        assert seconds < 0.2 + 0.5
+
+    def test_the_wait_ends_empty_handed(self, waiting_queue):
+        started = time.monotonic()
+        assert waiting_queue.claim("w", 30, wait_seconds=0.3) is None
+        assert 0.3 <= time.monotonic() - started < 3.0
+
+    def test_a_pending_task_is_claimed_without_waiting(self, waiting_queue):
+        waiting_queue.submit(payloads(1))
+        started = time.monotonic()
+        assert waiting_queue.claim("w", 30, wait_seconds=5.0) is not None
+        assert time.monotonic() - started < 1.0
+
+    def test_a_retried_failure_wakes_a_waiting_claim(self, waiting_queue):
+        waiting_queue.submit(payloads(1))
+        task = waiting_queue.claim("first", 30)
+        join = _in_thread(waiting_queue.claim, "second", 30, 5.0)
+        time.sleep(0.2)
+        waiting_queue.fail(task.task_id, "first", "boom")
+        retried, seconds = join()
+        assert retried.task_id == task.task_id and retried.attempts == 2
+        assert seconds < 0.2 + 0.5
+
+    def test_close_wakes_a_waiting_claim_at_once(self, queue_path):
+        queue = SqliteQueue(queue_path)
+        join = _in_thread(queue.claim, "w", 30, 5.0)
+        time.sleep(0.2)
+        queue.close()
+        error, seconds = join()
+        assert isinstance(error, QueueError) and "closed" in str(error)
+        assert seconds < 0.2 + 0.5
+
+    def test_heartbeats_and_meta_writes_do_not_wake_it(
+        self, queue_path, monkeypatch
+    ):
+        queue = SqliteQueue(queue_path)
+        queue.submit(payloads(1))
+        running = queue.claim("busy", 30)
+        looks = []
+        claim_once = queue._claim_once
+
+        def counting(*args):
+            looks.append(time.monotonic())
+            return claim_once(*args)
+
+        monkeypatch.setattr(queue, "_claim_once", counting)
+        join = _in_thread(queue.claim, "idle", 30, 1.0)
+        for _ in range(10):
+            time.sleep(0.05)
+            assert queue.heartbeat(running.task_id, "busy", 30)
+            queue.set_meta("worker-metrics:busy", "{}")
+        assert queue.claim("another", 30) is None  # an empty claim either
+        assert join()[0] is None
+        # The first look and the one at the deadline; nothing in between.
+        assert len(looks) == 3  # the two above plus the empty claim's
+        queue.close()
+
+    def test_another_handles_submit_is_seen_when_the_wait_ends(self, queue_path):
+        waiter = SqliteQueue(queue_path)
+        writer = SqliteQueue(queue_path)
+        join = _in_thread(waiter.claim, "w", 30, 0.5)
+        time.sleep(0.1)
+        writer.submit(payloads(1))
+        task, seconds = join()
+        assert task is not None and 0.4 <= seconds < 3.0
+        waiter.close()
+        writer.close()
+
+    @pytest.mark.parametrize("wait", [-1, float("nan"), "soon", True])
+    def test_a_bad_wait_is_refused(self, waiting_queue, wait):
+        with pytest.raises(QueueError, match="wait_seconds"):
+            waiting_queue.claim("w", 30, wait_seconds=wait)
+
+
+class TestWaitFinished:
+    def test_finished_tasks_not_yet_known(self, any_queue):
+        ids = any_queue.submit(payloads(4))
+        claims = {worker: any_queue.claim(worker, 30) for worker in "abc"}
+        any_queue.complete(claims["a"].task_id, "a", {"by": "a"})
+        any_queue.fail(claims["b"].task_id, "b", "boom")  # pending again
+        any_queue.complete(claims["c"].task_id, "c", {"by": "c"})
+        any_queue.cancel_pending([ids[3]])
+        rows = any_queue.wait_finished(ids, [ids[0]], 0)
+        assert [(row.task_id, row.state) for row in rows] == [
+            (ids[2], TaskState.DONE), (ids[3], TaskState.CANCELLED),
+        ]
+        assert rows[0].result == {"by": "c"} and rows[1].result is None
+        assert rows[1].error == "cancelled"
+        assert any_queue.wait_finished(ids, ids, 0) == []
+
+    def test_a_complete_wakes_a_waiting_stream(self, waiting_queue):
+        ids = waiting_queue.submit(payloads(2))
+        task = waiting_queue.claim("w", 30)
+        join = _in_thread(waiting_queue.wait_finished, ids, [], 5.0)
+        time.sleep(0.2)
+        waiting_queue.complete(task.task_id, "w", {"answer": 42})
+        rows, seconds = join()
+        assert [(row.task_id, row.result) for row in rows] == [
+            (task.task_id, {"answer": 42})
+        ]
+        assert seconds < 0.2 + 0.5
+
+    @pytest.mark.parametrize("how", ["dead-letter", "cancel"])
+    def test_a_dead_letter_or_cancel_wakes_it(self, waiting_queue, how):
+        ids = waiting_queue.submit(payloads(2), max_attempts=1)
+        task = waiting_queue.claim("w", 30)
+        join = _in_thread(waiting_queue.wait_finished, ids, [], 5.0)
+        time.sleep(0.2)
+        if how == "dead-letter":
+            waiting_queue.fail(task.task_id, "w", "boom")
+            expected = (task.task_id, TaskState.DEAD)
+        else:
+            waiting_queue.cancel_pending(ids)
+            expected = (ids[1], TaskState.CANCELLED)
+        rows, seconds = join()
+        assert [(row.task_id, row.state) for row in rows] == [expected]
+        assert seconds < 0.2 + 0.5
+
+    def test_the_wait_ends_empty_handed(self, waiting_queue):
+        ids = waiting_queue.submit(payloads(1))
+        started = time.monotonic()
+        assert waiting_queue.wait_finished(ids, [], 0.3) == []
+        assert 0.3 <= time.monotonic() - started < 3.0
+
+    def test_nothing_left_to_wait_for_returns_at_once(self, waiting_queue):
+        ids = waiting_queue.submit(payloads(1))
+        started = time.monotonic()
+        assert waiting_queue.wait_finished(ids, ids, 5.0) == []
+        assert time.monotonic() - started < 1.0
+
+
+class TestWaitStress:
+    def test_no_wake_is_lost_among_many_waiters(self, queue_path):
+        """More waiting claimers than cores, one task at a time, thread
+        switches forced often: every task must be claimed exactly once
+        and soon, or a wake was lost between a waiter's look and its
+        wait."""
+        queue = SqliteQueue(queue_path)
+        claimed = []
+
+        def claimer(name):
+            while True:
+                try:
+                    task = queue.claim(name, 30, wait_seconds=5.0)
+                except QueueError:
+                    return  # closed: the test is over
+                if task is not None:
+                    claimed.append(task.task_id)
+                    queue.complete(task.task_id, name, {})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [
+            threading.Thread(target=claimer, args=(f"w{i}",), daemon=True)
+            for i in range(6)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for round_ in range(60):
+                time.sleep(0.002)  # let the claimers settle into waits
+                queue.submit(payloads(1))
+                deadline = time.monotonic() + 1.0
+                while queue.counts()["done"] < round_ + 1:
+                    assert time.monotonic() < deadline, f"round {round_} stalled"
+                    time.sleep(0.001)
+        finally:
+            sys.setswitchinterval(interval)
+            queue.close()
+            for thread in threads:
+                thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(claimed) == len(set(claimed)) == 60

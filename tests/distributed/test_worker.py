@@ -289,8 +289,8 @@ class TestGracefulShutdown:
             """Claim commits on the real queue; the 'signal' raises before
             the caller ever sees the task."""
 
-            def claim(self, worker_id, lease_seconds):
-                inner.claim(worker_id, lease_seconds)
+            def claim(self, worker_id, lease_seconds, wait_seconds=0.0):
+                inner.claim(worker_id, lease_seconds, wait_seconds)
                 raise WorkerShutdown(signal_module.SIGTERM)
 
             def __getattr__(self, name):
@@ -305,6 +305,37 @@ class TestGracefulShutdown:
         (pending,) = inner.tasks(TaskState.PENDING)
         assert pending.attempts == 1 and "signal" in pending.error
         assert inner.claim("survivor", lease_seconds=30) is not None
+
+    def test_shutdown_inside_complete_and_claim_fails_back_the_next_task(
+        self, tmp_path
+    ):
+        """The fused call commits a completion and a new lease; a signal
+        landing before the worker sees the new task must not leak it."""
+        import signal as signal_module
+
+        from repro.distributed import WorkerShutdown
+
+        inner = SqliteQueue(str(tmp_path / "queue.sqlite"), grace_seconds=0.0)
+        inner.submit([{"kind": "a"}, {"kind": "b"}], max_attempts=3)
+
+        class ShutdownInsideCompleteAndClaim:
+            def complete_and_claim(self, *args):
+                inner.complete_and_claim(*args)
+                raise WorkerShutdown(signal_module.SIGTERM)
+
+            def __getattr__(self, name):
+                return getattr(inner, name)
+
+        report = Worker(
+            ShutdownInsideCompleteAndClaim(), worker_id="w",
+            lease_seconds=300, poll_seconds=0.01,
+            executor=lambda payload: {"ok": True},
+        ).run()
+        assert report.interrupted == signal_module.SIGTERM
+        assert report.failed == 1
+        assert inner.counts()["done"] == 1
+        (pending,) = inner.tasks(TaskState.PENDING)
+        assert pending.payload == {"kind": "b"} and "signal" in pending.error
 
     def test_second_signal_does_not_interrupt_the_fail_back(self, tmp_path):
         """The installed handler raises once; later signals only confirm
@@ -324,6 +355,81 @@ class TestGracefulShutdown:
             os.kill(os.getpid(), signal_module.SIGTERM)
             time.sleep(0.01)
         assert worker._stop_event.is_set()
+
+
+class CallCounter:
+    """Forwards to a queue and counts the calls made through it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self.inner, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class TestOneCallPerTask:
+    """A finished task is reported and the next one claimed in one queue
+    call; an idle worker waits in its claim instead of sleeping."""
+
+    def test_each_completion_claims_the_next_task(self, tmp_path):
+        queue = CallCounter(SqliteQueue(str(tmp_path / "queue.sqlite")))
+        queue.inner.submit([{"kind": "t", "i": i} for i in range(3)])
+        report = Worker(
+            queue, worker_id="w", poll_seconds=0.01,
+            executor=lambda payload: {"ok": True},
+        ).run()
+        assert report.completed == 3
+        assert queue.calls.count("claim") == 1
+        assert queue.calls.count("complete_and_claim") == 3
+        assert "complete" not in queue.calls
+
+    def test_the_last_task_under_max_tasks_claims_nothing(self, tmp_path):
+        queue = CallCounter(SqliteQueue(str(tmp_path / "queue.sqlite")))
+        queue.inner.submit([{"kind": "t", "i": i} for i in range(3)])
+        report = Worker(
+            queue, worker_id="w", max_tasks=2, poll_seconds=0.01,
+            executor=lambda payload: {"ok": True},
+        ).run()
+        assert report.completed == 2
+        assert queue.calls.count("complete_and_claim") == 1
+        assert queue.calls.count("complete") == 1
+        assert queue.inner.counts() == {
+            "pending": 1, "running": 0, "done": 2, "dead": 0, "cancelled": 0,
+        }
+
+    def test_an_idle_worker_wakes_on_a_submit(self, tmp_path):
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
+        worker = Worker(
+            queue, worker_id="w", poll_seconds=2.0, exit_when_drained=False,
+            executor=lambda payload: {"ok": True},
+        )
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            time.sleep(0.3)  # the worker is waiting in its claim now
+            submitted = time.monotonic()
+            queue.submit([{"kind": "t"}])
+            while queue.counts()["done"] < 1:
+                assert time.monotonic() - submitted < 0.5
+                time.sleep(0.005)
+        finally:
+            worker.stop()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_a_worker_on_a_drained_queue_exits_without_waiting(self, tmp_path):
+        queue = SqliteQueue(str(tmp_path / "queue.sqlite"))
+        started = time.monotonic()
+        report = Worker(queue, worker_id="w", poll_seconds=5.0).run()
+        assert report.executed == 0
+        assert time.monotonic() - started < 2.0
 
 
 class TestMetricsPublish:

@@ -576,3 +576,100 @@ class TestLostResponseReplays:
             assert queue.get_meta("run") == "{\"name\": \"mine\"}"
         finally:
             queue.close()
+
+
+class TestWireVersion2:
+    """Waits, the fused complete-and-claim, and the version gate."""
+
+    def test_a_v1_broker_is_refused_up_front(self, monkeypatch, broker):
+        from repro.net import server as server_module
+
+        monkeypatch.setattr(server_module, "WIRE_VERSION", 1)
+        with pytest.raises(QueueError, match="wire version 1"):
+            open_queue(broker.url)
+
+    @pytest.mark.parametrize("op, args", [
+        ("claim", {"worker_id": "w", "lease_seconds": 30}),
+        ("wait_finished", {"task_ids": ["task-000000"], "known": []}),
+    ])
+    @pytest.mark.parametrize("wait", [-1, "soon", True, None])
+    def test_a_bad_wait_is_a_400(self, broker, op, args, wait):
+        status, document = raw_request(
+            broker, "POST", f"/queue/{op}",
+            body=json.dumps({**args, "wait_seconds": wait}).encode(),
+        )
+        assert status == 400
+        assert document["kind"] == "bad-request"
+        assert "wait_seconds" in document["error"]
+
+    def test_a_long_wait_is_clamped(self, broker, monkeypatch):
+        from repro.net import server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_WAIT_SECONDS", 0.2)
+        queue = HttpQueue(broker.url)
+        started = time.monotonic()
+        assert queue.claim("w", 30, wait_seconds=3600) is None
+        assert time.monotonic() - started < 3.0
+        queue.close()
+
+    def test_fused_ops_get_their_own_route_labels(self, broker):
+        queue = HttpQueue(broker.url)
+        queue.submit([{"kind": "t"}])
+        task = queue.claim("w", 30)
+        queue.complete_and_claim(task.task_id, "w", {}, 30)
+        queue.wait_finished([task.task_id], [], 0)
+        for route in ("/queue/complete_and_claim", "/queue/wait_finished"):
+            assert http_requests_total().value(
+                server="broker", route=route, status="200"
+            ) >= 1
+        queue.close()
+
+    def test_a_replayed_complete_and_claim_still_succeeds(self, broker):
+        queue = HttpQueue(broker.url, retries=3, backoff_seconds=0.01)
+        try:
+            queue.submit([{"kind": "t"}] * 3)
+            task = queue.claim("w", lease_seconds=30)
+            dropped = TestLostResponseReplays()._lossy(
+                queue, "/queue/complete_and_claim"
+            )
+            ok, following = queue.complete_and_claim(
+                task.task_id, "w", {"answer": 7}, 30
+            )
+            assert dropped, "the fault was never injected"
+            assert ok and following is not None
+            # The lost response's task stays leased until it expires.
+            assert queue.counts() == {
+                "pending": 0, "running": 2, "done": 1, "dead": 0,
+                "cancelled": 0,
+            }
+        finally:
+            queue.close()
+
+    def test_a_client_gone_mid_wait_is_not_a_server_error(
+        self, broker, monkeypatch
+    ):
+        """A worker stopped during a waiting claim leaves no traceback
+        behind: the late reply to a closed socket is dropped quietly."""
+        import socket
+
+        errors = []
+        monkeypatch.setattr(
+            broker._http, "handle_error",
+            lambda request, address: errors.append(address),
+        )
+        body = json.dumps({
+            "worker_id": "w", "lease_seconds": 30, "wait_seconds": 0.3,
+        }).encode()
+        client = socket.create_connection((broker.host, broker.port))
+        client.sendall(
+            b"POST /queue/claim HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+        )
+        client.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, b"\x01\x00\x00\x00\x00\x00\x00\x00"
+        )
+        client.close()  # a reset, as from a killed process
+        time.sleep(0.8)
+        assert errors == []
+        assert HttpQueue(broker.url).counts()["pending"] == 0  # still serving

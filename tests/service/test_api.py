@@ -6,6 +6,7 @@ job must make progress, a background :class:`Worker` thread drains the
 queue exactly as ``atcd dist worker`` would.
 """
 
+import http.client
 import json
 import os
 import signal
@@ -308,6 +309,119 @@ class TestJobLifecycle:
     def test_stream_of_unknown_job_is_404(self, server):
         status, _, doc = call(server, "/v1/jobs/nope/stream")
         assert status == 404
+
+
+class StreamReader:
+    """Reads one job's NDJSON stream on a thread, stamping each line with
+    the monotonic time it arrived."""
+
+    def __init__(self, service, job_id):
+        self.lines = []
+        connection = http.client.HTTPConnection(
+            service.host, service.port, timeout=60
+        )
+        connection.request(
+            "GET", f"/v1/jobs/{job_id}/stream",
+            headers={API_KEY_HEADER: ACME_KEY},
+        )
+        self.response = connection.getresponse()
+        assert self.response.status == 200
+        self.connection = connection
+        self.thread = threading.Thread(target=self._read, daemon=True)
+        self.thread.start()
+
+    def _read(self):
+        for line in self.response:
+            self.lines.append((time.monotonic(), json.loads(line)))
+
+    def await_lines(self, count, timeout=30.0):
+        deadline = time.monotonic() + timeout
+        while len(self.lines) < count and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert len(self.lines) >= count, self.lines
+        return self.lines[:count]
+
+    def close(self):
+        self.thread.join(timeout=30)
+        self.connection.close()
+
+
+@pytest.fixture
+def brokered(tmp_path):
+    """A service whose queue is a broker URL, with a 5 s wait bound: a
+    result arriving much sooner than 5 s after its complete was woken,
+    not polled."""
+    from repro.net import BrokerServer, HttpQueue
+
+    broker = BrokerServer(queue_path=str(tmp_path / "broker.queue"))
+    broker.start()
+    registry = TenantRegistry([Tenant(name="acme", key=ACME_KEY)])
+    service = ServiceServer(HttpQueue(broker.url), registry, poll_seconds=5.0)
+    service.start()
+    fleet = HttpQueue(broker.url)
+    yield service, fleet
+    fleet.close()
+    service.close()
+    broker.close()
+
+
+class TestStreamWakes:
+    def test_each_result_arrives_soon_after_its_complete(self, brokered):
+        service, fleet = brokered
+        _, _, doc = submit(service, requests=[
+            {"problem": "dgc", "budget": budget} for budget in (1.0, 2.0, 3.0)
+        ])
+        stream = StreamReader(service, doc["job"]["job_id"])
+        time.sleep(0.3)  # the stream is waiting now
+        for count in (1, 2, 3):
+            task = fleet.claim("w", 30)
+            completed = time.monotonic()
+            assert fleet.complete(task.task_id, "w", {"value": count})
+            arrived, line = stream.await_lines(count)[-1]
+            assert line == {
+                "event": "result", "index": count - 1,
+                "result": {"value": count},
+            }
+            assert arrived - completed < 1.0
+        arrived, end = stream.await_lines(4)[-1]
+        assert end["event"] == "end" and end["state"] == "done"
+        assert arrived - completed < 1.0
+        stream.close()
+
+    def test_a_cancelled_job_ends_its_stream(self, brokered):
+        service, fleet = brokered
+        _, _, doc = submit(service)
+        job_id = doc["job"]["job_id"]
+        stream = StreamReader(service, job_id)
+        time.sleep(0.3)
+        cancelled = time.monotonic()
+        status, _, _ = call(service, f"/v1/jobs/{job_id}/cancel", method="POST")
+        assert status == 200
+        arrived, end = stream.await_lines(1)[-1]
+        assert end["event"] == "end" and end["state"] == "cancelled"
+        assert arrived - cancelled < 2.0
+        stream.close()
+
+    def test_a_wake_reads_no_payloads(self, tmp_path):
+        """The job is read whole at the start and once all of it finished;
+        the completions in between arrive through wait_finished."""
+        queue = CountingQueue(SqliteQueue(str(tmp_path / "api.queue")))
+        registry = TenantRegistry([Tenant(name="acme", key=ACME_KEY)])
+        with ServiceServer(queue, registry, poll_seconds=5.0) as service:
+            service.start()
+            _, _, doc = submit(service, requests=[
+                {"problem": "dgc", "budget": budget} for budget in (1.0, 2.0, 3.0)
+            ])
+            queue.calls.clear()
+            stream = StreamReader(service, doc["job"]["job_id"])
+            time.sleep(0.3)
+            Worker(queue.inner, worker_id="w", poll_seconds=0.01).run()
+            lines = [line for _, line in stream.await_lines(4)]
+            stream.close()
+        assert [line["event"] for line in lines] == ["result"] * 3 + ["end"]
+        assert [call[0] for call in queue.calls if call[0] == "tasks"] == [
+            "tasks", "tasks",
+        ]
 
 
 class TestTenancyOverHttp:
