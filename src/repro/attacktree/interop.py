@@ -19,17 +19,19 @@ Node attributes used on the networkx side:
     Present when the converted object carried the corresponding decoration.
 
 Edges point from parent (gate) to child, matching the paper's edge set ``E``.
+networkx is imported on the first conversion, not with this module.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
-import networkx as nx
+from typing import TYPE_CHECKING, Optional, Union
 
 from .attributes import CostDamageAT, CostDamageProbAT
 from .node import Node, NodeType
 from .tree import AttackTree, AttackTreeError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["to_networkx", "from_networkx"]
 
@@ -41,6 +43,8 @@ def to_networkx(model: Decorated) -> nx.DiGraph:
 
     The graph carries ``graph["root"]`` so the conversion round-trips.
     """
+    import networkx as nx
+
     if isinstance(model, (CostDamageAT, CostDamageProbAT)):
         tree = model.tree
         cost = model.cost

@@ -63,6 +63,7 @@ class AttackTree:
         "_bas_names",
         "_is_treelike",
         "_descendants_cache",
+        "_plan_cache",
     )
 
     def __init__(self, nodes: Iterable[Node], root: Optional[str] = None) -> None:
@@ -88,6 +89,9 @@ class AttackTree:
         self._root = self._resolve_root(root)
         self._topological_order = self._compute_topological_order()
         self._descendants_cache: Dict[str, FrozenSet[str]] = {}
+        # Bottom-up fold plans by target node, filled by repro.core.bottom_up:
+        # the tree never changes, so a plan built once serves every solve.
+        self._plan_cache: Dict[str, object] = {}
         self._check_reachability()
         self._bas_names: FrozenSet[str] = frozenset(
             name for name, node in self._nodes.items() if node.is_bas

@@ -334,10 +334,20 @@ class _Plan:
             self.width = max(self.width, width)
 
 
+def _plan(tree: AttackTree, target: str) -> _Plan:
+    """``target``'s fold plan, built once per tree: one request asks for
+    it up to three times (backend resolution, the result's extras and the
+    fold itself)."""
+    plan = tree._plan_cache.get(target)
+    if plan is None:
+        plan = tree._plan_cache[target] = _Plan(tree, target)
+    return plan
+
+
 def label_width(tree: AttackTree) -> Tuple[int, int]:
     """``(shared nodes, w)``: the labels and the frontier width of the
     labelled bottom-up fold of ``tree``; ``(0, 0)`` on a treelike AT."""
-    plan = _Plan(tree, tree.root)
+    plan = _plan(tree, tree.root)
     return len(plan.labels), plan.width
 
 
@@ -419,7 +429,7 @@ class _Kernel(Generic[F]):
         ``i`` is ``names[i]``).  Every label below a DAG's root closes by
         the root, so the root's front is its empty-assignment class."""
         tree = self.model.tree
-        plan = _Plan(tree, target)
+        plan = _plan(tree, target)
         labels = plan.labels
         # name -> (front, bas_names, fingerprint id)
         done: Dict[str, Tuple[_Labelled[F], Tuple[str, ...], int]] = {}

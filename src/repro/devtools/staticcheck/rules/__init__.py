@@ -15,6 +15,7 @@ from ..engine import Rule, StaticCheckError
 from .broad_except import BroadExceptRule
 from .cli_exits import CliExitRule
 from .determinism import DeterminismRule
+from .imports import DeferredImportRule
 from .locks import LockRule
 from .metrics_catalog import MetricsCatalogRule
 from .transactions import TransactionRule
@@ -26,6 +27,7 @@ __all__ = [
     "select_rules",
     "BroadExceptRule",
     "CliExitRule",
+    "DeferredImportRule",
     "DeterminismRule",
     "LockRule",
     "MetricsCatalogRule",
@@ -39,6 +41,7 @@ ALL_RULES: Sequence[Type[Rule]] = (
     LockRule,
     CliExitRule,
     BroadExceptRule,
+    DeferredImportRule,
 )
 
 

@@ -182,6 +182,12 @@ class BaseBackend:
         """
         return None
 
+    def prepare(self) -> None:
+        """Load what :meth:`solve` needs and is slow to import, once per
+        process.  :meth:`~repro.engine.registry.BackendRegistry.resolve`
+        calls it on the backend it returns, so the import is never timed
+        as part of a solve."""
+
     def solve(self, model: Model, request: "AnalysisRequest") -> BackendOutput:
         try:
             handler = self.handlers[request.problem]

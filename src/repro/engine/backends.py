@@ -20,6 +20,7 @@ from typing import Dict, List, Optional
 
 from ..core import bilp, bottom_up, bottom_up_prob, enumerative
 from ..core.problems import Problem
+from ..milp import highs
 from .backend import (
     BackendOutput,
     BaseBackend,
@@ -177,6 +178,9 @@ class BilpBackend(BaseBackend):
 
     def cell_label(self, shape: Shape, setting: Setting) -> str:
         return "BILP (Theorem 6)"
+
+    def prepare(self) -> None:
+        highs.load()
 
     def _cdpf(self, model: Model, request: AnalysisRequest) -> BackendOutput:
         return BackendOutput(front=bilp.pareto_front_bilp(as_deterministic(model)))

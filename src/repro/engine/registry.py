@@ -142,7 +142,9 @@ class BackendRegistry:
         that does not decline the request (see ``BaseBackend.declines``).
         With a name, that backend is returned after checking it covers the
         cell (backends can veto with a domain-specific message, e.g. "CEDPF
-        has no BILP formulation").
+        has no BILP formulation").  Either way the returned backend has
+        already loaded what its solve imports, so a caller's solve timer
+        never counts a one-time import.
         """
         shape = model_shape(model)
         setting = problem_setting(problem)
@@ -162,7 +164,7 @@ class BackendRegistry:
                         "models"
                     )
                 raise CapabilityError(reason)
-            return chosen
+            return _prepared(chosen)
         found = self.candidates(problem, shape, setting)
         if not found:
             raise CapabilityError(
@@ -174,7 +176,7 @@ class BackendRegistry:
             declines = getattr(candidate, "declines", None)
             reason = None if declines is None else declines(model, problem)
             if reason is None:
-                return candidate
+                return _prepared(candidate)
             reasons.append(f"{candidate.name}: {reason}")
         raise CapabilityError(
             f"every backend covering problem {problem.value!r} on "
@@ -220,6 +222,15 @@ class BackendRegistry:
                 f"problems={','.join(problems)} shapes={','.join(shapes)}"
             )
         return "\n".join(lines)
+
+
+def _prepared(backend: SolverBackend) -> SolverBackend:
+    """``backend``, after its optional ``prepare`` hook loaded what its
+    solve imports (see ``BaseBackend.prepare``)."""
+    prepare = getattr(backend, "prepare", None)
+    if prepare is not None:
+        prepare()
+    return backend
 
 
 def cell_label(backend: SolverBackend, shape: Shape, setting: Setting) -> str:

@@ -15,12 +15,23 @@ import sys
 import threading
 from typing import Iterator, Optional
 
-from scipy.optimize import Bounds, LinearConstraint, milp as _scipy_milp
-
 from .model import IntegerProgram, Objective
 from .solution import MilpSolution, SolveStatus
 
 __all__ = ["HighsSolver"]
+
+
+def load() -> None:
+    """Import SciPy's HiGHS stack now, if this process has not yet.
+
+    ``scipy.optimize`` takes ~0.8 s and ~65 MB to import, and most
+    processes never solve an ILP, so nothing imports it at module level.
+    The engine calls this when a request resolves to ``bilp``, so the
+    one-time import never counts as solve time; :meth:`HighsSolver.solve`
+    imports what it uses itself.  After the first call it is a
+    module-cache lookup.
+    """
+    import scipy.optimize  # noqa: F401 - imported for its side effect
 
 
 # The fd redirect below is process-global state, so overlapping solves
@@ -90,6 +101,10 @@ class HighsSolver:
         """Solve the program (or one chosen objective of it) to optimality."""
         if objective is None:
             objective = program.objective
+        # Imported before the stdout gag opens, so that only the solve is
+        # silenced (the first import in a process takes ~0.8 s).
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
         c, a_ub, b_ub, lower, upper, integrality = program.dense_arrays(objective)
 
         constraints = []
@@ -97,7 +112,7 @@ class HighsSolver:
             constraints.append(LinearConstraint(a_ub, ub=b_ub))
 
         with _native_stdout_to_devnull():
-            result = _scipy_milp(
+            result = milp(
                 c=c,
                 constraints=constraints,
                 bounds=Bounds(lb=lower, ub=upper),

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "VariableKind",
@@ -351,6 +352,8 @@ class IntegerProgram:
         ``≤`` rows.  The constant term of the objective is dropped (callers
         re-add it when reporting objective values).
         """
+        import numpy as np
+
         if objective is None:
             objective = self.objective
         order = self.variable_order

@@ -14,7 +14,10 @@ Transport behaviour, shared by both clients:
   per calling thread (the worker's main loop and its lease-keeper thread
   must not serialize on a socket), re-established transparently when the
   server closes it (as it does with a socket left idle past
-  :data:`repro.net.edge.SOCKET_TIMEOUT_SECONDS`).
+  :data:`repro.net.edge.SOCKET_TIMEOUT_SECONDS`).  A thread's connection
+  closes when the thread ends or when the client is closed, whichever
+  comes first, so a server whose handler threads call a broker does not
+  collect open sockets.
 * **Retry with backoff** — connection-level failures (refused, reset,
   timed out) are retried with exponential backoff, so a fleet rides out
   a broker restart instead of dead-lettering its tasks.  HTTP *error
@@ -39,7 +42,7 @@ import time
 import urllib.parse
 import uuid
 from typing import (
-    Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple, Type,
+    Any, Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple, Type,
 )
 
 from ..distributed.queue import (
@@ -61,6 +64,40 @@ from .wire import (
 )
 
 __all__ = ["HttpQueue", "HttpStore"]
+
+
+def _close_quietly(connection: http.client.HTTPConnection) -> None:
+    try:
+        connection.close()
+    # staticcheck: allow-broad-except(already tearing down; a close failure has nothing left to corrupt)
+    except Exception:  # noqa: BLE001 — already tearing down
+        pass
+
+
+class _ThreadConnection:
+    """One thread's connection, held in the transport's thread-local.
+
+    When the thread ends its locals are freed, and so is this holder,
+    which closes the connection; :meth:`_Transport.close` closes it first
+    if the client is closed while the thread still runs.
+    """
+
+    __slots__ = ("connection", "_open")
+
+    def __init__(
+        self,
+        connection: http.client.HTTPConnection,
+        open_connections: Set[http.client.HTTPConnection],
+    ) -> None:
+        self.connection = connection
+        self._open = open_connections
+        open_connections.add(connection)
+
+    def close(self) -> None:
+        self._open.discard(self.connection)
+        _close_quietly(self.connection)
+
+    __del__ = close
 
 
 class _Transport:
@@ -94,34 +131,39 @@ class _Transport:
         self._backoff = backoff_seconds
         self._sleep = sleep
         self._local = threading.local()
+        # The connections of every thread, so that close() reaches them all.
+        self._open: Set[http.client.HTTPConnection] = set()
 
     # ------------------------------------------------------------------ #
     # connection management
     # ------------------------------------------------------------------ #
     def _connection(self) -> http.client.HTTPConnection:
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
+        held = getattr(self._local, "held", None)
+        # A connection close() took from this thread is not reused: a
+        # request on it would open a socket nothing tracks.
+        if held is None or held.connection not in self._open:
             factory = (
                 http.client.HTTPSConnection
                 if self._scheme == "https"
                 else http.client.HTTPConnection
             )
-            connection = factory(self._host, self._port, timeout=self._timeout)
-            self._local.connection = connection
-        return connection
+            held = _ThreadConnection(
+                factory(self._host, self._port, timeout=self._timeout), self._open
+            )
+            self._local.held = held
+        return held.connection
 
     def _drop_connection(self) -> None:
-        connection = getattr(self._local, "connection", None)
-        if connection is not None:
-            try:
-                connection.close()
-            # staticcheck: allow-broad-except(already tearing down; a close failure has nothing left to corrupt)
-            except Exception:  # noqa: BLE001 — already tearing down
-                pass
-            self._local.connection = None
+        held = getattr(self._local, "held", None)
+        if held is not None:
+            held.close()
+            self._local.held = None
 
     def close(self) -> None:
-        self._drop_connection()
+        """Close the connections of every thread, not only the caller's."""
+        for connection in list(self._open):
+            self._open.discard(connection)
+            _close_quietly(connection)
 
     # ------------------------------------------------------------------ #
     # requests

@@ -263,6 +263,19 @@ class TestLabels:
         ))
         assert label_width(case.model.tree) == (11, 3)
 
+    @pytest.mark.parametrize("problem, bound", [
+        (Problem.CDPF, {}), (Problem.DGC, {"budget": 4}), (Problem.CGD, {"threshold": 12}),
+    ])
+    def test_one_plan_per_request(self, problem, bound):
+        # Backend resolution, the result's extras and the fold share the
+        # plan cached on the tree.
+        model = nested_shared_gates()
+        with mock.patch.object(bottom_up, "_Plan", wraps=_Plan) as plan:
+            result = run_request(model, AnalysisRequest(problem, **bound))
+        assert result.backend == "bottom-up"
+        assert result.extras == {"shared_nodes": 3, "width": 3}
+        assert plan.call_count == 1
+
 
 class TestDiamondChains:
     def test_short_chain_is_exact(self):

@@ -78,7 +78,7 @@ class TestJsonOutput:
         assert main(["check", str(kernel_dir), "--json"]) == 1
         document = json.loads(capsys.readouterr().out)
         assert document["files_checked"] == 1
-        assert len(document["rules_run"]) == 6
+        assert len(document["rules_run"]) == 7
         assert document["grandfathered"] == 0
         (finding,) = document["findings"]
         assert finding["rule"] == "DET001"

@@ -19,6 +19,7 @@ from repro.devtools.staticcheck import (
 from repro.devtools.staticcheck.rules import (
     BroadExceptRule,
     CliExitRule,
+    DeferredImportRule,
     DeterminismRule,
     LockRule,
     MetricsCatalogRule,
@@ -368,6 +369,62 @@ class TestBroadExcept:
 
 
 # --------------------------------------------------------------------- #
+# IMP001
+# --------------------------------------------------------------------- #
+class TestDeferredImports:
+    def test_module_level_imports_flagged(self):
+        bad = SourceModule("repro/milp/bad.py", (
+            "import numpy as np\n"
+            "import scipy.optimize\n"
+            "from networkx import DiGraph\n"
+            "try:\n"
+            "    import numpy\n"
+            "except ImportError:\n"
+            "    numpy = None\n"
+            "class Solver:\n"
+            "    from scipy.optimize import milp\n"
+            "if not TYPE_CHECKING:\n"
+            "    import networkx\n"
+        ))
+        found = findings_of(DeferredImportRule(), bad)
+        assert all(f.rule == "IMP001" for f in found)
+        assert [f.line for f in found] == [1, 2, 3, 5, 9, 11]
+
+    def test_function_and_type_checking_imports_stay_clean(self):
+        good = SourceModule("repro/milp/good.py", (
+            "from typing import TYPE_CHECKING\n"
+            "import typing\n"
+            "import numbers\n"
+            "if TYPE_CHECKING:\n"
+            "    import numpy as np\n"
+            "if typing.TYPE_CHECKING:\n"
+            "    from networkx import DiGraph\n"
+            "def solve() -> 'np.ndarray':\n"
+            "    from scipy.optimize import milp\n"
+            "    return milp\n"
+            "class Solver:\n"
+            "    def run(self):\n"
+            "        import numpy\n"
+            "        return numpy\n"
+        ))
+        assert findings_of(DeferredImportRule(), good) == []
+
+    def test_else_branch_of_type_checking_is_module_level(self):
+        bad = SourceModule("repro/anywhere.py", (
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n"
+            "    pass\n"
+            "else:\n"
+            "    import numpy\n"
+        ))
+        assert [f.line for f in findings_of(DeferredImportRule(), bad)] == [5]
+
+    def test_modules_outside_the_package_out_of_scope(self):
+        elsewhere = SourceModule("benchmarks/plot.py", "import numpy\n")
+        assert findings_of(DeferredImportRule(), elsewhere) == []
+
+
+# --------------------------------------------------------------------- #
 # engine behaviors
 # --------------------------------------------------------------------- #
 class TestEngine:
@@ -389,10 +446,11 @@ class TestEngine:
         with pytest.raises(StaticCheckError, match="unknown rule"):
             select_rules(["NOPE999"])
 
-    def test_default_rules_cover_all_six(self):
+    def test_default_rules_cover_all_seven(self):
         ids = {rule.rule_id for rule in default_rules()}
         assert ids == {
             "DET001", "MET001", "TXN001", "LCK001", "CLI001", "EXC001",
+            "IMP001",
         }
 
     def test_baseline_grandfathers_and_reports_stale(self):

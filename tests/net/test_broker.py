@@ -530,6 +530,56 @@ class TestKeepAliveHygiene:
                 store.close()
 
 
+def _thread_socket(queue, opened):
+    """One call on the calling thread; record the socket it went out on."""
+    queue.counts()
+    opened.append(queue._transport._local.held.connection.sock)
+
+
+class TestConnectionLifetime:
+    """A client's connection per thread closes when its thread ends or
+    when the client closes, whichever comes first."""
+
+    def test_close_closes_connections_opened_on_other_threads(self, broker):
+        queue = HttpQueue(broker.url)
+        opened = []
+        ready = threading.Barrier(3, timeout=10)
+        release = threading.Event()
+
+        def call_and_stay():
+            _thread_socket(queue, opened)
+            ready.wait()
+            release.wait(10)
+
+        threads = [threading.Thread(target=call_and_stay) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        try:
+            ready.wait()
+            _thread_socket(queue, opened)
+            assert len({id(sock) for sock in opened}) == 3
+            assert all(sock.fileno() != -1 for sock in opened)
+            queue.close()
+            assert all(sock.fileno() == -1 for sock in opened)
+        finally:
+            release.set()
+            for thread in threads:
+                thread.join(10)
+        # A thread calling again after the close reconnects.
+        assert queue.counts()["pending"] == 0
+        queue.close()
+
+    def test_a_thread_connection_closes_when_the_thread_ends(self, broker):
+        queue = HttpQueue(broker.url)
+        opened = []
+        thread = threading.Thread(target=_thread_socket, args=(queue, opened))
+        thread.start()
+        thread.join(10)
+        assert opened[0].fileno() == -1
+        assert not queue._transport._open
+        queue.close()
+
+
 class TestLostResponseReplays:
     """Transport-level: the server commits, the reply dies, the client
     retries — the caller must still see the truthful outcome."""
