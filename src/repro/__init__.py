@@ -40,66 +40,41 @@ registry follows Table I.  :mod:`repro.core.analysis` reads critical BASs,
 the damage/budget curve and a plain-text report off a session's fronts.
 """
 
-from .attacktree import (
-    AttackTree,
-    AttackTreeBuilder,
-    AttackTreeError,
-    CostDamageAT,
-    CostDamageProbAT,
-    Node,
-    NodeType,
-)
-from .attacktree import catalog
-from .core import (
-    BudgetDamagePoint,
-    Problem,
-    attack_cost,
-    attack_damage,
-    capability_matrix,
-)
-from .engine import (
-    AnalysisRequest,
-    AnalysisResult,
-    AnalysisSession,
-    BackendRegistry,
-    Capability,
-    Setting,
-    Shape,
-    SolverBackend,
-    default_registry,
-    model_fingerprint,
-    shared_registry,
-)
-from .pareto import ParetoFront, ParetoPoint
+from ._lazy import lazy_exports
 
 __version__ = "6.0.0"
 
-__all__ = [
-    "AnalysisRequest",
-    "AnalysisResult",
-    "AnalysisSession",
-    "AttackTree",
-    "AttackTreeBuilder",
-    "AttackTreeError",
-    "BackendRegistry",
-    "BudgetDamagePoint",
-    "Capability",
-    "CostDamageAT",
-    "CostDamageProbAT",
-    "Node",
-    "NodeType",
-    "ParetoFront",
-    "ParetoPoint",
-    "Problem",
-    "Setting",
-    "Shape",
-    "SolverBackend",
-    "attack_cost",
-    "attack_damage",
-    "capability_matrix",
-    "catalog",
-    "default_registry",
-    "model_fingerprint",
-    "shared_registry",
-    "__version__",
-]
+#: Public name -> defining module; each loads on first access, so
+#: ``import repro`` loads no subpackage.
+_EXPORTS = {
+    "AnalysisRequest": "engine.requests",
+    "AnalysisResult": "engine.requests",
+    "AnalysisSession": "engine.session",
+    "AttackTree": "attacktree.tree",
+    "AttackTreeBuilder": "attacktree.builder",
+    "AttackTreeError": "attacktree.tree",
+    "BackendRegistry": "engine.registry",
+    "BudgetDamagePoint": "core.analysis",
+    "Capability": "engine.backend",
+    "CostDamageAT": "attacktree.attributes",
+    "CostDamageProbAT": "attacktree.attributes",
+    "Node": "attacktree.node",
+    "NodeType": "attacktree.node",
+    "ParetoFront": "pareto.front",
+    "ParetoPoint": "pareto.front",
+    "Problem": "core.problems",
+    "Setting": "engine.backend",
+    "Shape": "engine.backend",
+    "SolverBackend": "engine.backend",
+    "attack_cost": "core.semantics",
+    "attack_damage": "core.semantics",
+    "capability_matrix": "core.problems",
+    "catalog": "attacktree.catalog",
+    "default_registry": "engine.registry",
+    "model_fingerprint": "engine.session",
+    "shared_registry": "engine.registry",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = [*_EXPORTS, "__version__"]

@@ -8,40 +8,32 @@ trees from the literature, and the random-AT generator used in the
 evaluation.
 """
 
-from .attributes import (
-    AttributeError_,
-    CostDamageAT,
-    CostDamageProbAT,
-    validate_cost_map,
-    validate_damage_map,
-    validate_probability_map,
-)
-from .binarize import binarize_cd, binarize_cdp, binarize_tree, is_binary
-from .builder import AttackTreeBuilder
-from .node import Node, NodeType
-from .tree import AttackTree, AttackTreeError
-from . import catalog, interop, metrics, random_gen, serialization, transform
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AttackTree",
-    "AttackTreeError",
-    "AttackTreeBuilder",
-    "AttributeError_",
-    "CostDamageAT",
-    "CostDamageProbAT",
-    "Node",
-    "NodeType",
-    "binarize_cd",
-    "binarize_cdp",
-    "binarize_tree",
-    "is_binary",
-    "catalog",
-    "interop",
-    "metrics",
-    "random_gen",
-    "serialization",
-    "transform",
-    "validate_cost_map",
-    "validate_damage_map",
-    "validate_probability_map",
-]
+_EXPORTS = {
+    "AttackTree": "tree",
+    "AttackTreeError": "tree",
+    "AttackTreeBuilder": "builder",
+    "AttributeError_": "attributes",
+    "CostDamageAT": "attributes",
+    "CostDamageProbAT": "attributes",
+    "Node": "node",
+    "NodeType": "node",
+    "binarize_cd": "binarize",
+    "binarize_cdp": "binarize",
+    "binarize_tree": "binarize",
+    "is_binary": "binarize",
+    "catalog": "catalog",
+    "interop": "interop",
+    "metrics": "metrics",
+    "random_gen": "random_gen",
+    "serialization": "serialization",
+    "transform": "transform",
+    "validate_cost_map": "attributes",
+    "validate_damage_map": "attributes",
+    "validate_probability_map": "attributes",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -17,17 +17,18 @@ Typical use (the CLI's ``atcd bench`` wraps exactly this)::
     write_artifact(build_artifact("smoke", specs, runs), "BENCH_smoke.json")
 """
 
+from .._lazy import lazy_exports
+
 # The timing primitives are stdlib-only and imported eagerly — also
 # resolving the name collision between the ``measure`` submodule and the
 # ``measure`` function in the package namespace.
 from .measure import TimingSample, measure, timed
 
-#: Remaining public names re-exported lazily (PEP 562, the same pattern as
-#: ``repro.engine``): importing ``repro.bench.measure`` — which the
-#: experiments do for their timing primitives — must not drag in the
-#: harness, artifact and profile stacks (and with them the whole workload
-#: generator).  Submodules load on first attribute access.
-_LAZY_EXPORTS = {
+#: Remaining public names load on first access: importing
+#: ``repro.bench.measure`` — which the experiments do for their timing
+#: primitives — must not drag in the harness, artifact and profile stacks
+#: (and with them the whole workload generator).
+_EXPORTS = {
     # harness
     "BenchRun": "harness",
     "build_request": "harness",
@@ -52,18 +53,6 @@ _LAZY_EXPORTS = {
     "profile_names": "profiles",
 }
 
-__all__ = sorted(set(_LAZY_EXPORTS) | {"TimingSample", "measure", "timed"})
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
-
-def __getattr__(name):
-    try:
-        module_name = _LAZY_EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    from importlib import import_module
-
-    return getattr(import_module(f".{module_name}", __name__), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))
+__all__ = sorted([*_EXPORTS, "TimingSample", "measure", "timed"])

@@ -88,24 +88,23 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .attacktree import catalog, serialization
-from .attacktree.attributes import CostDamageAT, CostDamageProbAT
-from .devtools.staticcheck import DEFAULT_BASELINE_NAME
-from .core import analysis
-from .core.problems import Problem
-from .engine import AnalysisRequest, AnalysisSession, shared_registry
-from .engine.store import open_store
-from .experiments import casestudies
-from .experiments.report import format_pareto_front
+# Every handler imports the modules it runs: a broker, API or worker
+# process must not load the solver kernels, the experiments or the
+# static analyzer to parse its arguments.
 
 __all__ = ["main", "build_parser"]
 
+#: ``atcd catalog`` name -> model function in :mod:`repro.attacktree.catalog`.
 _CATALOG = {
-    "factory": catalog.factory,
-    "factory-probabilistic": catalog.factory_probabilistic,
-    "panda-iot": catalog.panda_iot,
-    "data-server": catalog.data_server,
+    "factory": "factory",
+    "factory-probabilistic": "factory_probabilistic",
+    "panda-iot": "panda_iot",
+    "data-server": "data_server",
 }
+
+#: ``staticcheck.DEFAULT_BASELINE_NAME``, spelled out so that building the
+#: parser does not import the analyzer.
+_DEFAULT_BASELINE_NAME = "staticcheck-baseline.json"
 
 #: Subcommands whose ValueError/TypeError failures are user errors (bad
 #: backend name, uncovered cell, missing parameter, malformed request,
@@ -494,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--baseline", metavar="FILE",
         help="baseline of grandfathered findings to subtract "
-             f"(default: {DEFAULT_BASELINE_NAME} in the working "
+             f"(default: {_DEFAULT_BASELINE_NAME} in the working "
              "directory, when present)",
     )
     check.add_argument(
@@ -505,24 +504,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_model(path: str):
+def _open_session(path: str, store=None):
+    """An :class:`AnalysisSession` on the decorated model at ``path``."""
+    from .attacktree import serialization
+    from .attacktree.attributes import CostDamageAT, CostDamageProbAT
+    from .engine import AnalysisSession
+
     model = serialization.load_json(path)
     if not isinstance(model, (CostDamageAT, CostDamageProbAT)):
         # ValueError lands in main()'s user-error net: one line, exit 2.
         raise ValueError(
             f"{path} describes a bare attack tree without cost/damage decorations"
         )
-    return model
+    return AnalysisSession(model, store=store)
 
 
 def _command_analyze(args: argparse.Namespace) -> int:
-    session = AnalysisSession(_load_model(args.model))
+    from .core import analysis
+
+    session = _open_session(args.model)
     print(analysis.report(session, probabilistic=args.probabilistic))
     return 0
 
 
 def _command_pareto(args: argparse.Namespace) -> int:
-    session = AnalysisSession(_load_model(args.model))
+    from .core.problems import Problem
+    from .engine import AnalysisRequest
+    from .experiments.report import format_pareto_front
+
+    session = _open_session(args.model)
     problem = Problem.CEDPF if args.probabilistic else Problem.CDPF
     result = session.run(AnalysisRequest(problem, backend=args.backend))
     print(format_pareto_front(result.front))
@@ -536,7 +546,10 @@ def _command_pareto(args: argparse.Namespace) -> int:
 
 
 def _command_dgc(args: argparse.Namespace) -> int:
-    session = AnalysisSession(_load_model(args.model))
+    from .core.problems import Problem
+    from .engine import AnalysisRequest
+
+    session = _open_session(args.model)
     problem = Problem.EDGC if args.probabilistic else Problem.DGC
     result = session.run(
         AnalysisRequest(problem, budget=args.budget, backend=args.backend)
@@ -549,7 +562,10 @@ def _command_dgc(args: argparse.Namespace) -> int:
 
 
 def _command_cgd(args: argparse.Namespace) -> int:
-    session = AnalysisSession(_load_model(args.model))
+    from .core.problems import Problem
+    from .engine import AnalysisRequest
+
+    session = _open_session(args.model)
     problem = Problem.CGED if args.probabilistic else Problem.CGD
     result = session.run(
         AnalysisRequest(problem, threshold=args.threshold, backend=args.backend)
@@ -564,6 +580,8 @@ def _command_cgd(args: argparse.Namespace) -> int:
 
 
 def _command_batch(args: argparse.Namespace) -> int:
+    from .engine.store import open_store
+
     store = open_store(args.store) if args.store else None
     try:
         return _run_batch_command(args, store)
@@ -573,7 +591,9 @@ def _command_batch(args: argparse.Namespace) -> int:
 
 
 def _run_batch_command(args: argparse.Namespace, store) -> int:
-    session = AnalysisSession(_load_model(args.model), store=store)
+    from .engine import AnalysisRequest
+
+    session = _open_session(args.model, store=store)
     with open(args.requests, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, list):
@@ -717,6 +737,8 @@ def _print_artifact_summary(artifact: dict, out: str) -> None:
 
 
 def _command_store(args: argparse.Namespace) -> int:
+    from .engine.store import open_store
+
     # Inspection must not conjure an empty store out of a typo'd path.
     with open_store(args.path, must_exist=True) as store:
         if args.store_command == "stats":
@@ -824,6 +846,7 @@ def _dist_submit(args: argparse.Namespace) -> int:
 def _dist_worker(args: argparse.Namespace) -> int:
     from .bench.measure import frozen_heap
     from .distributed import Worker, open_queue, signal_shutdown
+    from .engine.store import open_store
 
     store = None
     close_trace = _open_trace_output(args.trace_out)
@@ -1198,6 +1221,8 @@ def _command_obs(args: argparse.Namespace) -> int:
 
 
 def _command_backends(args: argparse.Namespace) -> int:
+    from .engine import shared_registry
+
     registry = shared_registry()
     print(registry.describe())
     print()
@@ -1208,7 +1233,9 @@ def _command_backends(args: argparse.Namespace) -> int:
 
 
 def _command_catalog(args: argparse.Namespace) -> int:
-    model = _CATALOG[args.name]()
+    from .attacktree import catalog, serialization
+
+    model = getattr(catalog, _CATALOG[args.name])()
     text = serialization.to_json(model)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -1220,6 +1247,8 @@ def _command_catalog(args: argparse.Namespace) -> int:
 
 
 def _command_experiments(args: argparse.Namespace) -> int:
+    from .experiments import casestudies
+
     results = casestudies.run_all_case_studies()
     all_match = True
     for result in results.values():
@@ -1253,8 +1282,8 @@ def _command_check(args: argparse.Namespace) -> int:
         return 0
 
     baseline_path = args.baseline
-    if baseline_path is None and os.path.exists(DEFAULT_BASELINE_NAME):
-        baseline_path = DEFAULT_BASELINE_NAME
+    if baseline_path is None and os.path.exists(staticcheck.DEFAULT_BASELINE_NAME):
+        baseline_path = staticcheck.DEFAULT_BASELINE_NAME
     grandfathered = 0
     stale: list = []
     findings = report.findings

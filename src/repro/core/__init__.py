@@ -26,26 +26,21 @@ The problems are asked through :class:`repro.engine.AnalysisSession` (or
 :func:`repro.engine.run_request`), which picks the kernel per Table I.
 """
 
-from .analysis import BudgetDamagePoint, CriticalBasReport
-from .problems import Problem, capability_matrix
-from .semantics import (
-    Attack,
-    all_attacks,
-    attack_cost,
-    attack_damage,
-    evaluate_attack,
-    normalize_attack,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Attack",
-    "BudgetDamagePoint",
-    "CriticalBasReport",
-    "Problem",
-    "all_attacks",
-    "attack_cost",
-    "attack_damage",
-    "capability_matrix",
-    "evaluate_attack",
-    "normalize_attack",
-]
+_EXPORTS = {
+    "Attack": "semantics",
+    "BudgetDamagePoint": "analysis",
+    "CriticalBasReport": "analysis",
+    "Problem": "problems",
+    "all_attacks": "semantics",
+    "attack_cost": "semantics",
+    "attack_damage": "semantics",
+    "capability_matrix": "problems",
+    "evaluate_attack": "semantics",
+    "normalize_attack": "semantics",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

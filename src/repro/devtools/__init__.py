@@ -9,6 +9,12 @@ in a scripts directory, so CI, pre-commit hooks and downstream forks all
 run the exact rule set the code was written against.
 """
 
-from . import staticcheck
+from .._lazy import lazy_exports
 
-__all__ = ["staticcheck"]
+_EXPORTS = {
+    "staticcheck": "staticcheck",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -31,37 +31,26 @@ is suppressed by the engine.  EXC001 additionally honours its dedicated
 mandatory, so every surviving broad handler documents why it is broad.
 """
 
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from .engine import (
-    CheckReport,
-    Finding,
-    Project,
-    Rule,
-    SourceModule,
-    StaticCheckError,
-    run_check,
-)
-from .rules import ALL_RULES, default_rules, rule_ids, select_rules
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "ALL_RULES",
-    "CheckReport",
-    "DEFAULT_BASELINE_NAME",
-    "Finding",
-    "Project",
-    "Rule",
-    "SourceModule",
-    "StaticCheckError",
-    "apply_baseline",
-    "default_rules",
-    "load_baseline",
-    "rule_ids",
-    "run_check",
-    "select_rules",
-    "write_baseline",
-]
+_EXPORTS = {
+    "ALL_RULES": "rules.registry",
+    "CheckReport": "engine",
+    "DEFAULT_BASELINE_NAME": "baseline",
+    "Finding": "engine",
+    "Project": "engine",
+    "Rule": "engine",
+    "SourceModule": "engine",
+    "StaticCheckError": "engine",
+    "apply_baseline": "baseline",
+    "default_rules": "rules.registry",
+    "load_baseline": "baseline",
+    "rule_ids": "rules.registry",
+    "run_check": "engine",
+    "select_rules": "rules.registry",
+    "write_baseline": "baseline",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

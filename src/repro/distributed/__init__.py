@@ -54,50 +54,33 @@ flags at an ``atcd serve`` broker URL instead of a path
 (:mod:`repro.net`); :func:`open_queue` dispatches on the scheme.
 """
 
-from .coordinator import Coordinator, GatherReport, RUN_META_KEY
-from .fleet import LocalFleet, worker_command, worker_environment
-from .queue import (
-    DEFAULT_LEASE_GRACE,
-    DEFAULT_MAX_ATTEMPTS,
-    QUEUE_SCHEMA_VERSION,
-    FinishedTask,
-    QueueError,
-    SqliteQueue,
-    Task,
-    TaskState,
-    WorkQueue,
-    open_queue,
-)
-from .worker import (
-    Worker,
-    WorkerReport,
-    WorkerShutdown,
-    default_worker_id,
-    execute_task_payload,
-    signal_shutdown,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Coordinator",
-    "DEFAULT_LEASE_GRACE",
-    "DEFAULT_MAX_ATTEMPTS",
-    "FinishedTask",
-    "GatherReport",
-    "LocalFleet",
-    "QUEUE_SCHEMA_VERSION",
-    "QueueError",
-    "RUN_META_KEY",
-    "SqliteQueue",
-    "Task",
-    "TaskState",
-    "WorkQueue",
-    "Worker",
-    "WorkerReport",
-    "WorkerShutdown",
-    "default_worker_id",
-    "execute_task_payload",
-    "open_queue",
-    "signal_shutdown",
-    "worker_command",
-    "worker_environment",
-]
+_EXPORTS = {
+    "Coordinator": "coordinator",
+    "DEFAULT_LEASE_GRACE": "queue",
+    "DEFAULT_MAX_ATTEMPTS": "queue",
+    "FinishedTask": "queue",
+    "GatherReport": "coordinator",
+    "LocalFleet": "fleet",
+    "QUEUE_SCHEMA_VERSION": "queue",
+    "QueueError": "queue",
+    "RUN_META_KEY": "coordinator",
+    "SqliteQueue": "queue",
+    "Task": "queue",
+    "TaskState": "queue",
+    "WorkQueue": "queue",
+    "Worker": "worker",
+    "WorkerReport": "worker",
+    "WorkerShutdown": "worker",
+    "default_worker_id": "worker",
+    "execute_task_payload": "worker",
+    "open_queue": "queue",
+    "signal_shutdown": "worker",
+    "worker_command": "fleet",
+    "worker_environment": "fleet",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -51,7 +51,6 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, Optional
 
-from ..bench.harness import execute_serialized_case
 from ..engine.session import run_serialized_request
 from ..engine.store import NamespacedStore, ResultStore
 from ..obs import families as obs_families
@@ -149,6 +148,9 @@ def execute_task_payload(
     """
     kind = payload.get("kind", "bench-case")
     if kind == "bench-case":
+        # The harness loads the workload generators: only bench tasks need it.
+        from ..bench.harness import execute_serialized_case
+
         return execute_serialized_case(payload, store=store)
     if kind == "request":
         namespace = payload.get("store_namespace")

@@ -28,95 +28,45 @@ Layers
 the six problems; a backend is named by its string name.
 """
 
-from .backend import (
-    BackendOutput,
-    BaseBackend,
-    Capability,
-    Model,
-    Setting,
-    Shape,
-    SolverBackend,
-    model_shape,
-    problem_setting,
-)
-from .registry import (
-    BackendRegistry,
-    BackendRegistryError,
-    CapabilityError,
-    UnknownBackendError,
-    default_registry,
-    shared_registry,
-)
-from .requests import AnalysisRequest, AnalysisResult
-from .session import (
-    EXECUTORS,
-    AnalysisSession,
-    SessionStats,
-    model_fingerprint,
-    run_request,
-    run_serialized_request,
-)
-from .store import (
-    STORE_SCHEMA_VERSION,
-    NamespacedStore,
-    ResultStore,
-    SqliteStore,
-    StoreError,
-    StoreStats,
-    open_store,
-)
+from .._lazy import lazy_exports
 
-#: Concrete backend classes are re-exported lazily (PEP 562): importing the
-#: engine package must not pull in the kernel modules — they load on first
-#: registry use (default_registry) or first attribute access.
-_LAZY_BACKEND_EXPORTS = frozenset({
-    "BilpBackend",
-    "BottomUpBackend",
-    "EnumerativeBackend",
-    "standard_backends",
-})
+_EXPORTS = {
+    "AnalysisRequest": "requests",
+    "AnalysisResult": "requests",
+    "AnalysisSession": "session",
+    "BackendOutput": "backend",
+    "BackendRegistry": "registry",
+    "BackendRegistryError": "registry",
+    "BaseBackend": "backend",
+    "BilpBackend": "backends",
+    "BottomUpBackend": "backends",
+    "Capability": "backend",
+    "CapabilityError": "registry",
+    "EXECUTORS": "session",
+    "EnumerativeBackend": "backends",
+    "NamespacedStore": "store",
+    "Model": "backend",
+    "ResultStore": "store",
+    "STORE_SCHEMA_VERSION": "store",
+    "SessionStats": "session",
+    "Setting": "backend",
+    "Shape": "backend",
+    "SolverBackend": "backend",
+    "SqliteStore": "store",
+    "StoreError": "store",
+    "StoreStats": "store",
+    "UnknownBackendError": "registry",
+    "default_registry": "registry",
+    "model_fingerprint": "session",
+    "open_store": "store",
+    "model_shape": "backend",
+    "problem_setting": "backend",
+    "run_request": "session",
+    "run_serialized_request": "session",
+    "shared_registry": "registry",
+    "standard_backends": "backends",
+}
 
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
-def __getattr__(name):
-    if name in _LAZY_BACKEND_EXPORTS:
-        from . import backends
-
-        return getattr(backends, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "AnalysisRequest",
-    "AnalysisResult",
-    "AnalysisSession",
-    "BackendOutput",
-    "BackendRegistry",
-    "BackendRegistryError",
-    "BaseBackend",
-    "BilpBackend",
-    "BottomUpBackend",
-    "Capability",
-    "CapabilityError",
-    "EXECUTORS",
-    "EnumerativeBackend",
-    "NamespacedStore",
-    "Model",
-    "ResultStore",
-    "STORE_SCHEMA_VERSION",
-    "SessionStats",
-    "Setting",
-    "Shape",
-    "SolverBackend",
-    "SqliteStore",
-    "StoreError",
-    "StoreStats",
-    "UnknownBackendError",
-    "default_registry",
-    "model_fingerprint",
-    "open_store",
-    "model_shape",
-    "problem_setting",
-    "run_request",
-    "run_serialized_request",
-    "shared_registry",
-    "standard_backends",
-]
+__all__ = list(_EXPORTS)

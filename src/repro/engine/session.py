@@ -27,7 +27,7 @@ import copy
 import hashlib
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
@@ -438,6 +438,9 @@ class AnalysisSession:
         if unique_misses > 0:
             obs_families.session_cache_total().inc(unique_misses, result="miss")
         if misses:
+            # Loads multiprocessing, which only this path runs.
+            from concurrent.futures import ProcessPoolExecutor
+
             model_payload = serialization.to_dict(self.model)
             workers = max_workers or min(len(misses), 8)
             with ProcessPoolExecutor(

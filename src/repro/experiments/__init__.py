@@ -12,6 +12,15 @@
     Plain-text rendering helpers shared by the above.
 """
 
-from . import casestudies, random_suite, report, timing
+from .._lazy import lazy_exports
 
-__all__ = ["casestudies", "random_suite", "report", "timing"]
+_EXPORTS = {
+    "casestudies": "casestudies",
+    "random_suite": "random_suite",
+    "report": "report",
+    "timing": "timing",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

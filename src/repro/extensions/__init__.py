@@ -7,21 +7,19 @@ They are clearly separated from :mod:`repro.core`, which only contains the
 algorithms the paper proves correct.
 """
 
-from .hardening import (
-    Countermeasure,
-    HardeningResult,
-    apply_countermeasures,
-    optimal_hardening,
-)
-from .robust import Interval, IntervalCostDamageAT, RobustFront, robust_pareto_front
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Countermeasure",
-    "HardeningResult",
-    "Interval",
-    "apply_countermeasures",
-    "optimal_hardening",
-    "IntervalCostDamageAT",
-    "RobustFront",
-    "robust_pareto_front",
-]
+_EXPORTS = {
+    "Countermeasure": "hardening",
+    "HardeningResult": "hardening",
+    "Interval": "robust",
+    "apply_countermeasures": "hardening",
+    "optimal_hardening": "hardening",
+    "IntervalCostDamageAT": "robust",
+    "RobustFront": "robust",
+    "robust_pareto_front": "robust",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

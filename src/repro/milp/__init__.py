@@ -4,41 +4,27 @@ Replaces the paper's Gurobi + YALMIP stack: a small model layer, the HiGHS
 ILP solver (via SciPy), and an ε-constraint bi-objective driver.
 """
 
-from .biobjective import (
-    BiobjectivePoint,
-    BiobjectiveResult,
-    EpsilonConstraintSolver,
-    infer_step,
-)
-from .highs import HighsSolver
-from .model import (
-    Constraint,
-    ConstraintSense,
-    IntegerProgram,
-    LinearExpression,
-    ModelError,
-    Objective,
-    ObjectiveSense,
-    Variable,
-    VariableKind,
-)
-from .solution import MilpSolution, SolveStatus
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BiobjectivePoint",
-    "BiobjectiveResult",
-    "Constraint",
-    "ConstraintSense",
-    "EpsilonConstraintSolver",
-    "HighsSolver",
-    "IntegerProgram",
-    "LinearExpression",
-    "MilpSolution",
-    "ModelError",
-    "Objective",
-    "ObjectiveSense",
-    "SolveStatus",
-    "Variable",
-    "VariableKind",
-    "infer_step",
-]
+_EXPORTS = {
+    "BiobjectivePoint": "biobjective",
+    "BiobjectiveResult": "biobjective",
+    "Constraint": "model",
+    "ConstraintSense": "model",
+    "EpsilonConstraintSolver": "biobjective",
+    "HighsSolver": "highs",
+    "IntegerProgram": "model",
+    "LinearExpression": "model",
+    "MilpSolution": "solution",
+    "ModelError": "model",
+    "Objective": "model",
+    "ObjectiveSense": "model",
+    "SolveStatus": "solution",
+    "Variable": "model",
+    "VariableKind": "model",
+    "infer_step": "biobjective",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -50,17 +50,18 @@ accepts a path.  Optional bearer-token auth: start the server with
 the clients.
 """
 
-from .accesslog import AccessLog, REQUEST_ID_HEADER
-from .client import HttpQueue, HttpStore
-from .server import BrokerServer
-from .wire import TOKEN_ENV_VAR, WIRE_VERSION
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AccessLog",
-    "BrokerServer",
-    "HttpQueue",
-    "HttpStore",
-    "REQUEST_ID_HEADER",
-    "TOKEN_ENV_VAR",
-    "WIRE_VERSION",
-]
+_EXPORTS = {
+    "AccessLog": "accesslog",
+    "BrokerServer": "server",
+    "HttpQueue": "client",
+    "HttpStore": "client",
+    "REQUEST_ID_HEADER": "accesslog",
+    "TOKEN_ENV_VAR": "wire",
+    "WIRE_VERSION": "wire",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

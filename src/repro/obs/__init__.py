@@ -16,76 +16,43 @@ Three core pieces, wired through every runtime layer:
 runtime emits; see DESIGN.md's "Observability" section for the contract.
 """
 
-from . import families  # noqa: F401  (re-exported as a namespace)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    merge_snapshots,
-    reset_registry,
-    set_registry,
-)
-from .promtext import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
-from .promtext import parse as parse_prometheus
-from .promtext import render as render_prometheus
-from .scrape import (
-    WORKER_METRICS_META_PREFIX,
-    render_fleet_metrics,
-    worker_snapshots,
-)
-from .trace import (
-    TRACE_HEADER,
-    NdjsonSpanExporter,
-    Span,
-    TraceContext,
-    activate_context,
-    add_exporter,
-    clear_exporters,
-    current_context,
-    extract_context,
-    inject_context,
-    new_trace_id,
-    normalize_trace_id,
-    open_trace_output,
-    parse_traceparent,
-    remove_exporter,
-    span,
-    traceparent_header,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "families",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "get_registry",
-    "set_registry",
-    "reset_registry",
-    "merge_snapshots",
-    "PROMETHEUS_CONTENT_TYPE",
-    "render_prometheus",
-    "parse_prometheus",
-    "WORKER_METRICS_META_PREFIX",
-    "render_fleet_metrics",
-    "worker_snapshots",
-    "TRACE_HEADER",
-    "TraceContext",
-    "Span",
-    "span",
-    "current_context",
-    "activate_context",
-    "new_trace_id",
-    "normalize_trace_id",
-    "inject_context",
-    "extract_context",
-    "traceparent_header",
-    "parse_traceparent",
-    "add_exporter",
-    "remove_exporter",
-    "clear_exporters",
-    "NdjsonSpanExporter",
-    "open_trace_output",
-]
+_EXPORTS = {
+    "families": "families",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "get_registry": "metrics",
+    "set_registry": "metrics",
+    "reset_registry": "metrics",
+    "merge_snapshots": "metrics",
+    "PROMETHEUS_CONTENT_TYPE": "promtext:CONTENT_TYPE",
+    "render_prometheus": "promtext:render",
+    "parse_prometheus": "promtext:parse",
+    "WORKER_METRICS_META_PREFIX": "scrape",
+    "render_fleet_metrics": "scrape",
+    "worker_snapshots": "scrape",
+    "TRACE_HEADER": "trace",
+    "TraceContext": "trace",
+    "Span": "trace",
+    "span": "trace",
+    "current_context": "trace",
+    "activate_context": "trace",
+    "new_trace_id": "trace",
+    "normalize_trace_id": "trace",
+    "inject_context": "trace",
+    "extract_context": "trace",
+    "traceparent_header": "trace",
+    "parse_traceparent": "trace",
+    "add_exporter": "trace",
+    "remove_exporter": "trace",
+    "clear_exporters": "trace",
+    "NdjsonSpanExporter": "trace",
+    "open_trace_output": "trace",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -1,30 +1,22 @@
 """Generic Pareto machinery: partial orders, minimisation, fronts, plotting."""
 
-from .front import ParetoFront, ParetoPoint
-from .plot import ascii_front
-from .poset import (
-    EPSILON,
-    dominates_pair,
-    dominates_triple,
-    is_antichain_pairs,
-    merge_pair_sets,
-    pareto_minimal_pairs,
-    pareto_minimal_triples,
-    strictly_dominates_pair,
-    strictly_dominates_triple,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EPSILON",
-    "ParetoFront",
-    "ParetoPoint",
-    "ascii_front",
-    "dominates_pair",
-    "dominates_triple",
-    "is_antichain_pairs",
-    "merge_pair_sets",
-    "pareto_minimal_pairs",
-    "pareto_minimal_triples",
-    "strictly_dominates_pair",
-    "strictly_dominates_triple",
-]
+_EXPORTS = {
+    "EPSILON": "poset",
+    "ParetoFront": "front",
+    "ParetoPoint": "front",
+    "ascii_front": "plot",
+    "dominates_pair": "poset",
+    "dominates_triple": "poset",
+    "is_antichain_pairs": "poset",
+    "merge_pair_sets": "poset",
+    "pareto_minimal_pairs": "poset",
+    "pareto_minimal_triples": "poset",
+    "strictly_dominates_pair": "poset",
+    "strictly_dominates_triple": "poset",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

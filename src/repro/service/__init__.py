@@ -20,33 +20,27 @@ Layout:
   poll, NDJSON streaming, cancel.
 """
 
-from .api import SERVICE_NAME, SERVICE_VERSION, ServiceServer
-from .jobs import (
-    JOB_STATES,
-    TERMINAL_STATES,
-    JobError,
-    JobManager,
-    JobValidationError,
-    validate_batch,
-)
-from .quotas import QuotaExceeded, QuotaManager, TokenBucket
-from .tenants import API_KEY_HEADER, MIN_KEY_LENGTH, Tenant, TenantRegistry
+from .._lazy import lazy_exports
 
-__all__ = [
-    "API_KEY_HEADER",
-    "JOB_STATES",
-    "MIN_KEY_LENGTH",
-    "SERVICE_NAME",
-    "SERVICE_VERSION",
-    "TERMINAL_STATES",
-    "JobError",
-    "JobManager",
-    "JobValidationError",
-    "QuotaExceeded",
-    "QuotaManager",
-    "ServiceServer",
-    "Tenant",
-    "TenantRegistry",
-    "TokenBucket",
-    "validate_batch",
-]
+_EXPORTS = {
+    "API_KEY_HEADER": "tenants",
+    "JOB_STATES": "jobs",
+    "MIN_KEY_LENGTH": "tenants",
+    "SERVICE_NAME": "api",
+    "SERVICE_VERSION": "api",
+    "TERMINAL_STATES": "jobs",
+    "JobError": "jobs",
+    "JobManager": "jobs",
+    "JobValidationError": "jobs",
+    "QuotaExceeded": "quotas",
+    "QuotaManager": "quotas",
+    "ServiceServer": "api",
+    "Tenant": "tenants",
+    "TenantRegistry": "tenants",
+    "TokenBucket": "quotas",
+    "validate_batch": "jobs",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -12,37 +12,27 @@ registry, and :mod:`repro.bench` for the harness that times the expanded
 workloads through the analysis engine.
 """
 
-from .families import (
-    CatalogFamily,
-    DeepChainFamily,
-    RandomFamily,
-    SharedBasFamily,
-    WideFanFamily,
-    WorkloadCase,
-    WorkloadFamily,
-    describe_families,
-    expand,
-    family,
-    family_names,
-    register_family,
-)
-from .spec import SETTINGS, SHAPES, DecorationRanges, ScenarioSpec
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CatalogFamily",
-    "DecorationRanges",
-    "DeepChainFamily",
-    "RandomFamily",
-    "SETTINGS",
-    "SHAPES",
-    "ScenarioSpec",
-    "SharedBasFamily",
-    "WideFanFamily",
-    "WorkloadCase",
-    "WorkloadFamily",
-    "describe_families",
-    "expand",
-    "family",
-    "family_names",
-    "register_family",
-]
+_EXPORTS = {
+    "CatalogFamily": "families",
+    "DecorationRanges": "spec",
+    "DeepChainFamily": "families",
+    "RandomFamily": "families",
+    "SETTINGS": "spec",
+    "SHAPES": "spec",
+    "ScenarioSpec": "spec",
+    "SharedBasFamily": "families",
+    "WideFanFamily": "families",
+    "WorkloadCase": "families",
+    "WorkloadFamily": "families",
+    "describe_families": "families",
+    "expand": "families",
+    "family": "families",
+    "family_names": "families",
+    "register_family": "families",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -78,7 +78,7 @@ class TestJsonOutput:
         assert main(["check", str(kernel_dir), "--json"]) == 1
         document = json.loads(capsys.readouterr().out)
         assert document["files_checked"] == 1
-        assert len(document["rules_run"]) == 7
+        assert len(document["rules_run"]) == 8
         assert document["grandfathered"] == 0
         (finding,) = document["findings"]
         assert finding["rule"] == "DET001"
@@ -143,6 +143,13 @@ class TestBaseline:
         capsys.readouterr()
         assert main(["check", os.curdir]) == 0
         assert "1 grandfathered" in capsys.readouterr().out
+
+    def test_help_names_the_default_baseline(self, capsys):
+        from repro.devtools.staticcheck import DEFAULT_BASELINE_NAME
+
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        assert DEFAULT_BASELINE_NAME in capsys.readouterr().out
 
 
 class TestRepoIsClean:

@@ -21,6 +21,7 @@ from repro.devtools.staticcheck.rules import (
     CliExitRule,
     DeferredImportRule,
     DeterminismRule,
+    LazyPackageRule,
     LockRule,
     MetricsCatalogRule,
     TransactionRule,
@@ -425,6 +426,63 @@ class TestDeferredImports:
 
 
 # --------------------------------------------------------------------- #
+# IMP002
+# --------------------------------------------------------------------- #
+#: A stdlib-only sibling (may load eagerly) and one that imports repro.
+TIMING = SourceModule("repro/bench/timing.py", "import time\nclock = time.perf_counter\n")
+HARNESS = SourceModule("repro/bench/harness.py", "from ..engine import session\n")
+
+
+class TestLazyPackages:
+    def test_eager_package_imports_flagged(self):
+        bad = SourceModule("repro/bench/__init__.py", (
+            "from .harness import run\n"
+            "from . import harness\n"
+            "from ..engine import AnalysisSession\n"
+            "import repro.engine.session\n"
+            "import json\n"
+            "from .._lazy import lazy_exports\n"
+            "from .missing import thing\n"
+            "if TYPE_CHECKING:\n"
+            "    from .harness import run\n"
+            "class Exports:\n"
+            "    from .harness import run\n"
+        ))
+        found = findings_of(LazyPackageRule(), bad, TIMING, HARNESS)
+        assert all(f.rule == "IMP002" for f in found)
+        assert [f.line for f in found] == [1, 2, 3, 4, 5, 7, 9, 11]
+        assert "repro.engine" in found[2].message
+
+    def test_helper_and_repro_free_siblings_stay_clean(self):
+        good = SourceModule("repro/bench/__init__.py", (
+            "from __future__ import annotations\n"
+            "from .._lazy import lazy_exports\n"
+            "from .timing import clock\n"
+            "from . import timing\n"
+            "def __getattr__(name):\n"
+            "    from . import harness\n"
+            "    return getattr(harness, name)\n"
+            "__getattr__, __dir__ = lazy_exports(globals(), {'run': 'harness'})\n"
+        ))
+        assert findings_of(LazyPackageRule(), good, TIMING, HARNESS) == []
+
+    def test_top_level_package_and_nested_levels_resolve(self):
+        top = SourceModule("repro/__init__.py", "from ._lazy import lazy_exports\n")
+        nested = SourceModule(
+            "repro/devtools/staticcheck/rules/__init__.py",
+            "from ...._lazy import lazy_exports\nfrom ...engine import Rule\n",
+        )
+        found = findings_of(LazyPackageRule(), top, nested)
+        assert [(f.path, f.line) for f in found] == [(nested.display_path, 2)]
+        assert "repro.devtools.engine" in found[0].message
+
+    def test_plain_modules_out_of_scope(self):
+        module = SourceModule("repro/bench/runner.py", "from .harness import run\n")
+        outside = SourceModule("tools/pkg/__init__.py", "from .harness import run\n")
+        assert findings_of(LazyPackageRule(), module, outside, HARNESS) == []
+
+
+# --------------------------------------------------------------------- #
 # engine behaviors
 # --------------------------------------------------------------------- #
 class TestEngine:
@@ -446,11 +504,11 @@ class TestEngine:
         with pytest.raises(StaticCheckError, match="unknown rule"):
             select_rules(["NOPE999"])
 
-    def test_default_rules_cover_all_seven(self):
+    def test_default_rules_cover_all_eight(self):
         ids = {rule.rule_id for rule in default_rules()}
         assert ids == {
             "DET001", "MET001", "TXN001", "LCK001", "CLI001", "EXC001",
-            "IMP001",
+            "IMP001", "IMP002",
         }
 
     def test_baseline_grandfathers_and_reports_stale(self):

@@ -61,7 +61,8 @@ class TestDistRun:
             "dist", "run", "--profile", tiny_profile, "--workers", "2",
             "--store", store, "--out", out, "--timeout", "120",
         ]) == 0
-        artifact = json.load(open(out))
+        with open(out) as handle:
+            artifact = json.load(handle)
         sequential = [run.to_dict() for run in execute_specs(TINY_SPECS)]
         assert results_section(artifact["runs"]) == results_section(sequential)
         distributed = artifact["config"]["distributed"]
@@ -76,8 +77,8 @@ class TestDistRun:
             "dist", "run", "--profile", tiny_profile, "--workers", "1",
             "--queue", queue_path, "--out", out, "--timeout", "120",
         ]) == 0
-        with SqliteQueue(queue_path) as queue:
-            assert queue.counts()["done"] == len(json.load(open(out))["runs"])
+        with SqliteQueue(queue_path) as queue, open(out) as handle:
+            assert queue.counts()["done"] == len(json.load(handle)["runs"])
 
 
 class TestSubmitWorkerStatusGather:
@@ -98,7 +99,8 @@ class TestSubmitWorkerStatusGather:
                      "--poll", "0.01"]) == 0
         assert main(["dist", "gather", "--queue", queue_path,
                      "--out", out]) == 0
-        artifact = json.load(open(out))
+        with open(out) as handle:
+            artifact = json.load(handle)
         sequential = [run.to_dict() for run in execute_specs(TINY_SPECS)]
         assert results_section(artifact["runs"]) == results_section(sequential)
 
@@ -178,7 +180,8 @@ class TestPoisonTaskCLI:
                      "--out", out]) == 1
         captured = capsys.readouterr()
         assert "DEAD task" in captured.err
-        artifact = json.load(open(out))
+        with open(out) as handle:
+            artifact = json.load(handle)
         assert len(artifact["config"]["distributed"]["dead_tasks"]) == 1
         sequential = [run.to_dict() for run in execute_specs(TINY_SPECS)]
         assert len(artifact["runs"]) == len(sequential) - 1
@@ -303,7 +306,8 @@ class TestResubmitCLI:
                      "--poll", "0.01"]) == 0
         assert main(["dist", "gather", "--queue", queue_path,
                      "--out", out]) == 0
-        artifact = json.load(open(out))
+        with open(out) as handle:
+            artifact = json.load(handle)
         sequential = [run.to_dict() for run in execute_specs(TINY_SPECS)]
         assert results_section(artifact["runs"]) == results_section(sequential)
         assert artifact["config"]["distributed"]["dead_tasks"] == []
@@ -366,6 +370,7 @@ class TestGracefulShutdownCLI:
         out = str(tmp_path / "BENCH_sigterm.json")
         assert main(["dist", "gather", "--queue", queue_path,
                      "--out", out]) == 0
-        artifact = json.load(open(out))
+        with open(out) as handle:
+            artifact = json.load(handle)
         sequential = [run.to_dict() for run in execute_specs(TINY_SPECS)]
         assert results_section(artifact["runs"]) == results_section(sequential)

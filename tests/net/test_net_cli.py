@@ -64,6 +64,7 @@ def broker(tmp_path):
     yield url
     process.send_signal(signal.SIGTERM)
     process.wait(timeout=30)
+    process.stdout.close()
 
 
 class TestServeEndToEnd:
@@ -79,7 +80,8 @@ class TestServeEndToEnd:
         assert main(["dist", "worker", "--queue", broker, "--store", broker,
                      "--poll", "0.01"]) == 0
         assert main(["dist", "gather", "--queue", broker, "--out", out]) == 0
-        artifact = json.load(open(out))
+        with open(out) as handle:
+            artifact = json.load(handle)
         sequential = [run.to_dict() for run in execute_specs(TINY_SPECS)]
         assert results_section(artifact["runs"]) == results_section(sequential)
         # The worker wrote through the broker store too.
@@ -95,7 +97,8 @@ class TestServeEndToEnd:
         assert main(["dist", "run", "--profile", tiny_profile,
                      "--workers", "2", "--queue", broker, "--store", broker,
                      "--out", out, "--timeout", "120"]) == 0
-        artifact = json.load(open(out))
+        with open(out) as handle:
+            artifact = json.load(handle)
         sequential = [run.to_dict() for run in execute_specs(TINY_SPECS)]
         assert results_section(artifact["runs"]) == results_section(sequential)
         assert artifact["config"]["distributed"]["dead_tasks"] == []
@@ -130,7 +133,8 @@ class TestServeEndToEnd:
                      "--poll", "0.01"]) == 0
         out = str(tmp_path / "BENCH_recovered.json")
         assert main(["dist", "gather", "--queue", broker, "--out", out]) == 0
-        artifact = json.load(open(out))
+        with open(out) as handle:
+            artifact = json.load(handle)
         sequential = [run.to_dict() for run in execute_specs([bad])]
         assert results_section(artifact["runs"]) == results_section(sequential)
 
@@ -198,7 +202,9 @@ class TestServeErrors:
                          "--poll", "0.01"]) == 0
             out = str(tmp_path / "BENCH_auth.json")
             assert main(["dist", "gather", "--queue", url, "--out", out]) == 0
-            assert len(json.load(open(out))["runs"]) > 0
+            with open(out) as handle:
+                assert len(json.load(handle)["runs"]) > 0
         finally:
             process.send_signal(signal.SIGTERM)
             process.wait(timeout=30)
+            process.stdout.close()

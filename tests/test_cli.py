@@ -168,7 +168,8 @@ class TestBench:
         stdout = capsys.readouterr().out
         assert "wrote" in stdout and "families" in stdout
 
-        artifact = json.loads(open(out).read())
+        with open(out) as handle:
+            artifact = json.load(handle)
         assert artifact["schema"] == "atcd-bench"
         assert len(artifact["totals"]["families"]) >= 4
         assert sorted(artifact["totals"]["shapes"]) == ["dag", "treelike"]
@@ -188,11 +189,13 @@ class TestBench:
         runs = execute_specs(specs)
         base = str(tmp_path / "base.json")
         write_artifact(build_artifact("base", specs, runs), base)
-        slow = json.loads(open(base).read())
+        with open(base) as handle:
+            slow = json.load(handle)
         for run in slow["runs"]:
             run["wall_time_seconds"] = run["wall_time_seconds"] * 10 + 1.0
         slow_path = str(tmp_path / "slow.json")
-        open(slow_path, "w").write(json.dumps(slow))
+        with open(slow_path, "w") as handle:
+            handle.write(json.dumps(slow))
         assert main(["bench", "compare", base, slow_path]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
@@ -289,8 +292,10 @@ class TestStore:
         assert main(argv + ["--out", warm_path]) == 0
         capsys.readouterr()
 
-        cold = json.loads(open(cold_path).read())
-        warm = json.loads(open(warm_path).read())
+        with open(cold_path) as handle:
+            cold = json.load(handle)
+        with open(warm_path) as handle:
+            warm = json.load(handle)
         totals = warm["totals"]
         # Acceptance criterion: the warm run serves >= 90% from the store...
         hit_rate = totals["cache_hits"] / (

@@ -97,3 +97,91 @@ def test_networkx_round_trip_loads_networkx_on_first_use():
         print("networkx" in sys.modules)
     """)
     assert out.strip() == "True"
+
+
+# --------------------------------------------------------------------- #
+# The package's own import graph: each process loads what its role runs.
+# --------------------------------------------------------------------- #
+PACKAGES = sorted(
+    ".".join(path.parent.relative_to(SRC).parts)
+    for path in (SRC / "repro").rglob("__init__.py")
+)
+
+KERNELS = ("repro.core.bottom_up", "repro.core.bilp", "repro.core.enumerative",
+           "repro.milp", "repro.engine.backends")
+
+
+def loaded_under(code, prefixes):
+    """The modules under ``prefixes`` a fresh interpreter has after ``code``."""
+    out = run_fresh(f"""
+        import sys
+        {code}
+        print(sorted(name for name in sys.modules
+                     if name.startswith({tuple(prefixes)!r})))
+    """)
+    return out.strip()
+
+
+def test_broker_loads_no_analysis_module():
+    assert loaded_under("import repro.cli, repro.net.server", (
+        "repro.attacktree", "repro.core.bottom_up", "repro.core.bilp",
+        "repro.bench", "repro.workloads", "repro.experiments", "repro.devtools",
+    )) == "[]"
+
+
+def test_api_loads_no_solver_kernel():
+    assert loaded_under("import repro.cli, repro.service.api", KERNELS + (
+        "repro.bench", "repro.workloads", "repro.experiments", "repro.devtools",
+    )) == "[]"
+
+
+def test_worker_loads_no_bench_harness_or_server():
+    assert loaded_under("import repro.distributed.worker", (
+        "repro.bench.harness", "repro.workloads", "repro.service",
+        "repro.net.server",
+    )) == "[]"
+
+
+def test_session_loads_no_process_pool():
+    assert loaded_under(
+        "import repro.engine.session", ("concurrent.futures.process",)
+    ) == "[]"
+
+
+def test_import_repro_loads_no_subpackage():
+    assert loaded_under("import repro", ("repro",)) == "['repro', 'repro._lazy']"
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_export_resolves_to_its_defining_object(package):
+    out = run_fresh(f"""
+        import importlib, sys, types
+        package = importlib.import_module({package!r})
+        table = getattr(package, "_EXPORTS", {{}})
+        for name in package.__all__:
+            assert name in dir(package), name
+            value = getattr(package, name)
+            assert vars(package)[name] is value, name
+            if name in table:
+                module_name, _, attribute = table[name].partition(":")
+                module = importlib.import_module(f"{package}.{{module_name}}")
+                expected = (module if module_name.split(".")[-1] == name
+                            and not attribute else getattr(module, attribute or name))
+                assert value is expected, name
+            defining = getattr(value, "__module__", None)
+            if isinstance(value, types.ModuleType):
+                assert sys.modules[value.__name__] is value, name
+            elif defining and defining.startswith("repro"):
+                assert getattr(sys.modules[defining], value.__name__) is value, name
+        print(len(package.__all__))
+    """)
+    assert int(out) > 0
+
+
+def test_bench_measure_stays_the_timing_function():
+    out = run_fresh("""
+        import repro.bench.measure
+        import repro.bench
+        print(callable(repro.bench.measure), type(repro.bench.measure).__name__)
+    """)
+    assert out.strip() == "True function"
